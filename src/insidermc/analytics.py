@@ -192,7 +192,7 @@ def jump_probability(params: MarketParams) -> float:
     """
     z = threshold(params)
     sqrt_t = math.sqrt(params.horizon)
-    return norm_cdf((z + params.sigma * params.horizon) / sqrt_t) - norm_cdf(z / sqrt_t)
+    return float(norm_cdf((z + params.sigma * params.horizon) / sqrt_t) - norm_cdf(z / sqrt_t))
 
 
 @dataclass(frozen=True)

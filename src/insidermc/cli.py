@@ -66,16 +66,13 @@ def _write_json(path: str, payload: dict) -> None:
 
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     cfg = load_file(args.config) if args.config else ExperimentConfig()
-    if ENV_SEED in os.environ:
-        try:
-            cfg = cfg.replace(seed=int(os.environ[ENV_SEED]))
-        except ValueError as exc:
-            raise ConfigError(f"{ENV_SEED} must be an integer") from exc
-    if ENV_WORKERS in os.environ:
-        try:
-            cfg = cfg.replace(workers=int(os.environ[ENV_WORKERS]))
-        except ValueError as exc:
-            raise ConfigError(f"{ENV_WORKERS} must be an integer") from exc
+    for name, key in ((ENV_SEED, "seed"), (ENV_WORKERS, "workers")):
+        if name in os.environ:
+            try:
+                value = int(os.environ[name])
+            except ValueError as exc:
+                raise ConfigError(f"{name} must be an integer") from exc
+            cfg = cfg.replace(**{key: value})
     overrides = {}
     if args.seed is not None:
         overrides["seed"] = args.seed
@@ -216,7 +213,7 @@ def cmd_converge(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
 
 def cmd_jump(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     grid = TimeGrid(cfg.params.horizon, cfg.steps)
-    report = discontinuity_probe(cfg.params, cfg.n_paths, grid, cfg.seed)
+    report = discontinuity_probe(cfg.params, cfg.n_paths, grid, cfg.seed, cfg.workers)
     print(f"empirical flip frequency: {report.frequency:.6f} +- {report.stderr:.6f}")
     print(f"closed-form probability:  {report.closed_form:.6f}")
     mean_t = "n/a" if report.mean_flip_time is None else f"{report.mean_flip_time:.4f}"

@@ -20,6 +20,7 @@ from .functionals import (
 from .harness import DEFAULT_PATHS, DEFAULT_SEED, DEFAULT_STEPS
 from .integrators import Interpretation
 from .market import FullInformation, Honest, MarketParams, PartialTrust, Strategy
+from .paths import check_seed
 
 
 class ConfigError(ValueError):
@@ -55,6 +56,14 @@ class ExperimentConfig:
     n_list: tuple[int, ...] | None = None
     csv_path: str | None = None
     json_path: str | None = None
+
+    def __post_init__(self) -> None:
+        # the seed comes from a flag, the environment or a file; reject it here
+        # rather than let the path sampler see it
+        try:
+            check_seed(self.seed)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def replace(self, **kwargs) -> "ExperimentConfig":
         return replace(self, **kwargs)

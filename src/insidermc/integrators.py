@@ -75,9 +75,35 @@ class WealthProcess:
         return float(self.samples[-1])
 
 
-def _growth_factor(params: "MarketParams", path: BrownianPath) -> np.ndarray:
-    nodes = path.grid.nodes
-    return np.exp((params.mu - 0.5 * params.sigma**2) * nodes + params.sigma * path.values)
+def _growth_factor(params: "MarketParams", nodes: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """E(t) = exp((mu - sigma^2/2) t + sigma B_t) along the trailing node axis of w."""
+    return np.exp((params.mu - 0.5 * params.sigma**2) * nodes + params.sigma * w)
+
+
+def exact_wealth(
+    c: TerminalFunctional,
+    params: "MarketParams",
+    nodes: np.ndarray,
+    w: np.ndarray,
+    interp: Interpretation,
+) -> np.ndarray:
+    """Closed-form solution at ``nodes`` for Brownian values ``w`` at those nodes.
+
+    ``w`` holds one path or a block of paths along leading axes. Its last
+    node must be the horizon, so ``w[..., -1:]`` is B_T; passing only the
+    last node gives the terminal wealth alone. The anticipating variants
+    evaluate the translated functional C(. - sigma t) at B_T node by node;
+    the forward variant keeps C(B_T) frozen. Ito is only defined for
+    deterministic C.
+    """
+    if interp is Interpretation.ITO and not c.is_deterministic:
+        raise ValueError("Ito interpretation requires a deterministic initial condition")
+    b_t = w[..., -1:]
+    if interp in ANTICIPATING:
+        initial = c.evaluate(b_t - params.sigma * nodes)
+    else:
+        initial = c.evaluate(b_t)
+    return np.asarray(initial * _growth_factor(params, nodes, w), dtype=float)
 
 
 def exact_solution(
@@ -86,22 +112,10 @@ def exact_solution(
     path: BrownianPath,
     interp: Interpretation,
 ) -> WealthProcess:
-    """Closed-form per-path solution under the chosen interpretation.
-
-    The anticipating variants evaluate the translated functional
-    C(. - sigma t_i) at B_T node by node; the forward variant keeps C(B_T)
-    frozen. Ito is only defined for deterministic C.
-    """
-    if interp is Interpretation.ITO and not c.is_deterministic:
-        raise ValueError("Ito interpretation requires a deterministic initial condition")
-    growth = _growth_factor(params, path)
-    if interp in ANTICIPATING:
-        initial = c.evaluate(path.terminal - params.sigma * path.grid.nodes)
-    else:
-        initial = c.evaluate(path.terminal)
+    """Closed-form per-path solution under the chosen interpretation (see ``exact_wealth``)."""
     return WealthProcess(
         grid=path.grid,
-        samples=np.asarray(initial * growth, dtype=float),
+        samples=exact_wealth(c, params, path.grid.nodes, path.values, interp),
         interpretation=interp,
         seed=path.seed,
         path_index=path.path_index,
@@ -265,15 +279,28 @@ def skorokhod_via_correction(
     )
 
 
-def indicator_factor(
-    c: Indicator, params: "MarketParams", path: BrownianPath, interp: Interpretation
-) -> np.ndarray:
-    """Boolean on/off state of the indicator leg at every node."""
+def first_flip(
+    c: Indicator,
+    params: "MarketParams",
+    nodes: np.ndarray,
+    b_t: np.ndarray,
+    interp: Interpretation,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Whether the indicator leg flips on/off along the grid, and when.
+
+    ``b_t`` holds terminal values with a trailing axis of length one; the
+    on/off state is taken at every node along that axis. The flip time is
+    the midpoint of the first bracketing interval, NaN where there is none.
+    """
     if interp in ANTICIPATING:
-        args = path.terminal - params.sigma * path.grid.nodes
+        args = b_t - params.sigma * nodes
     else:
-        args = np.full(path.grid.steps + 1, path.terminal)
-    return np.greater(args, c.threshold)
+        args = np.broadcast_to(b_t, b_t.shape[:-1] + nodes.shape)
+    factor = np.greater(args, c.threshold)
+    changes = factor[..., 1:] != factor[..., :-1]
+    flipped = changes.any(axis=-1)
+    i = changes.argmax(axis=-1)
+    return flipped, np.where(flipped, 0.5 * (nodes[i] + nodes[i + 1]), np.nan)
 
 
 def detect_indicator_flip(
@@ -288,10 +315,5 @@ def detect_indicator_flip(
     the bracketing interval. The flip is a functional-form event, so the
     detector looks at the indicator factor rather than the wealth samples.
     """
-    factor = indicator_factor(c, params, path, interp)
-    changes = np.nonzero(factor[1:] != factor[:-1])[0]
-    if changes.size == 0:
-        return False, None
-    i = int(changes[0])
-    nodes = path.grid.nodes
-    return True, float(0.5 * (nodes[i] + nodes[i + 1]))
+    flipped, t = first_flip(c, params, path.grid.nodes, path.values[-1:], interp)
+    return (True, float(t)) if flipped else (False, None)

@@ -13,13 +13,13 @@ The bond compounds at the bond rate rho for every strategy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
-from .functionals import Affine, Indicator, TerminalFunctional
-from .integrators import Interpretation, WealthProcess, exact_solution
+from .functionals import Affine, ArrayLike, Indicator, TerminalFunctional
+from .integrators import Interpretation, WealthProcess, exact_wealth
 from .paths import BrownianPath
 
 
@@ -98,18 +98,32 @@ def stock_functional(strategy: Strategy, params: MarketParams) -> TerminalFuncti
 
 
 def initial_allocation(
-    strategy: Strategy, params: MarketParams, b_t: float
-) -> tuple[float, float]:
+    strategy: Strategy, params: MarketParams, b_t: ArrayLike
+) -> tuple[ArrayLike, ArrayLike]:
     """Time-0 (stock, bond) amounts for a realized terminal value ``b_t``.
 
-    The two legs always sum to the total wealth; insiders may hold a negative
-    bond leg (borrowing), the honest trader may not.
+    ``b_t`` may be one value or an array of them. The two legs always sum to
+    the total wealth; insiders may hold a negative bond leg (borrowing), the
+    honest trader may not.
     """
     if isinstance(strategy, Honest):
         _check_honest(strategy, params)
         return strategy.stock0, strategy.bond0
-    stock0 = float(stock_functional(strategy, params).evaluate(b_t))
+    stock0 = stock_functional(strategy, params).evaluate(b_t)
     return stock0, params.wealth - stock0
+
+
+def wealth_at(
+    strategy: Strategy,
+    params: MarketParams,
+    nodes: np.ndarray,
+    w: np.ndarray,
+    interp: Interpretation,
+) -> np.ndarray:
+    """Exact total wealth at ``nodes`` along the trailing axis of ``w`` (see ``exact_wealth``)."""
+    stock = exact_wealth(stock_functional(strategy, params), params, nodes, w, interp)
+    _, bond0 = initial_allocation(strategy, params, w[..., -1:])
+    return stock + bond0 * np.exp(params.rho * nodes)
 
 
 def total_wealth(
@@ -119,11 +133,13 @@ def total_wealth(
     interp: Interpretation,
 ) -> WealthProcess:
     """Bond leg (rate rho) plus stock leg under the chosen noise interpretation."""
-    functional = stock_functional(strategy, params)
-    stock = exact_solution(functional, params, path, interp)
-    _, bond0 = initial_allocation(strategy, params, path.terminal)
-    samples = stock.samples + bond0 * np.exp(params.rho * path.grid.nodes)
-    return replace(stock, samples=samples)
+    return WealthProcess(
+        grid=path.grid,
+        samples=wealth_at(strategy, params, path.grid.nodes, path.values, interp),
+        interpretation=interp,
+        seed=path.seed,
+        path_index=path.path_index,
+    )
 
 
 def random_params(rng: np.random.Generator, wealth: float = 1.0) -> MarketParams:

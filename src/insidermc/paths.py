@@ -3,7 +3,8 @@
 Every path is a pure function of ``(seed, path_index, grid)``: the pair
 ``(seed, path_index)`` keys a counter-based Philox stream, so distinct path
 indices give statistically independent paths and any worker layout reproduces
-the same numbers bit for bit.
+the same numbers bit for bit. ``sample_block`` is the one place the stream is
+keyed; ``generate_path`` is its one-row case.
 """
 from __future__ import annotations
 
@@ -81,20 +82,49 @@ class BrownianPath:
         return np.diff(self.values)
 
 
-def _stream(seed: int, path_index: int) -> np.random.Generator:
-    if path_index < 0:
-        raise ValueError(f"path_index must be >= 0, got {path_index}")
-    key = np.array([seed & _UINT64, path_index & _UINT64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def check_seed(seed: int) -> None:
+    """Reject seeds that do not fit the unsigned 64-bit Philox key word."""
+    if not 0 <= seed <= _UINT64:
+        raise ValueError(f"seed must be in [0, 2**64 - 1], got {seed}")
+
+
+def sample_block(grid: TimeGrid, seed: int, start: int, stop: int) -> np.ndarray:
+    """Brownian values of paths start..stop-1, one row per path index.
+
+    Row k is bit-identical to ``generate_path(grid, seed, start + k).values``.
+    One Philox generator serves the whole block: each further row resets its
+    key to ``(seed, index)``, its counter and its buffer, which restarts the
+    stream exactly as a fresh generator would. The running sum is a
+    sequential accumulation along each row (``np.sum`` would sum pairwise),
+    so B_T matches the one-row case bit for bit.
+    """
+    check_seed(seed)
+    if not 0 <= start <= stop <= _UINT64 + 1:
+        raise ValueError(f"path indices must satisfy 0 <= start <= stop, got [{start}, {stop})")
+    values = np.zeros((stop - start, grid.steps + 1))
+    if stop == start:
+        return values
+    bit_generator = np.random.Philox(key=np.array([seed, start], dtype=np.uint64))
+    rng = np.random.Generator(bit_generator)
+    rng.standard_normal(out=values[0, 1:])
+    if stop - start > 1:
+        state = bit_generator.state
+        key, counter = state["state"]["key"], state["state"]["counter"]
+        for k in range(1, stop - start):
+            key[1] = start + k
+            counter[:] = 0
+            state.update(buffer_pos=4, has_uint32=0, uinteger=0)
+            bit_generator.state = state
+            rng.standard_normal(out=values[k, 1:])
+    increments = values[:, 1:]
+    increments *= math.sqrt(grid.dt)
+    np.add.accumulate(increments, axis=1, out=increments)
+    return values
 
 
 def generate_path(grid: TimeGrid, seed: int, path_index: int = 0) -> BrownianPath:
     """Sample one Brownian path; increments are N(0, dt), W_0 = 0."""
-    rng = _stream(seed, path_index)
-    dw = rng.standard_normal(grid.steps) * math.sqrt(grid.dt)
-    values = np.empty(grid.steps + 1)
-    values[0] = 0.0
-    np.cumsum(dw, out=values[1:])
+    values = sample_block(grid, seed, path_index, path_index + 1)[0]
     return BrownianPath(grid=grid, values=values, seed=seed, path_index=path_index)
 
 

@@ -181,6 +181,35 @@ def test_cli_jump(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_jump_writes_json_and_numeric_csv(tmp_path, capsys):
+    out_json, out_csv = tmp_path / "j.json", tmp_path / "j.csv"
+    rc = main([
+        "jump", "--steps", "64", "--paths", "2000", "--json", str(out_json),
+        "--csv", str(out_csv),
+    ])
+    capsys.readouterr()
+    assert rc == 0
+    report = json.loads(out_json.read_text())["report"]
+    assert report["within_tolerance"] is True
+    lines = [line for line in out_csv.read_text().splitlines() if not line.startswith("#")]
+    row = dict(zip(lines[0].split(","), lines[1].split(",")))
+    assert float(row["closed_form"]) == report["closed_form"]
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_seed_outside_uint64_exits_2(tmp_path, capsys, monkeypatch, seed):
+    args = ["jump", "--paths", "1000", "--steps", "8"]
+    assert main(args + ["--seed", seed]) == 2
+    ini = tmp_path / "cfg.ini"
+    ini.write_text(f"[run]\nseed = {seed}\n")
+    assert main(args + ["--config", str(ini)]) == 2
+    monkeypatch.setenv("INSIDERMC_SEED", seed)
+    assert main(args) == 2
+    assert "seed must be in [0, 2**64 - 1]" in capsys.readouterr().err
+    with pytest.raises(ConfigError):
+        loads(f"[run]\nseed = {seed}\n")
+
+
 def test_cli_conjecture(tmp_path, capsys):
     out = tmp_path / "q.csv"
     rc = main([

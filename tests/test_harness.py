@@ -16,6 +16,7 @@ from insidermc import (
     expected_insider,
     jump_probability,
 )
+from insidermc.harness import NumericalError
 
 BASELINE = MarketParams(wealth=1.0, rho=0.02, mu=0.05, sigma=0.2, horizon=1.0)
 GRID = TimeGrid(1.0, 16)
@@ -37,6 +38,13 @@ def test_estimate_is_deterministic_and_reports_sane_fields():
 def test_estimate_requires_minimum_paths():
     with pytest.raises(ValueError):
         estimate_expectation(PartialTrust(), BASELINE, Interpretation.FORWARD, 99, GRID, 1)
+
+
+def test_non_finite_wealth_is_a_numerical_failure():
+    # the partial-trust legs overflow to inf on some paths at this wealth
+    huge = MarketParams(wealth=1e306, rho=0.02, mu=0.05, sigma=2.0, horizon=5.0)
+    with pytest.raises(NumericalError):
+        estimate_expectation(PartialTrust(), huge, Interpretation.FORWARD, 200, TimeGrid(5, 8), 1)
 
 
 def test_worker_count_does_not_change_the_bits():
