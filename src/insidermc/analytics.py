@@ -252,9 +252,9 @@ def quadrature_table(params: MarketParams) -> WealthTable:
 
 
 def render_tables(tables: list[WealthTable]) -> str:
-    """Fixed-width terminal rendering of wealth table rows."""
+    """Fixed-width terminal rendering of wealth table rows, one space between cells."""
     widths = (8, 8, 8, 6, 8, 14, 14, 14, 14, 12)
-    header = "".join(name.ljust(w) for name, w in zip(CSV_HEADER, widths))
+    header = " ".join(name.ljust(w) for name, w in zip(CSV_HEADER, widths))
     lines = [header, "-" * len(header)]
     for table in tables:
         p = table.params
@@ -270,5 +270,5 @@ def render_tables(tables: list[WealthTable]) -> str:
             f"{table.rv:<14.6f}",
             table.method.ljust(12),
         )
-        lines.append("".join(cells))
+        lines.append(" ".join(cells))
     return "\n".join(lines)

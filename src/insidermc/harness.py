@@ -2,8 +2,9 @@
 
 Sampling is partitioned by path index, and every path is a pure function of
 (seed, path_index, grid), so estimates are identical for any worker count.
-Expectations and flip counts are evaluated over blocks of contiguous path
-indices with array kernels; the scheme and ladder studies loop per path.
+Every estimate is evaluated over blocks of contiguous path indices with array
+kernels on a trailing node axis; the grid ladders read each coarser level as
+a strided view of the block's finest paths.
 """
 from __future__ import annotations
 
@@ -18,11 +19,10 @@ from .analytics import jump_probability
 from .functionals import TerminalFunctional
 from .integrators import (
     Interpretation,
-    ak_residual,
-    euler_forward,
-    exact_solution,
+    ak_residuals,
+    exact_wealth,
     first_flip,
-    skorokhod_via_correction,
+    scheme_wealth,
 )
 from .market import (
     FullInformation,
@@ -33,7 +33,7 @@ from .market import (
     stock_functional,
     wealth_at,
 )
-from .paths import BrownianPath, TimeGrid, coarsen, generate_path, sample_block
+from .paths import TimeGrid, sample_block
 
 DEFAULT_PATHS = 100_000
 DEFAULT_STEPS = 1024
@@ -78,25 +78,6 @@ class MCReport:
         }
 
 
-def _scheme_process(
-    c: TerminalFunctional, params: MarketParams, path: BrownianPath, interp: Interpretation
-):
-    if interp in (Interpretation.ITO, Interpretation.FORWARD):
-        return euler_forward(c, params, path)
-    if interp is Interpretation.HITSUDA_SKOROKHOD:
-        return skorokhod_via_correction(c, params, path)
-    raise ValueError(f"no direct scheme implements {interp.value}")
-
-
-def _scheme_terminal(
-    strategy: Strategy, params: MarketParams, interp: Interpretation, path: BrownianPath
-) -> float:
-    c = stock_functional(strategy, params)
-    stock = _scheme_process(c, params, path, interp)
-    _, bond0 = initial_allocation(strategy, params, path.terminal)
-    return stock.terminal + bond0 * math.exp(params.rho * params.horizon)
-
-
 def _blocks(grid: TimeGrid, start: int, stop: int):
     """Contiguous index ranges of at most ``_BLOCK_VALUES`` path values each."""
     rows = max(1, _BLOCK_VALUES // (grid.steps + 1))
@@ -104,21 +85,44 @@ def _blocks(grid: TimeGrid, start: int, stop: int):
         yield lo, min(lo + rows, stop)
 
 
+def _check_finite(values: np.ndarray, what: str) -> None:
+    finite = np.isfinite(values)
+    if not finite.all():
+        bad = finite.size - np.count_nonzero(finite)
+        raise NumericalError(f"{bad} {what} values are non-finite")
+
+
+def _scheme_wealth(
+    c: TerminalFunctional,
+    params: MarketParams,
+    grid: TimeGrid,
+    w: np.ndarray,
+    interp: Interpretation,
+) -> np.ndarray:
+    """``scheme_wealth`` of a block of paths; every node must stay finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        samples = scheme_wealth(c, params, grid, w, interp)
+    _check_finite(samples, "scheme wealth")
+    return samples
+
+
 def _terminal_chunk(args) -> np.ndarray:
     strategy, params, interp, grid, seed, use_exact, start, stop = args
     out = np.empty(stop - start)
     terminal_node = grid.nodes[-1:]
+    c = stock_functional(strategy, params)
+    bond_growth = math.exp(params.rho * params.horizon)
     for lo, hi in _blocks(grid, start, stop):
         w = sample_block(grid, seed, lo, hi)
         if use_exact:
             # overflow shows as inf/nan, which estimate_expectation reports
             with np.errstate(over="ignore", invalid="ignore"):
-                terminal = wealth_at(strategy, params, terminal_node, w[:, -1:], interp)
-            out[lo - start : hi - start] = terminal[:, 0]
+                terminal = wealth_at(strategy, params, terminal_node, w[:, -1:], interp)[:, 0]
         else:
-            for k, values in enumerate(w):
-                path = BrownianPath(grid=grid, values=values, seed=seed, path_index=lo + k)
-                out[lo - start + k] = _scheme_terminal(strategy, params, interp, path)
+            stock = _scheme_wealth(c, params, grid, w, interp)[:, -1]
+            _, bond0 = initial_allocation(strategy, params, w[:, -1])
+            terminal = stock + bond0 * bond_growth
+        out[lo - start : hi - start] = terminal
     return out
 
 
@@ -223,7 +227,8 @@ def convergence_study(
     """Scheme-vs-exact terminal error over a ladder of grid sizes.
 
     Coarser grids are restrictions of one fine path per sample, so every
-    level sees the same Brownian motion and the same exact reference value.
+    level sees the same Brownian motion and the same exact reference value,
+    which depends on B_T alone.
     """
     _check_step_ladder(n_list, minimum=3)
     c = stock_functional(strategy, params)
@@ -234,14 +239,20 @@ def convergence_study(
     )
     n_max = n_list[-1]
     fine_grid = TimeGrid(params.horizon, n_max)
+    grids = [TimeGrid(params.horizon, n) for n in n_list]
     totals = np.zeros(len(n_list))
-    for idx in range(n_paths):
-        fine = generate_path(fine_grid, seed, idx)
-        for j, n in enumerate(n_list):
-            path = coarsen(fine, n_max // n)
-            approx = _scheme_process(c, params, path, interp).terminal
-            exact = exact_solution(c, params, path, exact_interp).terminal
-            totals[j] += abs(approx - exact)
+    for lo, hi in _blocks(fine_grid, 0, n_paths):
+        w = sample_block(fine_grid, seed, lo, hi)
+        with np.errstate(over="ignore", invalid="ignore"):
+            exact = exact_wealth(c, params, fine_grid.nodes[-1:], w[:, -1:], exact_interp)
+        _check_finite(exact, "exact wealth")
+        approx = np.column_stack([
+            _scheme_wealth(c, params, g, w[:, :: n_max // g.steps], interp)[:, -1]
+            for g in grids
+        ])
+        # row by row in index order: the sequential sum, not numpy's pairwise one
+        for row in np.abs(approx - exact):
+            totals += row
     errors = totals / n_paths
     slope = _fit_decay(np.asarray(n_list, dtype=float), errors, drop_first=True)
     rows = tuple((n, float(err)) for n, err in zip(n_list, errors))
@@ -394,15 +405,19 @@ def conjecture_report(
     }
     n_max = n_list[-1]
     fine_grid = TimeGrid(params.horizon, n_max)
+    grids = [TimeGrid(params.horizon, n) for n in n_list]
     residuals = {
         name: np.empty((len(n_list), n_paths)) for name in groups
     }
-    for idx in range(n_paths):
-        fine = generate_path(fine_grid, seed, idx)
-        for j, n in enumerate(n_list):
-            path = coarsen(fine, n_max // n)
+    for lo, hi in _blocks(fine_grid, 0, n_paths):
+        w = sample_block(fine_grid, seed, lo, hi)
+        for j, g in enumerate(grids):
+            coarse = w[:, :: n_max // g.steps]
             for name, c in groups.items():
-                residuals[name][j, idx] = abs(ak_residual(c, params, path))
+                with np.errstate(over="ignore", invalid="ignore"):
+                    values = ak_residuals(c, params, g, coarse)
+                _check_finite(values, f"{name} residual")
+                residuals[name][j, lo:hi] = np.abs(values)
     rows = []
     verdicts = {}
     for name in groups:

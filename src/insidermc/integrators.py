@@ -13,6 +13,10 @@ Discrete primitives: a left-point forward Riemann sum, the mixed-endpoint
 sum that evaluates adapted factors at the left node and future factors at
 the right node, and the divergence-type integral obtained from the forward
 sum by subtracting the Malliavin trace term.
+
+The exact solution, the two schemes and the mixed-endpoint residual are array
+kernels (``exact_wealth``, ``scheme_wealth``, ``ak_residuals``) over a
+trailing node axis; the per-path functions are their one-row calls.
 """
 from __future__ import annotations
 
@@ -70,6 +74,13 @@ class WealthProcess:
             raise ValueError("wealth samples must be finite")
         self.samples.setflags(write=False)
 
+    @classmethod
+    def of_path(
+        cls, path: BrownianPath, samples: np.ndarray, interp: Interpretation
+    ) -> "WealthProcess":
+        """Samples along ``path``, carrying its grid and RNG provenance."""
+        return cls(path.grid, samples, interp, path.seed, path.path_index)
+
     @property
     def terminal(self) -> float:
         return float(self.samples[-1])
@@ -113,30 +124,17 @@ def exact_solution(
     interp: Interpretation,
 ) -> WealthProcess:
     """Closed-form per-path solution under the chosen interpretation (see ``exact_wealth``)."""
-    return WealthProcess(
-        grid=path.grid,
-        samples=exact_wealth(c, params, path.grid.nodes, path.values, interp),
-        interpretation=interp,
-        seed=path.seed,
-        path_index=path.path_index,
-    )
+    samples = exact_wealth(c, params, path.grid.nodes, path.values, interp)
+    return WealthProcess.of_path(path, samples, interp)
 
 
 def euler_forward(
     c: TerminalFunctional, params: "MarketParams", path: BrownianPath
 ) -> WealthProcess:
     """Left-point Euler scheme for the forward equation, S_0 = C(B_T)."""
-    growth = 1.0 + params.mu * path.grid.dt + params.sigma * path.increments
-    samples = np.empty(path.grid.steps + 1)
-    samples[0] = float(np.asarray(c.evaluate(path.terminal)))
-    samples[1:] = samples[0] * np.cumprod(growth)
-    return WealthProcess(
-        grid=path.grid,
-        samples=samples,
-        interpretation=Interpretation.FORWARD,
-        seed=path.seed,
-        path_index=path.path_index,
-    )
+    interp = Interpretation.FORWARD
+    samples = scheme_wealth(c, params, path.grid, path.values, interp)
+    return WealthProcess.of_path(path, samples, interp)
 
 
 def ak_integral(u: Integrand, path: BrownianPath, t: float) -> float:
@@ -150,12 +148,15 @@ def ak_integral(u: Integrand, path: BrownianPath, t: float) -> float:
     i = path.grid.index_of(t)
     if i == 0:
         return 0.0
-    w = path.values
-    s = path.grid.nodes[:i]
-    x = w[:i]
-    y = path.terminal - w[1 : i + 1]
-    dw = np.diff(w[: i + 1])
-    return float(np.sum(u(s, x, y) * dw))
+    return float(_mixed_endpoint_sum(u, path.grid.nodes, path.values, i))
+
+
+def _mixed_endpoint_sum(u: Integrand, nodes: np.ndarray, w: np.ndarray, i: int) -> np.ndarray:
+    """The ``ak_integral`` sum over the first i steps, along the trailing node axis of w."""
+    x = w[..., :i]
+    y = w[..., -1:] - w[..., 1 : i + 1]
+    dw = np.diff(w[..., : i + 1], axis=-1)
+    return np.sum(u(nodes[:i], x, y) * dw, axis=-1)
 
 
 def forward_integral(u: Integrand, path: BrownianPath, t: float) -> float:
@@ -211,14 +212,22 @@ def ak_residual(
     For smooth C the residual vanishes with the mesh; for indicator C its
     behavior is the numerical evidence the open solution question turns on.
     """
-    if t is None:
-        t = path.grid.horizon
-    i = path.grid.index_of(t)
-    proc = exact_solution(c, params, path, Interpretation.AYED_KUO)
-    samples = proc.samples
-    drift = params.mu * path.grid.dt * float(np.sum(samples[:i]))
-    stochastic = ak_integral(solution_integrand(c, params), path, t)
-    return float(samples[i] - samples[0] - drift - params.sigma * stochastic)
+    return float(ak_residuals(c, params, path.grid, path.values, t))
+
+
+def ak_residuals(
+    c: TerminalFunctional,
+    params: "MarketParams",
+    grid: TimeGrid,
+    w: np.ndarray,
+    t: float | None = None,
+) -> np.ndarray:
+    """``ak_residual`` over [0, t] for every path along the leading axes of ``w``."""
+    i = grid.steps if t is None else grid.index_of(t)
+    samples = exact_wealth(c, params, grid.nodes, w, Interpretation.AYED_KUO)
+    drift = params.mu * grid.dt * np.sum(samples[..., :i], axis=-1)
+    stochastic = _mixed_endpoint_sum(solution_integrand(c, params), grid.nodes, w, i)
+    return samples[..., i] - samples[..., 0] - drift - params.sigma * stochastic
 
 
 def _correction_stack(c: TerminalFunctional) -> list[TerminalFunctional]:
@@ -239,44 +248,63 @@ def _correction_stack(c: TerminalFunctional) -> list[TerminalFunctional]:
     return levels
 
 
+def scheme_wealth(
+    c: TerminalFunctional,
+    params: "MarketParams",
+    grid: TimeGrid,
+    w: np.ndarray,
+    interp: Interpretation,
+) -> np.ndarray:
+    """Discrete stock wealth at the nodes of ``grid`` for Brownian values ``w``.
+
+    ``w`` holds one path or a block of paths along leading axes. Forward and
+    Ito run the left-point Euler scheme S_m = C(B_T) * g_1 * ... * g_m with
+    g_k = 1 + mu dt + sigma dW_k. Hitsuda-Skorokhod adds the per-step
+    Malliavin drift correction: each stack level k holds the k-th derivative
+    process started at C^(k)(B_T) and is corrected by sigma * dt times the
+    level below it; level 0 is the wealth. With a vanishing first derivative
+    the stack has one level and the scheme is plain Euler, bit for bit.
+    """
+    if interp in (Interpretation.ITO, Interpretation.FORWARD):
+        levels = [c]
+    elif interp is Interpretation.HITSUDA_SKOROKHOD:
+        levels = _correction_stack(c)
+    else:
+        raise ValueError(f"no direct scheme implements {interp.value}")
+    dt = grid.dt
+    sigma = params.sigma
+    g = np.diff(w, axis=-1)
+    g *= sigma
+    g += 1.0 + params.mu * dt
+    b_t = w[..., -1:]
+    start = [np.asarray(lvl.evaluate(b_t), dtype=float) for lvl in levels]
+
+    # Work in ratios r_m = S_m / prod(g_1..g_m), held in samples[..., 1:]; the
+    # correction recursion is then r_m = r_{m-1} - sigma*dt * r^below_{m-1} / g_m,
+    # which cumsum solves. The in-place steps keep every product's operands.
+    samples = np.empty(w.shape)
+    samples[..., :1] = start[0]
+    ratios = samples[..., 1:]
+    ratios[...] = start[-1]
+    left = np.empty_like(g)
+    for k in range(len(levels) - 2, -1, -1):
+        left[..., :1] = start[k + 1]
+        left[..., 1:] = ratios[..., :-1]
+        np.divide(left, g, out=ratios)
+        np.cumsum(ratios, axis=-1, out=ratios)
+        ratios *= sigma * dt
+        np.subtract(start[k], ratios, out=ratios)
+    ratios *= np.cumprod(g, axis=-1, out=g)
+    return samples
+
+
 def skorokhod_via_correction(
     c: TerminalFunctional, params: "MarketParams", path: BrownianPath
 ) -> WealthProcess:
-    """Forward Euler with the per-step Malliavin drift correction.
-
-    Each stack level k holds the k-th derivative process started at
-    C^(k)(B_T) and is corrected by sigma * dt times the level below it;
-    level 0 is the wealth. With a vanishing first derivative this reduces to
-    the plain Euler recursion, bit for bit.
-    """
-    levels = _correction_stack(c)
-    dt = path.grid.dt
-    sigma = params.sigma
-    n = path.grid.steps
-    g = 1.0 + params.mu * dt + sigma * path.increments
-    start = [float(np.asarray(lvl.evaluate(path.terminal))) for lvl in levels]
-
-    # Work in ratios r_m = S_m / prod(g_1..g_m); the correction recursion is
-    # then r_m = r_{m-1} - sigma*dt * r^below_{m-1} / g_m, which cumsum solves.
-    left = np.full(n, start[-1])
-    full = None
-    for k in range(len(levels) - 2, -1, -1):
-        corrections = np.cumsum(left / g)
-        full = start[k] - sigma * dt * corrections
-        left = np.empty(n)
-        left[0] = start[k]
-        left[1:] = full[:-1]
-    prods = np.cumprod(g)
-    samples = np.empty(n + 1)
-    samples[0] = start[0]
-    samples[1:] = start[0] * prods if full is None else full * prods
-    return WealthProcess(
-        grid=path.grid,
-        samples=samples,
-        interpretation=Interpretation.HITSUDA_SKOROKHOD,
-        seed=path.seed,
-        path_index=path.path_index,
-    )
+    """Forward Euler with the per-step Malliavin drift correction (see ``scheme_wealth``)."""
+    interp = Interpretation.HITSUDA_SKOROKHOD
+    samples = scheme_wealth(c, params, path.grid, path.values, interp)
+    return WealthProcess.of_path(path, samples, interp)
 
 
 def first_flip(

@@ -133,13 +133,8 @@ def total_wealth(
     interp: Interpretation,
 ) -> WealthProcess:
     """Bond leg (rate rho) plus stock leg under the chosen noise interpretation."""
-    return WealthProcess(
-        grid=path.grid,
-        samples=wealth_at(strategy, params, path.grid.nodes, path.values, interp),
-        interpretation=interp,
-        seed=path.seed,
-        path_index=path.path_index,
-    )
+    samples = wealth_at(strategy, params, path.grid.nodes, path.values, interp)
+    return WealthProcess.of_path(path, samples, interp)
 
 
 def random_params(rng: np.random.Generator, wealth: float = 1.0) -> MarketParams:

@@ -25,7 +25,13 @@ from insidermc import (
     threshold,
     verify_ordering,
 )
-from insidermc.analytics import closed_form_table, insider_bond_leg, quadrature_table
+from insidermc.analytics import (
+    CSV_HEADER,
+    closed_form_table,
+    insider_bond_leg,
+    quadrature_table,
+    render_tables,
+)
 
 BASELINE = MarketParams(wealth=1.0, rho=0.02, mu=0.05, sigma=0.2, horizon=1.0)
 DEBT = MarketParams(wealth=1.0, rho=0.04, mu=0.05, sigma=2.5, horizon=1.0)
@@ -220,3 +226,14 @@ def test_jump_probability_baseline_and_bounds():
     want = norm_cdf((z + 15.0) / math.sqrt(5.0)) - norm_cdf(z / math.sqrt(5.0))
     assert math.isclose(jump_probability(wide), want, rel_tol=1e-12)
     assert jump_probability(wide) < 1.0
+
+
+def test_render_tables_keeps_wide_cells_apart():
+    # sigma = 100, T = 50 gives values wider than their columns
+    wide = MarketParams(wealth=1.0, rho=0.02, mu=0.05, sigma=100.0, horizon=50.0)
+    header, _, row = render_tables([closed_form_table(wide)]).splitlines()
+    assert header.split() == list(CSV_HEADER)
+    cells = row.split()
+    assert len(cells) == 10
+    assert cells[2] == "100.0000" and cells[3] == "50.00"
+    assert cells[-1] == "closed-form"

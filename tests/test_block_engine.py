@@ -1,8 +1,10 @@
 """The block-wise Monte Carlo engine against the per-path code it replaced.
 
-The reference loops below draw one path at a time with ``generate_path`` and
-evaluate it with the per-path ``total_wealth`` and ``detect_indicator_flip``;
-the block engine must reproduce them bit for bit, for any worker count.
+The reference loops below draw one path at a time with ``generate_path``,
+``coarsen`` it for the grid ladders and evaluate it with the per-path
+``total_wealth``, ``detect_indicator_flip``, ``euler_forward``,
+``skorokhod_via_correction``, ``exact_solution`` and ``ak_residual``; the
+block engine must reproduce them bit for bit, for any worker count.
 """
 import math
 
@@ -16,10 +18,18 @@ from insidermc import (
     MarketParams,
     PartialTrust,
     TimeGrid,
+    ak_residual,
+    coarsen,
+    conjecture_report,
+    convergence_study,
     detect_indicator_flip,
     discontinuity_probe,
     estimate_expectation,
+    euler_forward,
+    exact_solution,
     generate_path,
+    initial_allocation,
+    skorokhod_via_correction,
     stock_functional,
     total_wealth,
 )
@@ -29,6 +39,7 @@ from insidermc.paths import sample_block
 BASELINE = MarketParams(wealth=1.0, rho=0.02, mu=0.05, sigma=0.2, horizon=1.0)
 WIDE = MarketParams(wealth=1.0, rho=0.02, mu=0.05, sigma=1.0, horizon=2.0)  # ~23 % flip
 AK = Interpretation.AYED_KUO
+HS = Interpretation.HITSUDA_SKOROKHOD
 RV = Interpretation.FORWARD
 
 CASES = (
@@ -45,6 +56,72 @@ def _reference_expectation(strategy, params, interp, n_paths, grid, seed):
         for idx in range(n_paths)
     ])
     return float(np.mean(values)), float(np.std(values, ddof=1) / math.sqrt(n_paths))
+
+
+SCHEME_CASES = (
+    ("honest", Honest(0.0, 1.0), Interpretation.ITO),
+    ("hs", PartialTrust(), HS),
+    ("rv", PartialTrust(), RV),
+)
+
+
+def _reference_scheme(c, params, path, interp):
+    if interp is HS:
+        return skorokhod_via_correction(c, params, path)
+    return euler_forward(c, params, path)
+
+
+def _reference_scheme_expectation(strategy, params, interp, n_paths, grid, seed):
+    c = stock_functional(strategy, params)
+    values = []
+    for idx in range(n_paths):
+        path = generate_path(grid, seed, idx)
+        stock = _reference_scheme(c, params, path, interp)
+        _, bond0 = initial_allocation(strategy, params, path.terminal)
+        values.append(stock.terminal + bond0 * math.exp(params.rho * params.horizon))
+    values = np.array(values)
+    return float(np.mean(values)), float(np.std(values, ddof=1) / math.sqrt(n_paths))
+
+
+def _reference_convergence(strategy, params, interp, n_list, n_paths, seed):
+    c = stock_functional(strategy, params)
+    exact_interp = HS if interp is HS else RV
+    n_max = n_list[-1]
+    fine_grid = TimeGrid(params.horizon, n_max)
+    totals = np.zeros(len(n_list))
+    for idx in range(n_paths):
+        fine = generate_path(fine_grid, seed, idx)
+        for j, n in enumerate(n_list):
+            path = coarsen(fine, n_max // n)
+            approx = _reference_scheme(c, params, path, interp).terminal
+            exact = exact_solution(c, params, path, exact_interp).terminal
+            totals[j] += abs(approx - exact)
+    return [float(err) for err in totals / n_paths]
+
+
+def _reference_residuals(params, n_paths, n_list, seed):
+    groups = {
+        "indicator-candidate": stock_functional(FullInformation(), params),
+        "affine-control": stock_functional(PartialTrust(), params),
+    }
+    n_max = n_list[-1]
+    fine_grid = TimeGrid(params.horizon, n_max)
+    residuals = {name: np.empty((len(n_list), n_paths)) for name in groups}
+    for idx in range(n_paths):
+        fine = generate_path(fine_grid, seed, idx)
+        for j, n in enumerate(n_list):
+            path = coarsen(fine, n_max // n)
+            for name, c in groups.items():
+                residuals[name][j, idx] = abs(ak_residual(c, params, path))
+    return [
+        (name, n, *(float(q) for q in np.quantile(residuals[name][j], (0.1, 0.25, 0.5, 0.75, 0.9))))
+        for name in groups
+        for j, n in enumerate(n_list)
+    ]
+
+
+def _quantile_rows(report):
+    return [(r.group, r.steps, r.q10, r.q25, r.q50, r.q75, r.q90) for r in report.rows]
 
 
 def _reference_probe(params, n_paths, grid, seed):
@@ -144,3 +221,118 @@ def test_worker_count_does_not_change_the_bits():
     assert serial == parallel
     with pytest.raises(ValueError):
         discontinuity_probe(WIDE, 3000, TimeGrid(2.0, 32), 8, workers=0)
+
+
+LADDER = (4, 8, 16, 32, 64)  # 600 paths of 65 nodes span two blocks
+
+
+@pytest.mark.parametrize("seed", [3, 20240101])
+@pytest.mark.parametrize("label,strategy,interp", SCHEME_CASES, ids=[c[0] for c in SCHEME_CASES])
+def test_convergence_study_matches_per_path_reference(seed, label, strategy, interp):
+    assert len(list(_blocks(TimeGrid(1.0, LADDER[-1]), 0, 600))) == 2
+    table = convergence_study(strategy, BASELINE, interp, LADDER, 600, seed)
+    reference = _reference_convergence(strategy, BASELINE, interp, LADDER, 600, seed)
+    assert [err for _, err in table.rows] == reference
+
+
+def test_convergence_study_matches_reference_on_a_long_fine_grid():
+    # 1025 nodes give 31 rows per block, so 40 paths span two blocks
+    ladder = (64, 256, 1024)
+    table = convergence_study(PartialTrust(), WIDE, HS, ladder, 40, 20240101)
+    assert [err for _, err in table.rows] == _reference_convergence(
+        PartialTrust(), WIDE, HS, ladder, 40, 20240101
+    )
+
+
+@pytest.mark.parametrize("seed", [3, 20240101])
+@pytest.mark.parametrize("params", [BASELINE, WIDE])
+def test_conjecture_report_matches_per_path_reference(seed, params):
+    n_list = (16, 64, 256)  # 300 paths of 257 nodes span three blocks
+    assert len(list(_blocks(TimeGrid(params.horizon, n_list[-1]), 0, 300))) == 3
+    report = conjecture_report(params, 300, n_list, seed)
+    assert _quantile_rows(report) == _reference_residuals(params, 300, n_list, seed)
+
+
+@pytest.mark.parametrize("seed", [3, 20240101])
+def test_scheme_expectation_matches_per_path_reference(seed):
+    grid = TimeGrid(1.0, 64)
+    for _, strategy, interp in SCHEME_CASES:
+        report = estimate_expectation(strategy, BASELINE, interp, 1200, grid, seed, use_exact=False)
+        assert (report.estimate, report.stderr) == _reference_scheme_expectation(
+            strategy, BASELINE, interp, 1200, grid, seed
+        )
+    with pytest.raises(ValueError, match="no direct scheme"):
+        estimate_expectation(PartialTrust(), BASELINE, AK, 100, grid, seed, use_exact=False)
+
+
+def test_scheme_worker_count_does_not_change_the_bits():
+    grid = TimeGrid(1.0, 64)
+    for _, strategy, interp in SCHEME_CASES:
+        serial = estimate_expectation(
+            strategy, BASELINE, interp, 1500, grid, 8, use_exact=False, workers=1
+        )
+        parallel = estimate_expectation(
+            strategy, BASELINE, interp, 1500, grid, 8, use_exact=False, workers=2
+        )
+        assert (serial.estimate, serial.stderr) == (parallel.estimate, parallel.stderr)
+
+
+def test_ladder_outputs_equal_values_recorded_from_the_per_path_loops():
+    # recorded with the per-path loops and kernels the block engine replaced;
+    # the references above share the new kernels, these pin them too
+    recorded = {
+        "rv": ([0.031235887894143943, 0.021574364257561096, 0.015277589303361264,
+                0.011115950338315255, 0.007811695961128334], 0.48556166491830544),
+        "hs": ([0.03555041261105584, 0.022933975305528296, 0.01517162748229906,
+                0.010840753859664312, 0.007389818360789825], 0.5386537689500358),
+        "honest": ([0.01141956604803178, 0.008110984199992117, 0.005948817437357996,
+                    0.0042027704187330844, 0.002968314276732923], 0.4851961661018626),
+    }
+    for label, strategy, interp in SCHEME_CASES:
+        table = convergence_study(strategy, BASELINE, interp, LADDER, 600, 3)
+        assert ([err for _, err in table.rows], table.slope) == recorded[label]
+    report = conjecture_report(BASELINE, 300, (16, 64, 256), 3)
+    medians = [row.q50 for row in report.rows]
+    assert medians == [
+        0.008127331900253179, 0.0015561470287969864, 0.0002943014593766273,
+        0.1747151339062322, 0.08642890344100626, 0.04508555514270943,
+    ]
+    assert report.rows[-1].q90 == 0.10652111618258588
+    scheme = {
+        "honest": (1.0503248406063492, 0.005873533211750189),
+        "hs": (0.9890868558598784, 0.027311378453868666),
+        "rv": (1.6887817945416137, 0.028786033652597538),
+    }
+    for label, strategy, interp in SCHEME_CASES:
+        r = estimate_expectation(
+            strategy, BASELINE, interp, 1200, TimeGrid(1.0, 64), 3, use_exact=False
+        )
+        assert (r.estimate, r.stderr) == scheme[label]
+
+
+def test_ladder_outputs_equal_recorded_values_off_power_of_two_steps():
+    # T = 1.3 makes dt no power of two, so regrouping sigma * dt changes bits
+    odd = MarketParams(wealth=1.0, rho=0.02, mu=0.05, sigma=0.7, horizon=1.3)
+    recorded = {
+        RV: ([1.7056199847191273, 1.2759941251089095, 0.8277370453153503,
+              0.5811686930675647, 0.42621702922947347], 0.5256100174032093),
+        HS: ([2.048091020534492, 1.4196901781112357, 0.8911817252044364,
+              0.5880019855505948, 0.39884331885638646], 0.6094944938717479),
+    }
+    for interp, expected in recorded.items():
+        table = convergence_study(PartialTrust(), odd, interp, LADDER, 600, 5)
+        assert ([err for _, err in table.rows], table.slope) == expected
+    report = conjecture_report(odd, 300, (16, 64, 256), 5)
+    assert [row.q50 for row in report.rows] == [
+        0.0, 0.0, 0.0, 1.2136426886056304, 0.6137300429866892, 0.3167842484735857,
+    ]
+    assert (report.rows[0].q90, report.rows[-1].q90) == (0.7669181321771208, 1.2247622719631652)
+    scheme = {
+        RV: (10.459073179997421, 0.5082937497599384),
+        HS: (1.4022660252845551, 0.37275840257177256),
+    }
+    for interp, expected in scheme.items():
+        r = estimate_expectation(
+            PartialTrust(), odd, interp, 1200, TimeGrid(1.3, 64), 5, use_exact=False
+        )
+        assert (r.estimate, r.stderr) == expected

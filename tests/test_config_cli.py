@@ -168,6 +168,17 @@ def test_cli_converge_indicator_rejected(tmp_path, capsys):
     assert rc == 2
 
 
+def test_cli_converge_non_finite_wealth_exits_3(tmp_path, capsys):
+    # the partial-trust legs overflow to inf on some paths at this wealth
+    ini = tmp_path / "huge.ini"
+    ini.write_text(
+        "[market]\nwealth = 1e306\nrho = 0.02\nmu = 0.05\nsigma = 2.0\nhorizon = 5.0\n"
+    )
+    rc = main(["converge", "--config", str(ini), "--paths", "200", "--n-list", "4,8,16"])
+    assert rc == 3
+    assert "numerical failure" in capsys.readouterr().err
+
+
 def test_cli_jump(tmp_path, capsys):
     out = tmp_path / "j.csv"
     rc = main([

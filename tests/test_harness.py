@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from insidermc import (
@@ -8,6 +9,7 @@ from insidermc import (
     MarketParams,
     PartialTrust,
     TimeGrid,
+    WealthProcess,
     conjecture_report,
     convergence_study,
     discontinuity_probe,
@@ -40,11 +42,35 @@ def test_estimate_requires_minimum_paths():
         estimate_expectation(PartialTrust(), BASELINE, Interpretation.FORWARD, 99, GRID, 1)
 
 
+HUGE = MarketParams(wealth=1e306, rho=0.02, mu=0.05, sigma=2.0, horizon=5.0)
+
+
 def test_non_finite_wealth_is_a_numerical_failure():
     # the partial-trust legs overflow to inf on some paths at this wealth
-    huge = MarketParams(wealth=1e306, rho=0.02, mu=0.05, sigma=2.0, horizon=5.0)
     with pytest.raises(NumericalError):
-        estimate_expectation(PartialTrust(), huge, Interpretation.FORWARD, 200, TimeGrid(5, 8), 1)
+        estimate_expectation(PartialTrust(), HUGE, Interpretation.FORWARD, 200, TimeGrid(5, 8), 1)
+    with pytest.raises(NumericalError):
+        estimate_expectation(
+            PartialTrust(), HUGE, Interpretation.FORWARD, 200, TimeGrid(5, 8), 1, use_exact=False
+        )
+
+
+@pytest.mark.parametrize("interp", [Interpretation.FORWARD, Interpretation.HITSUDA_SKOROKHOD])
+def test_non_finite_scheme_wealth_in_a_ladder_is_a_numerical_failure(interp):
+    with pytest.raises(NumericalError):
+        convergence_study(PartialTrust(), HUGE, interp, (4, 8, 16), 200, 1)
+
+
+def test_non_finite_residuals_are_a_numerical_failure():
+    with pytest.raises(NumericalError):
+        conjecture_report(HUGE, 200, (4, 8, 16), 1)
+
+
+def test_wealth_process_still_rejects_non_finite_samples():
+    # misuse of the constructor is a usage error, not a numerical failure
+    grid = TimeGrid(1.0, 2)
+    with pytest.raises(ValueError, match="must be finite"):
+        WealthProcess(grid, np.array([1.0, np.inf, 2.0]), Interpretation.FORWARD, 1, 0)
 
 
 def test_worker_count_does_not_change_the_bits():
@@ -163,12 +189,23 @@ def test_probe_is_deterministic():
 
 
 def test_probe_tracks_closed_form_for_wide_flip_window():
-    # high volatility over a long horizon: most paths flip, but never all
+    # high volatility over a long horizon pushes the threshold z far above the
+    # reachable B_T, so the flip probability is only 4.3e-4: a handful of flips
     wide = MarketParams(wealth=1.0, rho=0.02, mu=0.05, sigma=3.0, horizon=5.0)
     report = discontinuity_probe(wide, 4000, TimeGrid(5.0, 32), 41)
     assert report.within_tolerance
     assert report.frequency < 1.0
     assert abs(report.frequency - jump_probability(wide)) <= 4.0 * report.stderr
+
+
+def test_probe_tracks_closed_form_where_many_paths_flip():
+    # sigma = 1, T = 2: the window (z, z + sigma T] holds B_T with probability 0.234
+    params = MarketParams(wealth=1.0, rho=0.02, mu=0.05, sigma=1.0, horizon=2.0)
+    report = discontinuity_probe(params, 4000, TimeGrid(2.0, 32), 41)
+    assert abs(jump_probability(params) - 0.234) < 5e-4
+    assert report.n_flips == 907
+    assert abs(report.frequency - report.closed_form) <= 4.0 * report.stderr
+    assert report.rv_flips == 0
 
 
 def test_conjecture_report_shapes_and_control_group():
