@@ -37,9 +37,11 @@ from .harness import (
     MCReport,
     NumericalError,
     conjecture_report,
+    convergence_studies,
     convergence_study,
     discontinuity_probe,
     estimate_expectation,
+    estimate_expectations,
 )
 from .integrators import (
     Interpretation,

@@ -34,9 +34,9 @@ from .functionals import (
 from .harness import (
     NumericalError,
     conjecture_report,
-    convergence_study,
+    convergence_studies,
     discontinuity_probe,
-    estimate_expectation,
+    estimate_expectations,
 )
 from .integrators import Interpretation
 from .market import Honest, PartialTrust, random_params, stock_functional
@@ -101,17 +101,17 @@ def cmd_expect(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     if args.mc:
         grid = TimeGrid(cfg.params.horizon, cfg.steps)
         honest = Honest(0.0, cfg.params.wealth)
-        mc = {}
-        for label, strategy, interp in (
-            ("honest", honest, Interpretation.ITO),
-            ("hs", PartialTrust(), Interpretation.HITSUDA_SKOROKHOD),
-            ("ak", PartialTrust(), Interpretation.AYED_KUO),
-            ("rv", PartialTrust(), Interpretation.FORWARD),
-        ):
-            mc[label] = estimate_expectation(
-                strategy, cfg.params, interp, cfg.n_paths, grid, cfg.seed,
-                use_exact=True, workers=cfg.workers,
-            )
+        cases = {
+            "honest": (honest, Interpretation.ITO),
+            "hs": (PartialTrust(), Interpretation.HITSUDA_SKOROKHOD),
+            "ak": (PartialTrust(), Interpretation.AYED_KUO),
+            "rv": (PartialTrust(), Interpretation.FORWARD),
+        }
+        estimates = estimate_expectations(
+            cases.values(), cfg.params, cfg.n_paths, grid, cfg.seed,
+            use_exact=True, workers=cfg.workers,
+        )
+        mc = dict(zip(cases, estimates))
         tables.append(
             analytics.WealthTable(
                 params=cfg.params,
@@ -174,11 +174,9 @@ def cmd_converge(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
             "no interpretation in the list has a direct scheme "
             "(need forward or hitsuda-skorokhod)"
         )
-    tables = []
-    for interp in interps:
-        tables.append(
-            convergence_study(cfg.strategy, cfg.params, interp, tuple(n_list), cfg.n_paths, cfg.seed)
-        )
+    tables = convergence_studies(
+        cfg.strategy, cfg.params, interps, tuple(n_list), cfg.n_paths, cfg.seed
+    )
     rows = []
     failed = False
     for table in tables:

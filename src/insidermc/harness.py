@@ -4,13 +4,18 @@ Sampling is partitioned by path index, and every path is a pure function of
 (seed, path_index, grid), so estimates are identical for any worker count.
 Every estimate is evaluated over blocks of contiguous path indices with array
 kernels on a trailing node axis; the grid ladders read each coarser level as
-a strided view of the block's finest paths.
+a strided view of the block's finest paths. Each block is drawn once for all
+the estimators that read it: ``estimate_expectations`` evaluates several
+``(strategy, interpretation)`` cases and ``convergence_studies`` several
+schemes on the same paths; ``estimate_expectation`` and ``convergence_study``
+are their one-case calls.
 """
 from __future__ import annotations
 
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +27,7 @@ from .integrators import (
     ak_residuals,
     exact_wealth,
     first_flip,
+    growth_factor,
     scheme_wealth,
 )
 from .market import (
@@ -62,7 +68,6 @@ class MCReport:
     grid_steps: int
     seed: int
     elapsed_seconds: float
-    nonfinite: int = 0
 
     def to_dict(self) -> dict:
         return {
@@ -74,7 +79,6 @@ class MCReport:
             "grid_steps": self.grid_steps,
             "seed": self.seed,
             "elapsed_seconds": self.elapsed_seconds,
-            "nonfinite": self.nonfinite,
         }
 
 
@@ -107,22 +111,23 @@ def _scheme_wealth(
 
 
 def _terminal_chunk(args) -> np.ndarray:
-    strategy, params, interp, grid, seed, use_exact, start, stop = args
-    out = np.empty(stop - start)
+    cases, params, grid, seed, use_exact, start, stop = args
+    out = np.empty((len(cases), stop - start))
     terminal_node = grid.nodes[-1:]
-    c = stock_functional(strategy, params)
+    functionals = [stock_functional(strategy, params) for strategy, _ in cases]
     bond_growth = math.exp(params.rho * params.horizon)
     for lo, hi in _blocks(grid, start, stop):
         w = sample_block(grid, seed, lo, hi)
-        if use_exact:
-            # overflow shows as inf/nan, which estimate_expectation reports
-            with np.errstate(over="ignore", invalid="ignore"):
-                terminal = wealth_at(strategy, params, terminal_node, w[:, -1:], interp)[:, 0]
-        else:
-            stock = _scheme_wealth(c, params, grid, w, interp)[:, -1]
-            _, bond0 = initial_allocation(strategy, params, w[:, -1])
-            terminal = stock + bond0 * bond_growth
-        out[lo - start : hi - start] = terminal
+        for row, (strategy, interp), c in zip(out, cases, functionals):
+            if use_exact:
+                # overflow shows as inf/nan, which estimate_expectations reports
+                with np.errstate(over="ignore", invalid="ignore"):
+                    terminal = wealth_at(strategy, params, terminal_node, w[:, -1:], interp)[:, 0]
+            else:
+                stock = _scheme_wealth(c, params, grid, w, interp)[:, -1]
+                _, bond0 = initial_allocation(strategy, params, w[:, -1])
+                terminal = stock + bond0 * bond_growth
+            row[lo - start : hi - start] = terminal
     return out
 
 
@@ -138,6 +143,58 @@ def _map_chunks(fn, args: tuple, n_paths: int, workers: int) -> list:
         return list(pool.map(fn, jobs))
 
 
+def estimate_expectations(
+    cases: Sequence[tuple[Strategy, Interpretation]],
+    params: MarketParams,
+    n_paths: int,
+    grid: TimeGrid,
+    seed: int,
+    use_exact: bool = True,
+    workers: int = 1,
+) -> list[MCReport]:
+    """Average terminal total wealth over paths 0..n_paths-1, one report per case.
+
+    Each case is a ``(strategy, interpretation)`` pair; every case is
+    evaluated on each sampled block, so the paths are drawn once for all of
+    them. ``use_exact`` evaluates the per-path closed-form solution (testing
+    the expectation formulas); otherwise the discrete scheme runs (testing
+    the scheme). Path indices are split into contiguous chunks per worker and
+    re-assembled in order, so the estimates do not depend on ``workers``.
+    Every report carries the wall time of the whole shared run.
+    """
+    if n_paths < 100:
+        raise ValueError(f"need at least 100 paths, got {n_paths}")
+    cases = tuple(cases)
+    start = time.perf_counter()
+    values = np.concatenate(
+        _map_chunks(
+            _terminal_chunk, (cases, params, grid, seed, use_exact), n_paths, workers
+        ),
+        axis=1,
+    )
+    for row in values:
+        bad = int(np.count_nonzero(~np.isfinite(row)))
+        if bad:
+            raise NumericalError(f"{bad} of {n_paths} terminal samples are non-finite")
+    moments = [
+        (float(np.mean(row)), float(np.std(row, ddof=1) / math.sqrt(n_paths))) for row in values
+    ]
+    elapsed = time.perf_counter() - start
+    return [
+        MCReport(
+            estimate=estimate,
+            stderr=stderr,
+            ci_low=estimate - 1.96 * stderr,
+            ci_high=estimate + 1.96 * stderr,
+            n_paths=n_paths,
+            grid_steps=grid.steps,
+            seed=seed,
+            elapsed_seconds=elapsed,
+        )
+        for estimate, stderr in moments
+    ]
+
+
 def estimate_expectation(
     strategy: Strategy,
     params: MarketParams,
@@ -148,40 +205,10 @@ def estimate_expectation(
     use_exact: bool = True,
     workers: int = 1,
 ) -> MCReport:
-    """Average terminal total wealth over paths 0..n_paths-1.
-
-    ``use_exact`` evaluates the per-path closed-form solution (testing the
-    expectation formulas); otherwise the discrete scheme runs (testing the
-    scheme). Path indices are split into contiguous chunks per worker and
-    re-assembled in order, so the estimate does not depend on ``workers``.
-    """
-    if n_paths < 100:
-        raise ValueError(f"need at least 100 paths, got {n_paths}")
-    start = time.perf_counter()
-    values = np.concatenate(
-        _map_chunks(
-            _terminal_chunk,
-            (strategy, params, interp, grid, seed, use_exact),
-            n_paths,
-            workers,
-        )
-    )
-    bad = int(np.count_nonzero(~np.isfinite(values)))
-    if bad:
-        raise NumericalError(f"{bad} of {n_paths} terminal samples are non-finite")
-    estimate = float(np.mean(values))
-    stderr = float(np.std(values, ddof=1) / math.sqrt(n_paths))
-    elapsed = time.perf_counter() - start
-    return MCReport(
-        estimate=estimate,
-        stderr=stderr,
-        ci_low=estimate - 1.96 * stderr,
-        ci_high=estimate + 1.96 * stderr,
-        n_paths=n_paths,
-        grid_steps=grid.steps,
-        seed=seed,
-        elapsed_seconds=elapsed,
-    )
+    """The one-case call of ``estimate_expectations``."""
+    return estimate_expectations(
+        [(strategy, interp)], params, n_paths, grid, seed, use_exact, workers
+    )[0]
 
 
 def _check_step_ladder(n_list: tuple[int, ...], minimum: int) -> None:
@@ -216,6 +243,61 @@ class ConvergenceTable:
         return [(str(n), repr(err), repr(self.slope)) for n, err in self.rows]
 
 
+def convergence_studies(
+    strategy: Strategy,
+    params: MarketParams,
+    interps: Sequence[Interpretation],
+    n_list: tuple[int, ...],
+    n_paths: int,
+    seed: int,
+) -> list[ConvergenceTable]:
+    """Scheme-vs-exact terminal error over a ladder of grid sizes, one table per scheme.
+
+    Coarser grids are restrictions of one fine path per sample, so every
+    level and every scheme sees the same Brownian motion and the same exact
+    reference value, which depends on B_T alone; the fine paths are drawn
+    once for all interpretations.
+    """
+    _check_step_ladder(n_list, minimum=3)
+    interps = tuple(interps)
+    c = stock_functional(strategy, params)
+    # the solution each scheme approximates
+    targets = [
+        Interpretation.HITSUDA_SKOROKHOD
+        if interp is Interpretation.HITSUDA_SKOROKHOD
+        else Interpretation.FORWARD
+        for interp in interps
+    ]
+    n_max = n_list[-1]
+    fine_grid = TimeGrid(params.horizon, n_max)
+    grids = [TimeGrid(params.horizon, n) for n in n_list]
+    totals = np.zeros((len(targets), len(n_list)))
+    for lo, hi in _blocks(fine_grid, 0, n_paths):
+        w = sample_block(fine_grid, seed, lo, hi)
+        exact = {}
+        for target in dict.fromkeys(targets):
+            with np.errstate(over="ignore", invalid="ignore"):
+                exact[target] = exact_wealth(c, params, fine_grid.nodes[-1:], w[:, -1:], target)
+            _check_finite(exact[target], "exact wealth")
+        for total, interp, target in zip(totals, interps, targets):
+            approx = np.column_stack([
+                _scheme_wealth(c, params, g, w[:, :: n_max // g.steps], interp)[:, -1]
+                for g in grids
+            ])
+            # row by row in index order: the sequential sum, not numpy's pairwise one
+            for row in np.abs(approx - exact[target]):
+                total += row
+    tables = []
+    for interp, total in zip(interps, totals):
+        errors = total / n_paths
+        slope = _fit_decay(np.asarray(n_list, dtype=float), errors, drop_first=True)
+        rows = tuple((n, float(err)) for n, err in zip(n_list, errors))
+        tables.append(ConvergenceTable(
+            rows=rows, slope=slope, interpretation=interp, n_paths=n_paths, seed=seed
+        ))
+    return tables
+
+
 def convergence_study(
     strategy: Strategy,
     params: MarketParams,
@@ -224,41 +306,8 @@ def convergence_study(
     n_paths: int,
     seed: int,
 ) -> ConvergenceTable:
-    """Scheme-vs-exact terminal error over a ladder of grid sizes.
-
-    Coarser grids are restrictions of one fine path per sample, so every
-    level sees the same Brownian motion and the same exact reference value,
-    which depends on B_T alone.
-    """
-    _check_step_ladder(n_list, minimum=3)
-    c = stock_functional(strategy, params)
-    exact_interp = (
-        Interpretation.HITSUDA_SKOROKHOD
-        if interp is Interpretation.HITSUDA_SKOROKHOD
-        else Interpretation.FORWARD
-    )
-    n_max = n_list[-1]
-    fine_grid = TimeGrid(params.horizon, n_max)
-    grids = [TimeGrid(params.horizon, n) for n in n_list]
-    totals = np.zeros(len(n_list))
-    for lo, hi in _blocks(fine_grid, 0, n_paths):
-        w = sample_block(fine_grid, seed, lo, hi)
-        with np.errstate(over="ignore", invalid="ignore"):
-            exact = exact_wealth(c, params, fine_grid.nodes[-1:], w[:, -1:], exact_interp)
-        _check_finite(exact, "exact wealth")
-        approx = np.column_stack([
-            _scheme_wealth(c, params, g, w[:, :: n_max // g.steps], interp)[:, -1]
-            for g in grids
-        ])
-        # row by row in index order: the sequential sum, not numpy's pairwise one
-        for row in np.abs(approx - exact):
-            totals += row
-    errors = totals / n_paths
-    slope = _fit_decay(np.asarray(n_list, dtype=float), errors, drop_first=True)
-    rows = tuple((n, float(err)) for n, err in zip(n_list, errors))
-    return ConvergenceTable(
-        rows=rows, slope=slope, interpretation=interp, n_paths=n_paths, seed=seed
-    )
+    """The one-scheme call of ``convergence_studies``."""
+    return convergence_studies(strategy, params, (interp,), n_list, n_paths, seed)[0]
 
 
 @dataclass(frozen=True)
@@ -413,9 +462,11 @@ def conjecture_report(
         w = sample_block(fine_grid, seed, lo, hi)
         for j, g in enumerate(grids):
             coarse = w[:, :: n_max // g.steps]
+            with np.errstate(over="ignore", invalid="ignore"):
+                growth = growth_factor(params, g.nodes, coarse)
             for name, c in groups.items():
                 with np.errstate(over="ignore", invalid="ignore"):
-                    values = ak_residuals(c, params, g, coarse)
+                    values = ak_residuals(c, params, g, coarse, growth=growth)
                 _check_finite(values, f"{name} residual")
                 residuals[name][j, lo:hi] = np.abs(values)
     rows = []

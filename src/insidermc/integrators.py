@@ -86,7 +86,7 @@ class WealthProcess:
         return float(self.samples[-1])
 
 
-def _growth_factor(params: "MarketParams", nodes: np.ndarray, w: np.ndarray) -> np.ndarray:
+def growth_factor(params: "MarketParams", nodes: np.ndarray, w: np.ndarray) -> np.ndarray:
     """E(t) = exp((mu - sigma^2/2) t + sigma B_t) along the trailing node axis of w."""
     return np.exp((params.mu - 0.5 * params.sigma**2) * nodes + params.sigma * w)
 
@@ -97,6 +97,7 @@ def exact_wealth(
     nodes: np.ndarray,
     w: np.ndarray,
     interp: Interpretation,
+    growth: np.ndarray | None = None,
 ) -> np.ndarray:
     """Closed-form solution at ``nodes`` for Brownian values ``w`` at those nodes.
 
@@ -105,7 +106,8 @@ def exact_wealth(
     last node gives the terminal wealth alone. The anticipating variants
     evaluate the translated functional C(. - sigma t) at B_T node by node;
     the forward variant keeps C(B_T) frozen. Ito is only defined for
-    deterministic C.
+    deterministic C. ``growth`` is ``growth_factor(params, nodes, w)``, for a
+    caller that already holds it.
     """
     if interp is Interpretation.ITO and not c.is_deterministic:
         raise ValueError("Ito interpretation requires a deterministic initial condition")
@@ -114,7 +116,9 @@ def exact_wealth(
         initial = c.evaluate(b_t - params.sigma * nodes)
     else:
         initial = c.evaluate(b_t)
-    return np.asarray(initial * _growth_factor(params, nodes, w), dtype=float)
+    if growth is None:
+        growth = growth_factor(params, nodes, w)
+    return np.asarray(initial * growth, dtype=float)
 
 
 def exact_solution(
@@ -221,12 +225,24 @@ def ak_residuals(
     grid: TimeGrid,
     w: np.ndarray,
     t: float | None = None,
+    growth: np.ndarray | None = None,
 ) -> np.ndarray:
-    """``ak_residual`` over [0, t] for every path along the leading axes of ``w``."""
+    """``ak_residual`` over [0, t] for every path along the leading axes of ``w``.
+
+    E(t) is evaluated once and read both by the exact solution and, at the
+    left nodes, by the integrand of ``solution_integrand``; ``growth`` passes
+    in ``growth_factor(params, grid.nodes, w)`` when functionals share a block.
+    """
     i = grid.steps if t is None else grid.index_of(t)
-    samples = exact_wealth(c, params, grid.nodes, w, Interpretation.AYED_KUO)
+    if growth is None:
+        growth = growth_factor(params, grid.nodes, w)
+    samples = exact_wealth(c, params, grid.nodes, w, Interpretation.AYED_KUO, growth)
     drift = params.mu * grid.dt * np.sum(samples[..., :i], axis=-1)
-    stochastic = _mixed_endpoint_sum(solution_integrand(c, params), grid.nodes, w, i)
+
+    def phi(s, x, y):
+        return c.evaluate(y + x - params.sigma * s) * growth[..., :i]
+
+    stochastic = _mixed_endpoint_sum(phi, grid.nodes, w, i)
     return samples[..., i] - samples[..., 0] - drift - params.sigma * stochastic
 
 

@@ -21,10 +21,12 @@ from insidermc import (
     ak_residual,
     coarsen,
     conjecture_report,
+    convergence_studies,
     convergence_study,
     detect_indicator_flip,
     discontinuity_probe,
     estimate_expectation,
+    estimate_expectations,
     euler_forward,
     exact_solution,
     generate_path,
@@ -336,3 +338,33 @@ def test_ladder_outputs_equal_recorded_values_off_power_of_two_steps():
             PartialTrust(), odd, interp, 1200, TimeGrid(1.3, 64), 5, use_exact=False
         )
         assert (r.estimate, r.stderr) == expected
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("use_exact", [True, False], ids=["exact", "scheme"])
+def test_multi_case_estimates_equal_the_one_case_calls(use_exact, workers):
+    cases = CASES if use_exact else SCHEME_CASES
+    grid = TimeGrid(1.0, 64)
+    reports = estimate_expectations(
+        [(strategy, interp) for _, strategy, interp in cases], BASELINE, 1500, grid, 8,
+        use_exact=use_exact, workers=workers,
+    )
+    assert len(reports) == len(cases)
+    for report, (_, strategy, interp) in zip(reports, cases):
+        single = estimate_expectation(
+            strategy, BASELINE, interp, 1500, grid, 8, use_exact=use_exact, workers=workers
+        )
+        assert (report.estimate, report.stderr) == (single.estimate, single.stderr)
+    # one shared run, so one wall time on every report
+    assert len({r.elapsed_seconds for r in reports}) == 1 and reports[0].elapsed_seconds > 0.0
+
+
+def test_convergence_studies_equal_the_one_scheme_calls():
+    tables = convergence_studies(PartialTrust(), BASELINE, (RV, HS), LADDER, 600, 3)
+    assert [t.interpretation for t in tables] == [RV, HS]
+    for table in tables:
+        single = convergence_study(PartialTrust(), BASELINE, table.interpretation, LADDER, 600, 3)
+        assert (table.rows, table.slope) == (single.rows, single.slope)
+    honest = convergence_studies(Honest(0.0, 1.0), BASELINE, (Interpretation.ITO,), LADDER, 600, 3)
+    single = convergence_study(Honest(0.0, 1.0), BASELINE, Interpretation.ITO, LADDER, 600, 3)
+    assert honest == [single]

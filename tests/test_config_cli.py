@@ -109,6 +109,12 @@ def test_cli_expect_with_mc_and_json(tmp_path, capsys):
     assert payload["verdicts"]["hs_equals_ak"] is True
     assert payload["monte_carlo"]["ak"]["estimate"] == payload["monte_carlo"]["hs"]["estimate"]
     assert payload["config"]["run.seed"] == "20240101"
+    reports = payload["monte_carlo"]
+    assert sorted(reports) == ["ak", "honest", "hs", "rv"]
+    # one shared run: every row reports its wall time
+    elapsed = {r["elapsed_seconds"] for r in reports.values()}
+    assert len(elapsed) == 1 and elapsed.pop() > 0.0
+    assert all(r["n_paths"] == 2000 for r in reports.values())
 
 
 def test_cli_expect_prints_baseline_expected_values(capsys):
