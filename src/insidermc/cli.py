@@ -318,7 +318,11 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="experiment config file (INI sections)")
     sub.add_argument("--seed", type=int, help="RNG seed (overrides env and file)")
     sub.add_argument("--paths", type=int, help="number of Monte Carlo paths")
-    sub.add_argument("--steps", type=int, help="grid steps per path")
+    sub.add_argument(
+        "--steps", type=int,
+        help="grid steps per path (expect --mc draws B_T directly and ignores it; "
+        "in jump it sets only the flip-time grid)",
+    )
     sub.add_argument("--workers", type=int, help="parallel sampling workers")
     sub.add_argument("--csv", help="write results as CSV")
     sub.add_argument("--json", dest="json_out", help="write a JSON summary")

@@ -1,21 +1,24 @@
 """Monte Carlo engine: expectation estimates, scheme convergence, flip probing, residual evidence.
 
-Sampling is partitioned by path index, and every path is a pure function of
-(seed, path_index, grid), so estimates are identical for any worker count.
-Every estimate is evaluated over blocks of contiguous path indices with array
-kernels on a trailing node axis; the grid ladders read each coarser level as
-a strided view of the block's finest paths. Each block is drawn once for all
-the estimators that read it: ``estimate_expectations`` evaluates several
-``(strategy, interpretation)`` cases and ``convergence_studies`` several
-schemes on the same paths; ``estimate_expectation`` and ``convergence_study``
-are their one-case calls.
+Sampling is partitioned by path index, and every sample is a pure function
+of the seed and the path index, so estimates are identical for any worker
+count. Each estimator draws only what it reads: the exact mode of
+``estimate_expectations`` and ``discontinuity_probe`` read B_T alone and
+draw it directly (``sample_terminal``); the scheme mode and the grid ladders
+need whole paths (``sample_block``), and read each coarser level as a strided
+view of a block's finest paths. Every estimate is evaluated over blocks of
+contiguous path indices with array kernels on a trailing node axis, and each
+block is drawn once for all the estimators that read it:
+``estimate_expectations`` evaluates several ``(strategy, interpretation)``
+cases and ``convergence_studies`` several schemes on the same draw;
+``estimate_expectation`` and ``convergence_study`` are their one-case calls.
 """
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from collections.abc import Sequence
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,17 +42,13 @@ from .market import (
     stock_functional,
     wealth_at,
 )
-from .paths import TimeGrid, sample_block
+from .paths import _BLOCK_VALUES, TimeGrid, sample_block, sample_terminal
 
 DEFAULT_PATHS = 100_000
 DEFAULT_STEPS = 1024
 DEFAULT_SEED = 20240101
 
 _QUANTILES = (0.10, 0.25, 0.50, 0.75, 0.90)
-
-# Path values per sampled block (256 KiB of float64): large enough to amortize
-# the per-call overhead, small enough to stay in cache and add no memory peak.
-_BLOCK_VALUES = 1 << 15
 
 
 class NumericalError(RuntimeError):
@@ -83,7 +82,11 @@ class MCReport:
 
 
 def _blocks(grid: TimeGrid, start: int, stop: int):
-    """Contiguous index ranges of at most ``_BLOCK_VALUES`` path values each."""
+    """Contiguous index ranges of at most ``_BLOCK_VALUES`` path values each.
+
+    ``_BLOCK_VALUES`` (256 KiB of float64) is large enough to amortize the
+    per-call overhead and small enough to stay in cache and add no memory peak.
+    """
     rows = max(1, _BLOCK_VALUES // (grid.steps + 1))
     for lo in range(start, stop, rows):
         yield lo, min(lo + rows, stop)
@@ -113,21 +116,25 @@ def _scheme_wealth(
 def _terminal_chunk(args) -> np.ndarray:
     cases, params, grid, seed, use_exact, start, stop = args
     out = np.empty((len(cases), stop - start))
-    terminal_node = grid.nodes[-1:]
+    if use_exact:
+        # the exact terminal wealth reads the path only through B_T
+        terminal_node = grid.nodes[-1:]
+        b_t = sample_terminal(seed, grid.horizon, start, stop)[:, None]
+        for lo in range(0, stop - start, _BLOCK_VALUES):
+            hi = lo + _BLOCK_VALUES
+            for row, (strategy, interp) in zip(out, cases):
+                # overflow shows as inf/nan, which estimate_expectations reports
+                with np.errstate(over="ignore", invalid="ignore"):
+                    row[lo:hi] = wealth_at(strategy, params, terminal_node, b_t[lo:hi], interp)[:, 0]
+        return out
     functionals = [stock_functional(strategy, params) for strategy, _ in cases]
     bond_growth = math.exp(params.rho * params.horizon)
     for lo, hi in _blocks(grid, start, stop):
         w = sample_block(grid, seed, lo, hi)
         for row, (strategy, interp), c in zip(out, cases, functionals):
-            if use_exact:
-                # overflow shows as inf/nan, which estimate_expectations reports
-                with np.errstate(over="ignore", invalid="ignore"):
-                    terminal = wealth_at(strategy, params, terminal_node, w[:, -1:], interp)[:, 0]
-            else:
-                stock = _scheme_wealth(c, params, grid, w, interp)[:, -1]
-                _, bond0 = initial_allocation(strategy, params, w[:, -1])
-                terminal = stock + bond0 * bond_growth
-            row[lo - start : hi - start] = terminal
+            stock = _scheme_wealth(c, params, grid, w, interp)[:, -1]
+            _, bond0 = initial_allocation(strategy, params, w[:, -1])
+            row[lo - start : hi - start] = stock + bond0 * bond_growth
     return out
 
 
@@ -157,8 +164,9 @@ def estimate_expectations(
     Each case is a ``(strategy, interpretation)`` pair; every case is
     evaluated on each sampled block, so the paths are drawn once for all of
     them. ``use_exact`` evaluates the per-path closed-form solution (testing
-    the expectation formulas); otherwise the discrete scheme runs (testing
-    the scheme). Path indices are split into contiguous chunks per worker and
+    the expectation formulas) on B_T drawn directly, so ``grid`` sets only
+    the horizon and ``grid.steps`` does not change the estimate; otherwise
+    the discrete scheme runs on whole paths (testing the scheme). Path indices are split into contiguous chunks per worker and
     re-assembled in order, so the estimates do not depend on ``workers``.
     Every report carries the wall time of the whole shared run.
     """
@@ -349,13 +357,14 @@ def _flip_chunk(args) -> tuple[np.ndarray, int]:
     params, grid, seed, start, stop = args
     c = stock_functional(FullInformation(), params)
     nodes = grid.nodes
+    b_t = sample_terminal(seed, grid.horizon, start, stop)[:, None]
     flip_times = []
     rv_flips = 0
-    for lo, hi in _blocks(grid, start, stop):
-        b_t = sample_block(grid, seed, lo, hi)[:, -1:]
-        flipped, times = first_flip(c, params, nodes, b_t, Interpretation.AYED_KUO)
+    # at most _BLOCK_VALUES node states at once
+    for lo, hi in _blocks(grid, 0, stop - start):
+        flipped, times = first_flip(c, params, nodes, b_t[lo:hi], Interpretation.AYED_KUO)
         flip_times.append(times[flipped])
-        rv_flipped, _ = first_flip(c, params, nodes, b_t, Interpretation.FORWARD)
+        rv_flipped, _ = first_flip(c, params, nodes, b_t[lo:hi], Interpretation.FORWARD)
         rv_flips += int(np.count_nonzero(rv_flipped))
     return np.concatenate(flip_times), rv_flips
 
@@ -367,8 +376,10 @@ def discontinuity_probe(
 
     The anticipating solution flips exactly when B_T lands in the window
     (z, z + sigma T]; the forward solution keeps its time-0 state, so its
-    flip count must be zero on every path. Workers take contiguous index
-    ranges, so the report does not depend on ``workers``.
+    flip count must be zero on every path. B_T is drawn directly, so
+    ``grid`` sets only the nodes at which the on/off state is read (the
+    flip-time grid). Workers take contiguous index ranges, so the report
+    does not depend on ``workers``.
     """
     if n_paths < 1000:
         raise ValueError(f"need at least 1000 paths, got {n_paths}")

@@ -337,10 +337,10 @@ def first_flip(
     the midpoint of the first bracketing interval, NaN where there is none.
     """
     if interp in ANTICIPATING:
-        args = b_t - params.sigma * nodes
+        factor = np.greater(b_t - params.sigma * nodes, c.threshold)
     else:
-        args = np.broadcast_to(b_t, b_t.shape[:-1] + nodes.shape)
-    factor = np.greater(args, c.threshold)
+        # the forward state is C(B_T) at every node: compare once, then broadcast
+        factor = np.broadcast_to(np.greater(b_t, c.threshold), b_t.shape[:-1] + nodes.shape)
     changes = factor[..., 1:] != factor[..., :-1]
     flipped = changes.any(axis=-1)
     i = changes.argmax(axis=-1)

@@ -1,10 +1,20 @@
-"""Reproducible Brownian paths on uniform time grids.
+"""Reproducible Brownian samples from counter-based Philox streams.
 
-Every path is a pure function of ``(seed, path_index, grid)``: the pair
-``(seed, path_index)`` keys a counter-based Philox stream, so distinct path
-indices give statistically independent paths and any worker layout reproduces
-the same numbers bit for bit. ``sample_block`` is the one place the stream is
-keyed; ``generate_path`` is its one-row case.
+Two streams are keyed here, and only here; both make every sample a pure
+function of the seed and the path index, so any worker layout reproduces
+the same numbers bit for bit.
+
+* Whole paths (``sample_block``): path ``i`` on a grid is a pure function of
+  ``(seed, i, grid)``; the pair ``(seed, i)`` keys its own Philox stream, so
+  distinct indices give independent paths. ``generate_path`` is its one-row
+  case.
+* Terminal values (``sample_terminal``): B_T of path ``i`` is element
+  ``i mod _BLOCK_VALUES`` of the standard normals drawn from the Philox key
+  ``(seed, i // _BLOCK_VALUES)``, times sqrt(T). It does not depend on any
+  grid. Estimators that read only B_T use it.
+
+The two streams share one key space (terminal key block ``k`` is whole-path
+key ``k``), so no estimator mixes them.
 """
 from __future__ import annotations
 
@@ -15,6 +25,10 @@ from functools import cached_property
 import numpy as np
 
 _UINT64 = (1 << 64) - 1
+
+# Normals per key block of the terminal stream; the harness also evaluates at
+# most this many path values at once.
+_BLOCK_VALUES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -88,6 +102,33 @@ def check_seed(seed: int) -> None:
         raise ValueError(f"seed must be in [0, 2**64 - 1], got {seed}")
 
 
+def _check_range(seed: int, start: int, stop: int) -> None:
+    check_seed(seed)
+    if not 0 <= start <= stop <= _UINT64 + 1:
+        raise ValueError(f"path indices must satisfy 0 <= start <= stop, got [{start}, {stop})")
+
+
+def sample_terminal(seed: int, horizon: float, start: int, stop: int) -> np.ndarray:
+    """B_T ~ N(0, horizon) of paths start..stop-1, drawn directly.
+
+    Path index ``i`` reads element ``i mod _BLOCK_VALUES`` of
+    ``standard_normal`` from the Philox key ``(seed, i // _BLOCK_VALUES)``.
+    A range that starts inside a key block draws that block's prefix and
+    drops it, so every worker layout reads the same values.
+    """
+    _check_range(seed, start, stop)
+    out = np.empty(stop - start)
+    lo = start
+    while lo < stop:
+        block, offset = divmod(lo, _BLOCK_VALUES)
+        hi = min(stop, (block + 1) * _BLOCK_VALUES)
+        rng = np.random.Generator(np.random.Philox(key=np.array([seed, block], dtype=np.uint64)))
+        out[lo - start : hi - start] = rng.standard_normal(offset + hi - lo)[offset:]
+        lo = hi
+    out *= math.sqrt(horizon)
+    return out
+
+
 def sample_block(grid: TimeGrid, seed: int, start: int, stop: int) -> np.ndarray:
     """Brownian values of paths start..stop-1, one row per path index.
 
@@ -98,9 +139,7 @@ def sample_block(grid: TimeGrid, seed: int, start: int, stop: int) -> np.ndarray
     sequential accumulation along each row (``np.sum`` would sum pairwise),
     so B_T matches the one-row case bit for bit.
     """
-    check_seed(seed)
-    if not 0 <= start <= stop <= _UINT64 + 1:
-        raise ValueError(f"path indices must satisfy 0 <= start <= stop, got [{start}, {stop})")
+    _check_range(seed, start, stop)
     values = np.zeros((stop - start, grid.steps + 1))
     if stop == start:
         return values

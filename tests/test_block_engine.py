@@ -1,10 +1,14 @@
-"""The block-wise Monte Carlo engine against the per-path code it replaced.
+"""The block-wise Monte Carlo engine against per-path reference loops.
 
-The reference loops below draw one path at a time with ``generate_path``,
+The whole-path references draw one path at a time with ``generate_path``,
 ``coarsen`` it for the grid ladders and evaluate it with the per-path
-``total_wealth``, ``detect_indicator_flip``, ``euler_forward``,
-``skorokhod_via_correction``, ``exact_solution`` and ``ak_residual``; the
-block engine must reproduce them bit for bit, for any worker count.
+``euler_forward``, ``skorokhod_via_correction``, ``exact_solution`` and
+``ak_residual``. The exact-mode expectation and the flip probe read B_T
+alone, which the terminal stream draws directly; their references read each
+index's B_T from the stream contract written out in ``_contract_terminal``
+and evaluate it with the per-path ``total_wealth`` and
+``detect_indicator_flip``. The block engine must reproduce every reference
+bit for bit, for any worker count.
 """
 import math
 
@@ -36,7 +40,7 @@ from insidermc import (
     total_wealth,
 )
 from insidermc.harness import _BLOCK_VALUES, _blocks
-from insidermc.paths import sample_block
+from insidermc.paths import BrownianPath, sample_block, sample_terminal
 
 BASELINE = MarketParams(wealth=1.0, rho=0.02, mu=0.05, sigma=0.2, horizon=1.0)
 WIDE = MarketParams(wealth=1.0, rho=0.02, mu=0.05, sigma=1.0, horizon=2.0)  # ~23 % flip
@@ -52,9 +56,27 @@ CASES = (
 )
 
 
+def _contract_terminal(seed, horizon, idx):
+    """B_T of path ``idx``: element idx mod _BLOCK_VALUES of the key block's normals, times sqrt(T)."""
+    key = np.array([seed, idx // _BLOCK_VALUES], dtype=np.uint64)
+    normals = np.random.Generator(np.random.Philox(key=key)).standard_normal(
+        idx % _BLOCK_VALUES + 1
+    )
+    return normals[-1] * math.sqrt(horizon)
+
+
+def _terminal_path(grid, seed, idx):
+    # the straight line from 0 to the contract's B_T: the exact terminal
+    # wealth and the flip detector read nothing but the last value
+    b_t = _contract_terminal(seed, grid.horizon, idx)
+    return BrownianPath(grid, grid.nodes / grid.horizon * b_t, seed, idx)
+
+
 def _reference_expectation(strategy, params, interp, n_paths, grid, seed):
     values = np.array([
-        total_wealth(strategy, params, generate_path(grid, seed, idx), interp).terminal
+        total_wealth(
+            strategy, params, _terminal_path(TimeGrid(grid.horizon, 1), seed, idx), interp
+        ).terminal
         for idx in range(n_paths)
     ])
     return float(np.mean(values)), float(np.std(values, ddof=1) / math.sqrt(n_paths))
@@ -131,7 +153,7 @@ def _reference_probe(params, n_paths, grid, seed):
     flip_times = []
     rv_flips = 0
     for idx in range(n_paths):
-        path = generate_path(grid, seed, idx)
+        path = _terminal_path(grid, seed, idx)
         flipped, t_est = detect_indicator_flip(c, params, path, AK)
         if flipped:
             flip_times.append(t_est)
@@ -192,24 +214,78 @@ def test_probe_matches_per_path_reference(seed, params, grid):
 
 
 def test_outputs_equal_values_recorded_from_the_per_path_sampler():
-    # recorded with the per-path sampler and kernels the block engine replaced;
-    # the references above share the new kernels, these pin the stream contract
+    # the whole-path values were recorded with the per-path sampler the block
+    # engine replaced; the probe and the exact-mode estimates were recorded
+    # when they moved to the terminal stream. The references above share the
+    # kernels; these pin both stream contracts.
     path = generate_path(TimeGrid(1.3, 5), 20240101, 3)  # sqrt(dt) is not a power of two
     assert path.values.tolist() == [
         0.0, 0.1804078727956246, 0.8981426719323746, 0.9353200186244972, 1.4544068715473242,
         0.5338411231558293,
     ]
     report = discontinuity_probe(BASELINE, 2000, TimeGrid(1.0, 64), 3)
-    assert (report.n_flips, report.mean_flip_time) == (156, 0.4735576923076923)
+    assert (report.n_flips, report.mean_flip_time) == (154, 0.5179586038961039)
     recorded = {
-        "honest": (1.0502496997272746, 0.005874227852064208),
-        "hs": (0.988620493100118, 0.02731352946857363),
-        "ak": (0.988620493100118, 0.02731352946857363),
-        "rv": (1.6887869595849678, 0.028825586863960116),
+        "honest": (1.0567119803043263, 0.006166380432169325),
+        "hs": (1.0531474665638516, 0.029188771126618735),
+        "ak": (1.0531474665638516, 0.029188771126618735),
+        "rv": (1.7576221201000692, 0.030922279501596713),
     }
     for label, strategy, interp in CASES:
         r = estimate_expectation(strategy, BASELINE, interp, 1200, TimeGrid(1.0, 64), 3)
         assert (r.estimate, r.stderr) == recorded[label]
+
+
+def test_sample_terminal_pins_the_terminal_stream():
+    # sqrt(1.3) is no power of two; the range crosses the first key boundary
+    values = sample_terminal(20240101, 1.3, _BLOCK_VALUES - 2, _BLOCK_VALUES + 2)
+    assert values.tolist() == [
+        0.3467656372980264, -1.3907347305436213, 1.9475932050103417, 0.7187647899089593,
+    ]
+    assert sample_terminal(20240101, 1.3, 0, 3).tolist() == [
+        0.6283555687836723, -1.4630675021907347, -0.0735990747184151,
+    ]
+    for idx in (0, 2, _BLOCK_VALUES - 1, _BLOCK_VALUES, 2 * _BLOCK_VALUES + 5):
+        assert sample_terminal(20240101, 1.3, idx, idx + 1)[0] == _contract_terminal(
+            20240101, 1.3, idx
+        )
+    assert sample_terminal(1, 1.0, 4, 4).shape == (0,)
+    for start, stop in ((-1, 2), (4, 3)):
+        with pytest.raises(ValueError):
+            sample_terminal(1, 1.0, start, stop)
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError):
+            sample_terminal(seed, 1.0, 0, 2)
+
+
+def test_terminal_ranges_that_start_inside_a_key_block_match_a_serial_draw():
+    n = 2 * _BLOCK_VALUES + 4464  # 70000 indices, three key blocks
+    serial = sample_terminal(11, 2.0, 0, n)
+    bounds = np.linspace(0, n, 4, dtype=int)  # the three-worker split
+    pieces = [sample_terminal(11, 2.0, int(lo), int(hi)) for lo, hi in zip(bounds, bounds[1:])]
+    assert np.array_equal(np.concatenate(pieces), serial)
+
+
+def test_exact_mode_at_70000_paths_does_not_depend_on_workers():
+    grid = TimeGrid(1.0, 8)
+    cases = [(strategy, interp) for _, strategy, interp in CASES]
+    reports = [
+        estimate_expectations(cases, BASELINE, 70_000, grid, 8, workers=w) for w in (1, 2, 3)
+    ]
+    for other in reports[1:]:
+        assert [(r.estimate, r.stderr) for r in other] == [
+            (r.estimate, r.stderr) for r in reports[0]
+        ]
+    probes = [discontinuity_probe(WIDE, 70_000, TimeGrid(2.0, 16), 8, workers=w) for w in (1, 2, 3)]
+    assert probes[0] == probes[1] == probes[2]
+
+
+def test_steps_do_not_change_exact_mode_estimates():
+    cases = [(strategy, interp) for _, strategy, interp in CASES]
+    coarse = estimate_expectations(cases, BASELINE, 3000, TimeGrid(1.0, 8), 21)
+    fine = estimate_expectations(cases, BASELINE, 3000, TimeGrid(1.0, 1024), 21)
+    assert [(r.estimate, r.stderr) for r in coarse] == [(r.estimate, r.stderr) for r in fine]
+    assert (coarse[0].grid_steps, fine[0].grid_steps) == (8, 1024)
 
 
 def test_worker_count_does_not_change_the_bits():

@@ -17,8 +17,10 @@ from insidermc import (
     expected_honest_max,
     expected_insider,
     jump_probability,
+    threshold,
 )
 from insidermc.harness import NumericalError
+from insidermc.paths import sample_terminal
 
 BASELINE = MarketParams(wealth=1.0, rho=0.02, mu=0.05, sigma=0.2, horizon=1.0)
 GRID = TimeGrid(1.0, 16)
@@ -202,7 +204,11 @@ def test_probe_tracks_closed_form_where_many_paths_flip():
     params = MarketParams(wealth=1.0, rho=0.02, mu=0.05, sigma=1.0, horizon=2.0)
     report = discontinuity_probe(params, 4000, TimeGrid(2.0, 32), 41)
     assert abs(jump_probability(params) - 0.234) < 5e-4
-    assert report.n_flips == 907
+    # the flip count is the number of terminal values in the window
+    z = threshold(params)
+    b_t = sample_terminal(41, params.horizon, 0, 4000)
+    in_window = (b_t > z) & ~(b_t - params.sigma * params.horizon > z)
+    assert report.n_flips == int(np.count_nonzero(in_window)) == 948
     assert abs(report.frequency - report.closed_form) <= 4.0 * report.stderr
     assert report.rv_flips == 0
 
