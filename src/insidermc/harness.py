@@ -166,9 +166,10 @@ def estimate_expectations(
     them. ``use_exact`` evaluates the per-path closed-form solution (testing
     the expectation formulas) on B_T drawn directly, so ``grid`` sets only
     the horizon and ``grid.steps`` does not change the estimate; otherwise
-    the discrete scheme runs on whole paths (testing the scheme). Path indices are split into contiguous chunks per worker and
-    re-assembled in order, so the estimates do not depend on ``workers``.
-    Every report carries the wall time of the whole shared run.
+    the discrete scheme runs on whole paths (testing the scheme). Path
+    indices are split into contiguous chunks per worker and re-assembled in
+    order, so the estimates do not depend on ``workers``. Every report
+    carries the wall time of the whole shared run.
     """
     if n_paths < 100:
         raise ValueError(f"need at least 100 paths, got {n_paths}")
@@ -474,12 +475,12 @@ def conjecture_report(
         for j, g in enumerate(grids):
             coarse = w[:, :: n_max // g.steps]
             with np.errstate(over="ignore", invalid="ignore"):
+                # E(t) on this level, shared by both groups
                 growth = growth_factor(params, g.nodes, coarse)
-            for name, c in groups.items():
-                with np.errstate(over="ignore", invalid="ignore"):
+                for name, c in groups.items():
                     values = ak_residuals(c, params, g, coarse, growth=growth)
-                _check_finite(values, f"{name} residual")
-                residuals[name][j, lo:hi] = np.abs(values)
+                    _check_finite(values, f"{name} residual")
+                    residuals[name][j, lo:hi] = np.abs(values)
     rows = []
     verdicts = {}
     for name in groups:
