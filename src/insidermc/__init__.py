@@ -45,7 +45,6 @@ from .harness import (
 )
 from .integrators import (
     Interpretation,
-    WealthProcess,
     ak_integral,
     ak_residual,
     detect_indicator_flip,
@@ -54,7 +53,6 @@ from .integrators import (
     forward_integral,
     skorokhod_integral,
     skorokhod_via_correction,
-    solution_integrand,
 )
 from .market import (
     FullInformation,

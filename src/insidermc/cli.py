@@ -19,6 +19,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -72,7 +73,7 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
                 value = int(os.environ[name])
             except ValueError as exc:
                 raise ConfigError(f"{name} must be an integer") from exc
-            cfg = cfg.replace(**{key: value})
+            cfg = replace(cfg, **{key: value})
     overrides = {}
     if args.seed is not None:
         overrides["seed"] = args.seed
@@ -89,7 +90,7 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     if getattr(args, "n_list", None) is not None:
         overrides["n_list"] = parse_int_list(args.n_list)
     if overrides:
-        cfg = cfg.replace(**overrides)
+        cfg = replace(cfg, **overrides)
     return cfg
 
 
@@ -180,14 +181,16 @@ def cmd_converge(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     rows = []
     failed = False
     for table in tables:
-        status = "ok" if table.slope >= _SLOPE_FLOOR else "TOO SHALLOW"
-        print(f"{table.interpretation.value}: fitted decay {table.slope:.3f} ({status})")
+        ok = table.slope >= _SLOPE_FLOOR  # False for a NaN slope
+        slope = "degenerate" if math.isnan(table.slope) else f"{table.slope:.3f}"
+        print(f"{table.interpretation.value}: fitted decay {slope} "
+              f"({'ok' if ok else 'TOO SHALLOW'})")
         for n, err in table.rows:
             print(f"  n = {n:>6d}  mean |error| = {err:.6e}")
         rows.extend(
             (table.interpretation.value,) + row for row in table.csv_rows()
         )
-        failed = failed or table.slope < _SLOPE_FLOOR
+        failed = failed or not ok
     echo = cfg.echo() | {"subcommand": "converge", "n_list": ",".join(map(str, n_list))}
     if cfg.csv_path:
         _write_csv(
@@ -270,6 +273,8 @@ def cmd_conjecture(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_ordering_sweep(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
+    if args.sets < 1:
+        raise ConfigError(f"--sets must be at least 1, got {args.sets}")
     rng = np.random.default_rng(cfg.seed)
     chain_failures = 0
     quad_gap = 0.0

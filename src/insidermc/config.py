@@ -2,21 +2,16 @@
 
 Unknown sections or keys are rejected, every market invariant is validated at
 load time, and ``dumps``/``loads`` round-trip to an identical configuration
-(floats are serialized with ``repr`` so they survive exactly).
+(floats are serialized with ``repr`` so they survive exactly). One field
+table, ``ExperimentConfig._fields``, lists every key; it drives ``dumps``,
+``echo`` and the keys ``loads`` accepts.
 """
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
-from .functionals import (
-    Affine,
-    Indicator,
-    TerminalFunctional,
-    arctangent,
-    logistic,
-)
 from .harness import DEFAULT_PATHS, DEFAULT_SEED, DEFAULT_STEPS
 from .integrators import Interpretation
 from .market import FullInformation, Honest, MarketParams, PartialTrust, Strategy
@@ -34,12 +29,6 @@ DEFAULT_INTERPRETATIONS = (
     Interpretation.HITSUDA_SKOROKHOD,
 )
 
-_MARKET_KEYS = ("wealth", "rho", "mu", "sigma", "horizon")
-_RUN_KEYS = ("paths", "steps", "seed", "workers", "interpretations", "n_list")
-_OUTPUT_KEYS = ("csv", "json")
-_STRATEGY_KEYS = ("kind", "bond0", "stock0")
-_FUNCTIONAL_KEYS = ("kind", "a", "b", "scale", "threshold")
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -47,7 +36,6 @@ class ExperimentConfig:
 
     params: MarketParams = DEFAULT_PARAMS
     strategy: Strategy = field(default_factory=PartialTrust)
-    functional: TerminalFunctional | None = None
     interpretations: tuple[Interpretation, ...] = DEFAULT_INTERPRETATIONS
     n_paths: int = DEFAULT_PATHS
     steps: int = DEFAULT_STEPS
@@ -58,80 +46,52 @@ class ExperimentConfig:
     json_path: str | None = None
 
     def __post_init__(self) -> None:
-        # the seed comes from a flag, the environment or a file; reject it here
-        # rather than let the path sampler see it
+        # these come from a flag, the environment or a file; reject them here
+        # rather than let the samplers see them
         try:
             check_seed(self.seed)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        for name in ("n_paths", "steps", "workers"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
 
-    def replace(self, **kwargs) -> "ExperimentConfig":
-        return replace(self, **kwargs)
+    def _fields(self) -> list[tuple[str, str, str | None]]:
+        """(section, key, value) of every config key in echo order; None marks an unset key."""
+        p, s = self.params, self.strategy
+        honest = isinstance(s, Honest)
+        return [
+            *(("market", f.name, repr(getattr(p, f.name))) for f in fields(p)),
+            ("strategy", "kind", _strategy_kind(s)),
+            ("run", "paths", str(self.n_paths)),
+            ("run", "steps", str(self.steps)),
+            ("run", "seed", str(self.seed)),
+            ("run", "workers", str(self.workers)),
+            ("run", "interpretations", ",".join(i.value for i in self.interpretations)),
+            # after the run keys: the CSV echo of an honest strategy has always read so
+            ("strategy", "bond0", repr(s.bond0) if honest else None),
+            ("strategy", "stock0", repr(s.stock0) if honest else None),
+            ("run", "n_list", None if self.n_list is None else ",".join(map(str, self.n_list))),
+            ("output", "csv", self.csv_path),
+            ("output", "json", self.json_path),
+        ]
 
     def dumps(self) -> str:
-        lines = ["[market]"]
-        p = self.params
-        lines += [
-            f"wealth = {p.wealth!r}",
-            f"rho = {p.rho!r}",
-            f"mu = {p.mu!r}",
-            f"sigma = {p.sigma!r}",
-            f"horizon = {p.horizon!r}",
-            "",
-            "[strategy]",
-        ]
-        if isinstance(self.strategy, Honest):
-            lines += [
-                "kind = honest",
-                f"bond0 = {self.strategy.bond0!r}",
-                f"stock0 = {self.strategy.stock0!r}",
-            ]
-        elif isinstance(self.strategy, PartialTrust):
-            lines.append("kind = partial-trust")
-        else:
-            lines.append("kind = full-information")
-        if self.functional is not None:
-            lines += ["", "[functional]"] + _functional_lines(self.functional)
-        lines += [
-            "",
-            "[run]",
-            f"paths = {self.n_paths}",
-            f"steps = {self.steps}",
-            f"seed = {self.seed}",
-            f"workers = {self.workers}",
-            "interpretations = " + ",".join(i.value for i in self.interpretations),
-        ]
-        if self.n_list is not None:
-            lines.append("n_list = " + ",".join(str(n) for n in self.n_list))
-        if self.csv_path is not None or self.json_path is not None:
-            lines += ["", "[output]"]
-            if self.csv_path is not None:
-                lines.append(f"csv = {self.csv_path}")
-            if self.json_path is not None:
-                lines.append(f"json = {self.json_path}")
-        return "\n".join(lines) + "\n"
+        sections: dict[str, list[str]] = {}
+        for section, key, value in self._fields():
+            if value is not None:
+                sections.setdefault(section, []).append(f"{key} = {value}")
+        return "\n\n".join(
+            f"[{section}]\n" + "\n".join(lines) for section, lines in sections.items()
+        ) + "\n"
 
     def echo(self) -> dict[str, str]:
-        """Flat key -> value view of every field, for self-describing outputs."""
-        out = {
-            "market.wealth": repr(self.params.wealth),
-            "market.rho": repr(self.params.rho),
-            "market.mu": repr(self.params.mu),
-            "market.sigma": repr(self.params.sigma),
-            "market.horizon": repr(self.params.horizon),
-            "strategy.kind": _strategy_kind(self.strategy),
-            "run.paths": str(self.n_paths),
-            "run.steps": str(self.steps),
-            "run.seed": str(self.seed),
-            "run.workers": str(self.workers),
-            "run.interpretations": ",".join(i.value for i in self.interpretations),
+        """Flat key -> value view of every set key but the output paths, for each output."""
+        return {
+            f"{section}.{key}": value
+            for section, key, value in self._fields()
+            if value is not None and section != "output"
         }
-        if isinstance(self.strategy, Honest):
-            out["strategy.bond0"] = repr(self.strategy.bond0)
-            out["strategy.stock0"] = repr(self.strategy.stock0)
-        if self.n_list is not None:
-            out["run.n_list"] = ",".join(str(n) for n in self.n_list)
-        return out
 
 
 def _strategy_kind(strategy: Strategy) -> str:
@@ -142,19 +102,7 @@ def _strategy_kind(strategy: Strategy) -> str:
     return "full-information"
 
 
-def _functional_lines(c: TerminalFunctional) -> list[str]:
-    if isinstance(c, Affine):
-        return ["kind = affine", f"a = {c.a!r}", f"b = {c.b!r}"]
-    if isinstance(c, Indicator):
-        return ["kind = indicator", f"scale = {c.scale!r}", f"threshold = {c.threshold!r}"]
-    if c == logistic(c.scale):
-        return ["kind = logistic", f"scale = {c.scale!r}"]
-    if c == arctangent(c.scale):
-        return ["kind = arctangent", f"scale = {c.scale!r}"]
-    raise ConfigError(f"functional {c!r} is not serializable")
-
-
-def _require_keys(section: str, present, allowed: tuple[str, ...]) -> None:
+def _require_keys(section: str, present, allowed: list[str]) -> None:
     unknown = sorted(set(present) - set(allowed))
     if unknown:
         raise ConfigError(f"unknown key(s) in [{section}]: {', '.join(unknown)}")
@@ -199,55 +147,30 @@ def _parse_interpretations(text: str) -> tuple[Interpretation, ...]:
     return tuple(out)
 
 
-def functional_from_spec(section: str, data: dict[str, str]) -> TerminalFunctional:
-    """Build a terminal functional from config keys (kind plus parameters)."""
-    _require_keys(section, data, _FUNCTIONAL_KEYS)
-    kind = data.get("kind")
-    if kind == "affine":
-        return Affine(
-            a=_parse_float(section, "a", data.get("a", "0.0")),
-            b=_parse_float(section, "b", data.get("b", "0.0")),
-        )
-    if kind == "indicator":
-        return Indicator(
-            scale=_parse_float(section, "scale", data.get("scale", "1.0")),
-            threshold=_parse_float(section, "threshold", data.get("threshold", "0.0")),
-        )
-    if kind == "logistic":
-        return logistic(_parse_float(section, "scale", data.get("scale", "1.0")))
-    if kind == "arctangent":
-        return arctangent(_parse_float(section, "scale", data.get("scale", "1.0")))
-    raise ConfigError(f"unknown functional kind {kind!r}")
-
-
 def loads(text: str) -> ExperimentConfig:
     parser = configparser.ConfigParser()
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config: {exc}") from exc
-    known = {"market", "strategy", "functional", "run", "output"}
-    unknown = sorted(set(parser.sections()) - known)
+    allowed: dict[str, list[str]] = {}
+    for section, key, _ in ExperimentConfig()._fields():
+        allowed.setdefault(section, []).append(key)
+    unknown = sorted(set(parser.sections()) - set(allowed))
     if unknown:
         raise ConfigError(f"unknown section(s): {', '.join(unknown)}")
+    data = {}
+    for section, keys in allowed.items():
+        data[section] = dict(parser[section]) if parser.has_section(section) else {}
+        _require_keys(section, data[section], keys)
+    market, strat, run, out = data.values()
 
-    market = dict(parser["market"]) if parser.has_section("market") else {}
-    _require_keys("market", market, _MARKET_KEYS)
     kwargs = {k: _parse_float("market", k, v) for k, v in market.items()}
-    defaults = DEFAULT_PARAMS
     try:
-        params = MarketParams(
-            wealth=kwargs.get("wealth", defaults.wealth),
-            rho=kwargs.get("rho", defaults.rho),
-            mu=kwargs.get("mu", defaults.mu),
-            sigma=kwargs.get("sigma", defaults.sigma),
-            horizon=kwargs.get("horizon", defaults.horizon),
-        )
+        params = replace(DEFAULT_PARAMS, **kwargs)
     except ValueError as exc:
         raise ConfigError(f"invalid [market] section: {exc}") from exc
 
-    strat = dict(parser["strategy"]) if parser.has_section("strategy") else {}
-    _require_keys("strategy", strat, _STRATEGY_KEYS)
     kind = strat.get("kind", "partial-trust")
     if kind == "honest":
         if "bond0" not in strat or "stock0" not in strat:
@@ -267,12 +190,6 @@ def loads(text: str) -> ExperimentConfig:
     else:
         raise ConfigError(f"unknown strategy kind {kind!r}")
 
-    functional = None
-    if parser.has_section("functional"):
-        functional = functional_from_spec("functional", dict(parser["functional"]))
-
-    run = dict(parser["run"]) if parser.has_section("run") else {}
-    _require_keys("run", run, _RUN_KEYS)
     n_list = parse_int_list(run["n_list"]) if "n_list" in run else None
     interps = (
         _parse_interpretations(run["interpretations"])
@@ -280,13 +197,9 @@ def loads(text: str) -> ExperimentConfig:
         else DEFAULT_INTERPRETATIONS
     )
 
-    out = dict(parser["output"]) if parser.has_section("output") else {}
-    _require_keys("output", out, _OUTPUT_KEYS)
-
     return ExperimentConfig(
         params=params,
         strategy=strategy,
-        functional=functional,
         interpretations=interps,
         n_paths=_parse_int("run", "paths", run.get("paths", str(DEFAULT_PATHS))),
         steps=_parse_int("run", "steps", run.get("steps", str(DEFAULT_STEPS))),

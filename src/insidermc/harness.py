@@ -234,7 +234,8 @@ def _fit_decay(n_values: np.ndarray, errors: np.ndarray, drop_first: bool) -> fl
     # least squares on log2/log2; the coarsest grid sits in the pre-asymptotic
     # regime, so scheme-order fits drop it
     lo = 1 if drop_first and len(n_values) > 2 else 0
-    slope = np.polyfit(np.log2(n_values[lo:]), np.log2(errors[lo:]), 1)[0]
+    with np.errstate(divide="ignore"):  # a zero error makes the slope NaN; callers flag it
+        slope = np.polyfit(np.log2(n_values[lo:]), np.log2(errors[lo:]), 1)[0]
     return float(-slope)
 
 
@@ -268,6 +269,8 @@ def convergence_studies(
     once for all interpretations.
     """
     _check_step_ladder(n_list, minimum=3)
+    if n_paths < 1:
+        raise ValueError(f"need at least 1 path, got {n_paths}")
     interps = tuple(interps)
     c = stock_functional(strategy, params)
     # the solution each scheme approximates

@@ -9,19 +9,20 @@ C(B_T) the exact per-path solutions are
 with E(t) = exp((mu - sigma^2/2) t + sigma B_t). The two anticipating
 variants share one code path, so their outputs are identical to the bit.
 
-Discrete primitives: a left-point forward Riemann sum, the mixed-endpoint
-sum that evaluates adapted factors at the left node and future factors at
-the right node, and the divergence-type integral obtained from the forward
-sum by subtracting the Malliavin trace term.
+Discrete primitives: one Riemann-sum kernel reads the time and running-value
+arguments of an integrand at the left node and its future argument at the
+left node (the forward sum) or at the right node (the mixed-endpoint sum);
+the divergence-type integral is the forward sum minus the Malliavin trace
+term.
 
 The exact solution, the two schemes and the mixed-endpoint residual are array
 kernels (``exact_wealth``, ``scheme_wealth``, ``ak_residuals``) over a
-trailing node axis; the per-path functions are their one-row calls.
+trailing node axis; the per-path functions are their one-row calls and
+return the sample array.
 """
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Union
 
 import numpy as np
@@ -53,37 +54,6 @@ class Interpretation(enum.Enum):
 
 
 ANTICIPATING = (Interpretation.AYED_KUO, Interpretation.HITSUDA_SKOROKHOD)
-
-
-@dataclass(frozen=True)
-class WealthProcess:
-    """Per-node samples of one wealth trajectory plus its provenance."""
-
-    grid: TimeGrid
-    samples: np.ndarray
-    interpretation: Interpretation
-    seed: int
-    path_index: int
-
-    def __post_init__(self) -> None:
-        if self.samples.shape != (self.grid.steps + 1,):
-            raise ValueError(
-                f"samples must have shape ({self.grid.steps + 1},), got {self.samples.shape}"
-            )
-        if not np.all(np.isfinite(self.samples)):
-            raise ValueError("wealth samples must be finite")
-        self.samples.setflags(write=False)
-
-    @classmethod
-    def of_path(
-        cls, path: BrownianPath, samples: np.ndarray, interp: Interpretation
-    ) -> "WealthProcess":
-        """Samples along ``path``, carrying its grid and RNG provenance."""
-        return cls(path.grid, samples, interp, path.seed, path.path_index)
-
-    @property
-    def terminal(self) -> float:
-        return float(self.samples[-1])
 
 
 def growth_factor(params: "MarketParams", nodes: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -126,85 +96,54 @@ def exact_solution(
     params: "MarketParams",
     path: BrownianPath,
     interp: Interpretation,
-) -> WealthProcess:
+) -> np.ndarray:
     """Closed-form per-path solution under the chosen interpretation (see ``exact_wealth``)."""
-    samples = exact_wealth(c, params, path.grid.nodes, path.values, interp)
-    return WealthProcess.of_path(path, samples, interp)
+    return exact_wealth(c, params, path.grid.nodes, path.values, interp)
 
 
 def euler_forward(
     c: TerminalFunctional, params: "MarketParams", path: BrownianPath
-) -> WealthProcess:
+) -> np.ndarray:
     """Left-point Euler scheme for the forward equation, S_0 = C(B_T)."""
-    interp = Interpretation.FORWARD
-    samples = scheme_wealth(c, params, path.grid, path.values, interp)
-    return WealthProcess.of_path(path, samples, interp)
+    return scheme_wealth(c, params, path.grid, path.values, Interpretation.FORWARD)
+
+
+def _riemann_sum(
+    u: Integrand, nodes: np.ndarray, w: np.ndarray, i: int, right: bool
+) -> np.ndarray:
+    """Riemann sum of u over the first i steps, along the trailing node axis of w.
+
+    Each term is u(t_{k-1}, W_{k-1}, B_T - W_j) * (W_k - W_{k-1}), with the
+    future argument read at the right node (j = k) or at the left node
+    (j = k - 1). With no future dependence both are the Ito left-point sum.
+    """
+    x = w[..., :i]
+    y = w[..., -1:] - (w[..., 1 : i + 1] if right else x)
+    dw = np.diff(w[..., : i + 1], axis=-1)
+    return np.sum(u(nodes[:i], x, y) * dw, axis=-1)
 
 
 def ak_integral(u: Integrand, path: BrownianPath, t: float) -> float:
-    """Mixed-endpoint Riemann sum over [0, t].
-
-    Each term is u(t_{i-1}, W_{i-1}, B_T - W_i) * (W_i - W_{i-1}): the time
-    and running-value arguments sit at the left node, the future-increment
-    argument at the right node. With no future dependence this is the plain
-    Ito left-point sum.
-    """
+    """Mixed-endpoint Riemann sum over [0, t]: the future argument at the right node."""
     i = path.grid.index_of(t)
-    if i == 0:
-        return 0.0
-    return float(_mixed_endpoint_sum(u, path.grid.nodes, path.values, i))
-
-
-def _mixed_endpoint_sum(u: Integrand, nodes: np.ndarray, w: np.ndarray, i: int) -> np.ndarray:
-    """The ``ak_integral`` sum over the first i steps, along the trailing node axis of w."""
-    x = w[..., :i]
-    y = w[..., -1:] - w[..., 1 : i + 1]
-    dw = np.diff(w[..., : i + 1], axis=-1)
-    return np.sum(u(nodes[:i], x, y) * dw, axis=-1)
+    return float(_riemann_sum(u, path.grid.nodes, path.values, i, right=True))
 
 
 def forward_integral(u: Integrand, path: BrownianPath, t: float) -> float:
     """Left-point Riemann sum over [0, t]: all arguments at the left node."""
     i = path.grid.index_of(t)
-    if i == 0:
-        return 0.0
-    w = path.values
-    s = path.grid.nodes[:i]
-    x = w[:i]
-    y = path.terminal - w[:i]
-    dw = np.diff(w[: i + 1])
-    return float(np.sum(u(s, x, y) * dw))
+    return float(_riemann_sum(u, path.grid.nodes, path.values, i, right=False))
 
 
 def skorokhod_integral(u: ProductIntegrand, path: BrownianPath, t: float) -> float:
     """Divergence-type integral: forward sum minus the Malliavin trace term."""
     i = path.grid.index_of(t)
-    if i == 0:
-        return 0.0
-    w = path.values
     s = path.grid.nodes[:i]
-    x = w[:i]
-    y = path.terminal - w[:i]
+    x = path.values[:i]
     trace = np.broadcast_to(
-        np.asarray(malliavin_trace_partial(u, s, x, y), dtype=float), s.shape
+        np.asarray(malliavin_trace_partial(u, s, x, path.terminal - x), dtype=float), s.shape
     )
     return forward_integral(u, path, t) - path.grid.dt * float(np.sum(trace))
-
-
-def solution_integrand(
-    c: TerminalFunctional, params: "MarketParams"
-) -> Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]:
-    """The anticipating exact solution as a two-argument integrand.
-
-    Written in the adapted/future split (s, x=B_s, y=B_T-B_s):
-    Phi(s, x, y) = C(y + x - sigma s) * exp((mu - sigma^2/2) s + sigma x).
-    """
-    mu, sigma = params.mu, params.sigma
-
-    def phi(s, x, y):
-        return c.evaluate(y + x - sigma * s) * np.exp((mu - 0.5 * sigma**2) * s + sigma * x)
-
-    return phi
 
 
 def ak_residual(
@@ -230,8 +169,9 @@ def ak_residuals(
     """``ak_residual`` over [0, t] for every path along the leading axes of ``w``.
 
     E(t) is evaluated once and read both by the exact solution and, at the
-    left nodes, by the integrand of ``solution_integrand``; ``growth`` passes
-    in ``growth_factor(params, grid.nodes, w)`` when functionals share a block.
+    left nodes, by the integrand Phi(s, x, y) = C(y + x - sigma s) E(s);
+    ``growth`` passes in ``growth_factor(params, grid.nodes, w)`` when
+    functionals share a block.
     """
     i = grid.steps if t is None else grid.index_of(t)
     if growth is None:
@@ -242,7 +182,7 @@ def ak_residuals(
     def phi(s, x, y):
         return c.evaluate(y + x - params.sigma * s) * growth[..., :i]
 
-    stochastic = _mixed_endpoint_sum(phi, grid.nodes, w, i)
+    stochastic = _riemann_sum(phi, grid.nodes, w, i, right=True)
     return samples[..., i] - samples[..., 0] - drift - params.sigma * stochastic
 
 
@@ -316,11 +256,9 @@ def scheme_wealth(
 
 def skorokhod_via_correction(
     c: TerminalFunctional, params: "MarketParams", path: BrownianPath
-) -> WealthProcess:
+) -> np.ndarray:
     """Forward Euler with the per-step Malliavin drift correction (see ``scheme_wealth``)."""
-    interp = Interpretation.HITSUDA_SKOROKHOD
-    samples = scheme_wealth(c, params, path.grid, path.values, interp)
-    return WealthProcess.of_path(path, samples, interp)
+    return scheme_wealth(c, params, path.grid, path.values, Interpretation.HITSUDA_SKOROKHOD)
 
 
 def first_flip(

@@ -19,7 +19,7 @@ from typing import Union
 import numpy as np
 
 from .functionals import Affine, ArrayLike, Indicator, TerminalFunctional
-from .integrators import Interpretation, WealthProcess, exact_wealth
+from .integrators import Interpretation, exact_wealth
 from .paths import BrownianPath
 
 
@@ -131,10 +131,9 @@ def total_wealth(
     params: MarketParams,
     path: BrownianPath,
     interp: Interpretation,
-) -> WealthProcess:
+) -> np.ndarray:
     """Bond leg (rate rho) plus stock leg under the chosen noise interpretation."""
-    samples = wealth_at(strategy, params, path.grid.nodes, path.values, interp)
-    return WealthProcess.of_path(path, samples, interp)
+    return wealth_at(strategy, params, path.grid.nodes, path.values, interp)
 
 
 def random_params(rng: np.random.Generator, wealth: float = 1.0) -> MarketParams:

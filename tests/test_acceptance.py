@@ -122,8 +122,8 @@ def test_criterion_04_anticipating_solutions_identical():
             c = stock_functional(strategy, p)
             for k in range(5):
                 path = generate_path(grid, 104, int(rng.integers(100_000)))
-                a = exact_solution(c, p, path, AK).samples
-                h = exact_solution(c, p, path, HS).samples
+                a = exact_solution(c, p, path, AK)
+                h = exact_solution(c, p, path, HS)
                 assert np.array_equal(a, h)
                 count += 1
     grid = TimeGrid(1.0, 16)

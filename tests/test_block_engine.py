@@ -76,7 +76,7 @@ def _reference_expectation(strategy, params, interp, n_paths, grid, seed):
     values = np.array([
         total_wealth(
             strategy, params, _terminal_path(TimeGrid(grid.horizon, 1), seed, idx), interp
-        ).terminal
+        )[-1]
         for idx in range(n_paths)
     ])
     return float(np.mean(values)), float(np.std(values, ddof=1) / math.sqrt(n_paths))
@@ -102,7 +102,7 @@ def _reference_scheme_expectation(strategy, params, interp, n_paths, grid, seed)
         path = generate_path(grid, seed, idx)
         stock = _reference_scheme(c, params, path, interp)
         _, bond0 = initial_allocation(strategy, params, path.terminal)
-        values.append(stock.terminal + bond0 * math.exp(params.rho * params.horizon))
+        values.append(stock[-1] + bond0 * math.exp(params.rho * params.horizon))
     values = np.array(values)
     return float(np.mean(values)), float(np.std(values, ddof=1) / math.sqrt(n_paths))
 
@@ -117,8 +117,8 @@ def _reference_convergence(strategy, params, interp, n_list, n_paths, seed):
         fine = generate_path(fine_grid, seed, idx)
         for j, n in enumerate(n_list):
             path = coarsen(fine, n_max // n)
-            approx = _reference_scheme(c, params, path, interp).terminal
-            exact = exact_solution(c, params, path, exact_interp).terminal
+            approx = _reference_scheme(c, params, path, interp)[-1]
+            exact = exact_solution(c, params, path, exact_interp)[-1]
             totals[j] += abs(approx - exact)
     return [float(err) for err in totals / n_paths]
 

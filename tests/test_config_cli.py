@@ -1,8 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
-from insidermc import Honest, Interpretation, PartialTrust, logistic
+from insidermc import Honest, Interpretation, PartialTrust
 from insidermc.cli import main
 from insidermc.config import ConfigError, ExperimentConfig, load_file, loads
 
@@ -53,7 +54,7 @@ def test_empty_config_gives_documented_defaults():
 def test_round_trip_covers_every_strategy_and_functional():
     for cfg in (
         ExperimentConfig(strategy=Honest(0.25, 0.75)),
-        ExperimentConfig(functional=logistic(2.0), n_list=(256, 1024)),
+        ExperimentConfig(n_list=(256, 1024)),
         ExperimentConfig(json_path="a.json", csv_path="b.csv"),
     ):
         assert loads(cfg.dumps()) == cfg
@@ -280,3 +281,90 @@ def test_env_seed_applies_between_file_and_flags(tmp_path, capsys, monkeypatch):
 def test_load_file_missing_path_is_config_error(tmp_path):
     with pytest.raises(ConfigError):
         load_file(tmp_path / "nope.ini")
+
+
+# sha256 of each subcommand's CSV at --seed 7, and of dumps(), as computed with
+# numpy 2.4 on x86-64; a change that alters one on purpose updates its digest and
+# says so
+CSV_DIGESTS = {
+    "expect": "c10e84e10cf5d2ef29e130c9dc372ed07c1d1efecbcc286ec367980e064921bb",
+    "converge": "f3dd54cbe8c970a27ee7793b6a5a9f2c53ceecbbca765196c31db02e13362fb1",
+    "conjecture": "28ab6e695c7a31e00e24ce8a4fc90051c84ef8560187361f0909089f10c3e51c",
+    "jump": "db4d45be3129ce5b71469e1e15b2e071cce9696608a2eb35c319b67a1b414c84",
+    "ordering-sweep": "32030e2dc4d1bffbb10eec11ae7a41c405d99c4dc91ebc8978711daa5e85dfa4",
+    "converge-honest": "34c83e4460d05685d9ad588c332d43d9458a0a146778c0f44c563cb73ae90a37",
+}
+DUMPS_DIGESTS = {
+    "default": "fe1a1134a8637ad87a91af84e889165f32562528fae476387fb8568c447270d2",
+    "honest": "6fbc84df0f731b9730e3d01c48db4accaf0b2a85c1b2bb61a8e7f803f3a7e432",
+    "output": "77dd25b157524b3588cadf57138a718b7ff199f29cf32e189287bc777d75813e",
+}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_csv_and_dumps_bytes_match_recorded_digests(tmp_path, capsys):
+    honest = tmp_path / "honest.ini"
+    honest.write_text("[strategy]\nkind = honest\nbond0 = 0.25\nstock0 = 0.75\n")
+    cases = {
+        "expect": ["expect", "--mc", "--paths", "1000"],
+        "converge": ["converge", "--paths", "50", "--n-list", "4,8,16"],
+        "conjecture": ["conjecture", "--paths", "150", "--n-list", "4,8"],
+        "jump": ["jump", "--paths", "2000", "--steps", "16"],
+        "ordering-sweep": ["ordering-sweep", "--sets", "20"],
+        # the echo of an honest strategy pins the order of the strategy and run keys
+        "converge-honest": [
+            "converge", "--paths", "50", "--n-list", "4,8,16", "--config", str(honest),
+        ],
+    }
+    digests = {}
+    for name, argv in cases.items():
+        out = tmp_path / f"{name}.csv"
+        assert main(argv + ["--seed", "7", "--csv", str(out)]) == 0
+        digests[name] = _sha256(out.read_bytes())
+    capsys.readouterr()
+    assert digests == CSV_DIGESTS
+    configs = {
+        "default": ExperimentConfig(),
+        "honest": ExperimentConfig(strategy=Honest(0.25, 0.75)),
+        "output": ExperimentConfig(n_list=(256, 1024), json_path="a.json", csv_path="b.csv"),
+    }
+    assert {k: _sha256(c.dumps().encode()) for k, c in configs.items()} == DUMPS_DIGESTS
+
+
+def test_cli_converge_degenerate_slope_fails(tmp_path, capsys):
+    # all bond: every scheme error is 0 and the fitted decay is NaN
+    ini = tmp_path / "bond.ini"
+    ini.write_text("[strategy]\nkind = honest\nbond0 = 1.0\nstock0 = 0.0\n")
+    rc = main(["converge", "--config", str(ini), "--paths", "50", "--n-list", "4,8,16"])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert out.count("fitted decay degenerate") == 2
+    assert "nan" not in out
+    assert main(["converge", "--paths", "0", "--n-list", "4,8,16"]) == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("source", ["flag", "env", "file"])
+def test_run_fields_below_one_exit_2(tmp_path, capsys, monkeypatch, source):
+    args = ["converge", "--paths", "20", "--n-list", "4,8,16"]
+    if source == "flag":
+        args += ["--workers", "-4"]
+    elif source == "env":
+        monkeypatch.setenv("INSIDERMC_WORKERS", "0")
+    else:
+        ini = tmp_path / "cfg.ini"
+        ini.write_text("[run]\nsteps = 0\n")
+        args += ["--config", str(ini)]
+        with pytest.raises(ConfigError):
+            loads("[run]\npaths = -7\nworkers = 0\n")
+    assert main(args) == 2
+    assert "must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sets", ["0", "-3"])
+def test_cli_ordering_sweep_rejects_no_sets(capsys, sets):
+    assert main(["ordering-sweep", "--sets", sets]) == 2
+    assert "--sets must be at least 1" in capsys.readouterr().err

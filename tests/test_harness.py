@@ -9,7 +9,6 @@ from insidermc import (
     MarketParams,
     PartialTrust,
     TimeGrid,
-    WealthProcess,
     conjecture_report,
     convergence_study,
     discontinuity_probe,
@@ -65,13 +64,6 @@ def test_non_finite_scheme_wealth_in_a_ladder_is_a_numerical_failure(interp):
 def test_non_finite_residuals_are_a_numerical_failure():
     with pytest.raises(NumericalError):
         conjecture_report(HUGE, 200, (4, 8, 16), 1)
-
-
-def test_wealth_process_still_rejects_non_finite_samples():
-    # misuse of the constructor is a usage error, not a numerical failure
-    grid = TimeGrid(1.0, 2)
-    with pytest.raises(ValueError, match="must be finite"):
-        WealthProcess(grid, np.array([1.0, np.inf, 2.0]), Interpretation.FORWARD, 1, 0)
 
 
 def test_worker_count_does_not_change_the_bits():
@@ -160,6 +152,8 @@ def test_convergence_study_slopes_and_validation():
         convergence_study(
             PartialTrust(), BASELINE, Interpretation.AYED_KUO, (256, 1024, 4096), 100, 21
         )
+    with pytest.raises(ValueError, match="at least 1 path"):
+        convergence_study(PartialTrust(), BASELINE, Interpretation.FORWARD, (4, 8, 16), 0, 21)
 
 
 def test_deterministic_strategy_converges_too():

@@ -50,8 +50,8 @@ def test_deterministic_data_reduces_every_interpretation_to_gbm():
     reference = 2.5 * np.exp((p.mu - 0.5 * p.sigma**2) * path.grid.nodes + p.sigma * path.values)
     processes = [exact_solution(c, p, path, interp) for interp in (ITO, RV, AK, HS)]
     for proc in processes:
-        assert np.array_equal(proc.samples, processes[0].samples)
-    assert np.allclose(processes[0].samples, reference, rtol=1e-14)
+        assert np.array_equal(proc, processes[0])
+    assert np.allclose(processes[0], reference, rtol=1e-14)
 
 
 def test_exact_solution_rejects_ito_with_random_data():
@@ -66,7 +66,7 @@ def test_anticipating_terminal_bracket_has_triple_volatility_term():
     c = stock_functional(PartialTrust(), p)
     for idx in range(5):
         path = generate_path(TimeGrid(1.0, 16), 21, idx)
-        got = exact_solution(c, p, path, AK).terminal
+        got = exact_solution(c, p, path, AK)[-1]
         b_t = path.terminal
         bracket = 1.0 + (p.sigma * b_t - 1.5 * p.sigma**2 * p.horizon) / (
             2.0 * (p.mu - p.rho) * p.horizon
@@ -84,7 +84,7 @@ def test_translation_consistency_of_exact_solution():
         via_translate = c.translate(p.sigma * t).evaluate(path.terminal) * math.exp(
             (p.mu - 0.5 * p.sigma**2) * t + p.sigma * path.values[i]
         )
-        assert math.isclose(proc.samples[i], via_translate, rel_tol=1e-12)
+        assert math.isclose(proc[i], via_translate, rel_tol=1e-12)
 
 
 def test_hs_and_ak_exact_solutions_are_bitwise_identical():
@@ -96,7 +96,7 @@ def test_hs_and_ak_exact_solutions_are_bitwise_identical():
                   stock_functional(FullInformation(), params)):
             a = exact_solution(c, params, path, AK)
             h = exact_solution(c, params, path, HS)
-            assert np.array_equal(a.samples, h.samples)
+            assert np.array_equal(a, h)
 
 
 def test_pathwise_domination_for_monotone_data():
@@ -105,8 +105,8 @@ def test_pathwise_domination_for_monotone_data():
     for c in (logistic(1.0), stock_functional(PartialTrust(), p)):
         for _ in range(10):
             path = generate_path(TimeGrid(1.0, 32), 17, int(rng.integers(1000)))
-            low = exact_solution(c, p, path, AK).samples
-            high = exact_solution(c, p, path, RV).samples
+            low = exact_solution(c, p, path, AK)
+            high = exact_solution(c, p, path, RV)
             assert np.all(low <= high)
             # strictly increasing data: strict gap at every positive time
             assert np.all(low[1:] < high[1:])
@@ -124,7 +124,7 @@ def test_indicator_solution_jumps_when_threshold_is_crossed():
     values[0] = 0.0
     path = BrownianPath(grid=grid, values=values, seed=0, path_index=0)
     c = Indicator(p.wealth, z)
-    samples = exact_solution(c, p, path, AK).samples
+    samples = exact_solution(c, p, path, AK)
     factor_on = samples > 0.0
     scan = np.nonzero(factor_on[:-1] & ~factor_on[1:])[0]
     assert scan.size == 1
@@ -152,7 +152,7 @@ def test_euler_forward_matches_hand_rolled_recursion():
     p = BASELINE
     path = generate_path(TimeGrid(1.0, 4), 8, 0)
     c = Affine(0.5, 1.5)
-    got = euler_forward(c, p, path).samples
+    got = euler_forward(c, p, path)
     s = c.evaluate(path.terminal)
     want = [s]
     for dw in path.increments:
@@ -171,8 +171,8 @@ def test_euler_forward_terminal_error_shrinks_with_mesh():
             fine = generate_path(TimeGrid(1.0, 4096), 3, idx)
             path = coarsen(fine, 4096 // n)
             total += abs(
-                euler_forward(c, p, path).terminal
-                - exact_solution(c, p, path, RV).terminal
+                euler_forward(c, p, path)[-1]
+                - exact_solution(c, p, path, RV)[-1]
             )
         errs.append(total / 50)
     assert errs[0] > errs[1] > errs[2]
@@ -237,8 +237,8 @@ def test_correction_scheme_reduces_to_euler_without_randomness():
     path = generate_path(TimeGrid(1.0, 64), 18, 0)
     c = Affine(3.0, 0.0)
     assert np.array_equal(
-        skorokhod_via_correction(c, p, path).samples,
-        euler_forward(c, p, path).samples,
+        skorokhod_via_correction(c, p, path),
+        euler_forward(c, p, path),
     )
 
 
@@ -258,8 +258,8 @@ def test_correction_scheme_converges_to_anticipating_solution():
             fine = generate_path(TimeGrid(1.0, 4096), 19, idx)
             path = coarsen(fine, 4096 // n)
             total += abs(
-                skorokhod_via_correction(c, p, path).terminal
-                - exact_solution(c, p, path, HS).terminal
+                skorokhod_via_correction(c, p, path)[-1]
+                - exact_solution(c, p, path, HS)[-1]
             )
         errs.append(total / 50)
     assert errs[0] > errs[1] > errs[2]
@@ -277,8 +277,8 @@ def test_correction_scheme_handles_smooth_family():
             fine = generate_path(TimeGrid(1.0, 4096), 23, idx)
             path = coarsen(fine, 4096 // n)
             total += abs(
-                skorokhod_via_correction(c, p, path).terminal
-                - exact_solution(c, p, path, HS).terminal
+                skorokhod_via_correction(c, p, path)[-1]
+                - exact_solution(c, p, path, HS)[-1]
             )
         err.append(total / 25)
     assert err[-1] < err[0]

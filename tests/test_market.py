@@ -122,7 +122,7 @@ def test_total_wealth_bond_only_is_deterministic():
     path = generate_path(TimeGrid(1.0, 16), 2, 0)
     wealth = total_wealth(Honest(1.0, 0.0), BASELINE, path, Interpretation.ITO)
     expected = np.exp(BASELINE.rho * path.grid.nodes)
-    assert np.allclose(wealth.samples, expected, rtol=1e-14)
+    assert np.allclose(wealth, expected, rtol=1e-14)
 
 
 def test_total_wealth_all_stock_matches_gbm():
@@ -130,7 +130,7 @@ def test_total_wealth_all_stock_matches_gbm():
     wealth = total_wealth(Honest(0.0, 1.0), BASELINE, path, Interpretation.ITO)
     p = BASELINE
     expected = np.exp((p.mu - 0.5 * p.sigma**2) * path.grid.nodes + p.sigma * path.values)
-    assert np.allclose(wealth.samples, expected, rtol=1e-14)
+    assert np.allclose(wealth, expected, rtol=1e-14)
 
 
 def test_total_wealth_starts_at_total_wealth():
@@ -144,7 +144,7 @@ def test_total_wealth_starts_at_total_wealth():
             (FullInformation(), Interpretation.AYED_KUO),
         ):
             wealth = total_wealth(strat, params, path, interp)
-            assert math.isclose(wealth.samples[0], params.wealth, rel_tol=1e-11)
+            assert math.isclose(wealth[0], params.wealth, rel_tol=1e-11)
 
 
 def test_total_wealth_rejects_ito_for_insiders():
