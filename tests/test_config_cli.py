@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -368,3 +369,99 @@ def test_run_fields_below_one_exit_2(tmp_path, capsys, monkeypatch, source):
 def test_cli_ordering_sweep_rejects_no_sets(capsys, sets):
     assert main(["ordering-sweep", "--sets", sets]) == 2
     assert "--sets must be at least 1" in capsys.readouterr().err
+
+
+def _zero_elapsed(text: str) -> str:
+    """JSON output ``text`` with every ``elapsed_seconds`` set to 0, the one value that varies."""
+    return re.sub(r'"elapsed_seconds": [^,\n]+', '"elapsed_seconds": 0', text)
+
+
+def _output_digests(tmp_path, capsys, name: str, argv: list[str]) -> dict[str, str]:
+    out_json, out_csv = tmp_path / f"{name}.json", tmp_path / f"{name}.csv"
+    assert main(argv + ["--json", str(out_json), "--csv", str(out_csv)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    return {
+        "json": _sha256(_zero_elapsed(out_json.read_text()).encode()),
+        "stdout": _sha256(captured.out.encode()),
+        "csv": _sha256(out_csv.read_bytes()),
+    }
+
+
+# sha256 at --seed 7 of each subcommand's JSON output (every elapsed_seconds set
+# to 0) and of its stdout, and of all three outputs of one `expect --mc` run that
+# takes its seed and worker count from the environment; recorded like CSV_DIGESTS
+JSON_DIGESTS = {
+    "expect": "229a6fd53fbdfc27eb74ad0c8c7a9d15dc684af066dddbc19bb869bb6a3b4570",
+    "converge": "41bb8fa6f6f56c945647f9c811c9d832645dda61e32ea1939fde56b6edc6134a",
+    "conjecture": "0048fff6d3b8b9471b67a15f5f5d97919c237ba3df4ddbae661d9c30cead0156",
+    "jump": "dcbf2571a454ca6c0dfd90f940fd2e15e6ea63b0d9cf709411a19937f994aef6",
+    "ordering-sweep": "960b44a9fca5c8cbf6ea2b07d073c80bdfe0cb28f1c056ab418f84e409bc488c",
+    "converge-honest": "6740003693f2695feae715abdaf59dcc9f0f9f73403ceaeab5cf78f9aad3ab98",
+}
+STDOUT_DIGESTS = {
+    "expect": "6b51674ba78914668b65ee46f5cb6ac475e8b5bb0cf233102242ca711e1b5bcf",
+    "converge": "624721364729011503efe4629a29846c95044555933b5073b4fc095ccbe2b22d",
+    "conjecture": "0dfb7bccc998f467036eee9fa94fe18d0ff30bfab0d89afd781cfdcca94e6da2",
+    "jump": "20f2bb439b747b9932c366733f463b2376d68d4ae857d9310c3c5ff00a9a6652",
+    "ordering-sweep": "05491beddfb643598df9afdde8422f1035fe1124deabc28e6fc6fddca60bfa15",
+    "converge-honest": "b51d4271576a0f78d5043f50c63ee3d3b63997e4675c07fdcc1a6db3d41f3592",
+}
+ENV_DIGESTS = {
+    "json": "28bc549bf46fd0fd5ee95e7b393f75dc2498a4191d881d91ceb3a4a712be6c31",
+    "stdout": "b45d59ee70992bc5647678a1f5b9e26b99023ca1f1cb383b0899b81355a9e477",
+    "csv": "4276dfbdf0a6fde34975ece55cadac44f32994abbb7433f8683267ed8b907ee2",
+}
+
+
+def test_json_and_stdout_bytes_match_recorded_digests(tmp_path, capsys, monkeypatch):
+    honest = tmp_path / "honest.ini"
+    honest.write_text("[strategy]\nkind = honest\nbond0 = 0.25\nstock0 = 0.75\n")
+    cases = {
+        "expect": ["expect", "--mc", "--paths", "1000"],
+        "converge": ["converge", "--paths", "50", "--n-list", "4,8,16"],
+        "conjecture": ["conjecture", "--paths", "150", "--n-list", "4,8"],
+        "jump": ["jump", "--paths", "2000", "--steps", "16"],
+        "ordering-sweep": ["ordering-sweep", "--sets", "20"],
+        "converge-honest": [
+            "converge", "--paths", "50", "--n-list", "4,8,16", "--config", str(honest),
+        ],
+    }
+    digests = {
+        name: _output_digests(tmp_path, capsys, name, argv + ["--seed", "7"])
+        for name, argv in cases.items()
+    }
+    assert {k: d["csv"] for k, d in digests.items()} == CSV_DIGESTS
+    assert {k: d["json"] for k, d in digests.items()} == JSON_DIGESTS
+    assert {k: d["stdout"] for k, d in digests.items()} == STDOUT_DIGESTS
+    monkeypatch.setenv("INSIDERMC_SEED", "99")
+    monkeypatch.setenv("INSIDERMC_WORKERS", "2")
+    env = _output_digests(tmp_path, capsys, "env", ["expect", "--mc", "--paths", "1000"])
+    assert env == ENV_DIGESTS
+
+
+@pytest.mark.parametrize(
+    "argv, env, ini, message",
+    [
+        (["--paths", "ten"], {}, None, "argument --paths: invalid int value: 'ten'"),
+        (["--n-list", "banana"], {}, None, "error: 'banana' is not a comma-separated integer list"),
+        ([], {"INSIDERMC_SEED": "abc"}, None, "error: INSIDERMC_SEED must be an integer"),
+        ([], {"INSIDERMC_WORKERS": "2.5"}, None, "error: INSIDERMC_WORKERS must be an integer"),
+        ([], {}, "[run]\npaths = ten\n", "error: [run] paths = 'ten' is not an integer"),
+        ([], {}, "[market]\nmu = x\n", "error: [market] mu = 'x' is not a number"),
+        ([], {}, "[run]\nseeds = 1\n", "error: unknown key(s) in [run]: seeds"),
+    ],
+)
+def test_usage_errors_exit_2_with_stable_messages(
+    tmp_path, capsys, monkeypatch, argv, env, ini, message
+):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    if ini is not None:
+        path = tmp_path / "cfg.ini"
+        path.write_text(ini)
+        argv = argv + ["--config", str(path)]
+    assert main(["converge", "--paths", "20", "--n-list", "4,8,16"] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].endswith(message)
