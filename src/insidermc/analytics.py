@@ -206,20 +206,12 @@ class WealthTable:
     ak: float
     rv: float
 
-    def csv_row(self) -> tuple[str, ...]:
+    def cells(self) -> dict[str, float | str]:
+        """The row's value in each ``CSV_HEADER`` column."""
         p = self.params
-        return (
-            repr(p.rho),
-            repr(p.mu),
-            repr(p.sigma),
-            repr(p.horizon),
-            repr(p.wealth),
-            repr(self.honest),
-            repr(self.hs),
-            repr(self.ak),
-            repr(self.rv),
-            self.method,
-        )
+        values = (p.rho, p.mu, p.sigma, p.horizon, p.wealth, self.honest, self.hs, self.ak,
+                  self.rv, self.method)
+        return dict(zip(CSV_HEADER, values))
 
 
 def closed_form_table(params: MarketParams) -> WealthTable:
@@ -254,21 +246,10 @@ def quadrature_table(params: MarketParams) -> WealthTable:
 def render_tables(tables: list[WealthTable]) -> str:
     """Fixed-width terminal rendering of wealth table rows, one space between cells."""
     widths = (8, 8, 8, 6, 8, 14, 14, 14, 14, 12)
+    precisions = (".4f", ".4f", ".4f", ".2f", ".4f", ".6f", ".6f", ".6f", ".6f", "")
     header = " ".join(name.ljust(w) for name, w in zip(CSV_HEADER, widths))
     lines = [header, "-" * len(header)]
     for table in tables:
-        p = table.params
-        cells = (
-            f"{p.rho:<8.4f}",
-            f"{p.mu:<8.4f}",
-            f"{p.sigma:<8.4f}",
-            f"{p.horizon:<6.2f}",
-            f"{p.wealth:<8.4f}",
-            f"{table.honest:<14.6f}",
-            f"{table.hs:<14.6f}",
-            f"{table.ak:<14.6f}",
-            f"{table.rv:<14.6f}",
-            table.method.ljust(12),
-        )
-        lines.append(" ".join(cells))
+        cells = zip(table.cells().values(), widths, precisions)
+        lines.append(" ".join(format(value, f"<{w}{prec}") for value, w, prec in cells))
     return "\n".join(lines)

@@ -10,7 +10,10 @@ One subcommand per claim the library reproduces:
 
 Exit codes: 0 pass, 1 quantitative check failed, 2 usage/config error,
 3 numerical failure. Option precedence: flags > environment > config file
-(INSIDERMC_SEED and INSIDERMC_WORKERS are honored).
+(INSIDERMC_SEED and INSIDERMC_WORKERS are honored). All three set the run
+and output keys of the config field table (``config.FIELDS``) through
+``ExperimentConfig.override``; each flag's ``dest`` is its config key. Every
+subcommand hands its CSV rows and JSON payload to one writer, ``_write``.
 """
 from __future__ import annotations
 
@@ -19,13 +22,13 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import analytics
-from .config import ConfigError, ExperimentConfig, load_file, parse_int_list
+from .config import ConfigError, ExperimentConfig, load_file
 from .functionals import (
     MonotonicityError,
     NonDifferentiableError,
@@ -50,48 +53,48 @@ _SCHEME_INTERPS = (Interpretation.FORWARD, Interpretation.HITSUDA_SKOROKHOD)
 _CONVERGE_LADDER = (256, 512, 1024, 2048, 4096, 8192, 16384)
 _CONJECTURE_LADDER = (256, 1024, 4096)
 _SLOPE_FLOOR = 0.4
+# the WealthTable fields of the four expected wealths, and the expect --mc cases
+_LEGS = ("honest", "hs", "ak", "rv")
 
 
-def _write_csv(
-    path: str, echo: dict[str, str], header: tuple[str, ...], rows: list[tuple[str, ...]]
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        return value
+    # a numpy scalar's repr names its type, so it must not reach a cell
+    if type(value) not in (int, float, bool):
+        raise TypeError(f"CSV cell {value!r} is not a Python scalar")
+    return repr(value)
+
+
+def _write(
+    cfg: ExperimentConfig,
+    echo: dict[str, str],
+    header: tuple[str, ...],
+    rows: list[dict],
+    payload: dict,
 ) -> None:
-    lines = [f"# {key} = {value}" for key, value in echo.items()]
-    lines.append(",".join(header))
-    lines.extend(",".join(row) for row in rows)
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Write the CSV and JSON outputs ``cfg`` asks for, each headed by the config ``echo``.
 
-
-def _write_json(path: str, payload: dict) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    Each CSV row is read by the ``header`` names; the JSON output is
+    ``payload`` plus the echo under ``config``, with sorted keys.
+    """
+    if cfg.csv_path:
+        lines = [f"# {key} = {value}" for key, value in echo.items()]
+        lines.append(",".join(header))
+        lines.extend(",".join(_cell(row[name]) for name in header) for row in rows)
+        Path(cfg.csv_path).write_text("\n".join(lines) + "\n")
+    if cfg.json_path:
+        text = json.dumps({"config": echo, **payload}, indent=2, sort_keys=True)
+        Path(cfg.json_path).write_text(text + "\n")
 
 
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     cfg = load_file(args.config) if args.config else ExperimentConfig()
     for name, key in ((ENV_SEED, "seed"), (ENV_WORKERS, "workers")):
-        if name in os.environ:
-            try:
-                value = int(os.environ[name])
-            except ValueError as exc:
-                raise ConfigError(f"{name} must be an integer") from exc
-            cfg = replace(cfg, **{key: value})
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.paths is not None:
-        overrides["n_paths"] = args.paths
-    if args.steps is not None:
-        overrides["steps"] = args.steps
-    if args.workers is not None:
-        overrides["workers"] = args.workers
-    if args.csv is not None:
-        overrides["csv_path"] = args.csv
-    if args.json_out is not None:
-        overrides["json_path"] = args.json_out
-    if getattr(args, "n_list", None) is not None:
-        overrides["n_list"] = parse_int_list(args.n_list)
-    if overrides:
-        cfg = replace(cfg, **overrides)
-    return cfg
+        cfg = cfg.override({key: os.environ.get(name)}, invalid=f"{name} must be an integer")
+    return cfg.override(vars(args))
 
 
 def cmd_expect(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
@@ -101,29 +104,19 @@ def cmd_expect(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     reports = {}
     if args.mc:
         grid = TimeGrid(cfg.params.horizon, cfg.steps)
-        honest = Honest(0.0, cfg.params.wealth)
-        cases = {
-            "honest": (honest, Interpretation.ITO),
-            "hs": (PartialTrust(), Interpretation.HITSUDA_SKOROKHOD),
-            "ak": (PartialTrust(), Interpretation.AYED_KUO),
-            "rv": (PartialTrust(), Interpretation.FORWARD),
-        }
+        cases = (
+            (Honest(0.0, cfg.params.wealth), Interpretation.ITO),
+            (PartialTrust(), Interpretation.HITSUDA_SKOROKHOD),
+            (PartialTrust(), Interpretation.AYED_KUO),
+            (PartialTrust(), Interpretation.FORWARD),
+        )
         estimates = estimate_expectations(
-            cases.values(), cfg.params, cfg.n_paths, grid, cfg.seed,
-            use_exact=True, workers=cfg.workers,
+            cases, cfg.params, cfg.n_paths, grid, cfg.seed, use_exact=True, workers=cfg.workers,
         )
-        mc = dict(zip(cases, estimates))
-        tables.append(
-            analytics.WealthTable(
-                params=cfg.params,
-                method="monte-carlo",
-                honest=mc["honest"].estimate,
-                hs=mc["hs"].estimate,
-                ak=mc["ak"].estimate,
-                rv=mc["rv"].estimate,
-            )
-        )
-        reports = {label: report.to_dict() for label, report in mc.items()}
+        reports = dict(zip(_LEGS, estimates))
+        tables.append(analytics.WealthTable(
+            cfg.params, "monte-carlo", **{leg: r.estimate for leg, r in reports.items()}
+        ))
 
     verdict = analytics.verify_ordering(cfg.params)
     print(analytics.render_tables(tables))
@@ -138,32 +131,24 @@ def cmd_expect(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     ) / cfg.params.wealth
     print(f"closed-form vs quadrature gap: {gap:.3e} (bar 1e-08)")
     failed = not verdict.all_hold or gap > 1e-8
-    if args.mc:
-        for label, target in (
-            ("honest", closed.honest), ("hs", closed.hs), ("ak", closed.ak), ("rv", closed.rv),
-        ):
-            report = reports[label]
-            off = abs(report["estimate"] - target)
-            if off > 4.0 * report["stderr"]:
-                print(f"monte-carlo {label} estimate off by {off:.3e} > 4 stderr")
-                failed = True
+    for label, report in reports.items():
+        off = abs(report.estimate - getattr(closed, label))
+        if off > 4.0 * report.stderr:
+            print(f"monte-carlo {label} estimate off by {off:.3e} > 4 stderr")
+            failed = True
 
-    echo = cfg.echo() | {"subcommand": "expect"}
-    if cfg.csv_path:
-        _write_csv(cfg.csv_path, echo, analytics.CSV_HEADER, [t.csv_row() for t in tables])
-    if cfg.json_path:
-        payload = {
-            "config": echo,
-            "verdicts": {
-                "hs_equals_ak": verdict.hs_equals_ak,
-                "ak_below_honest": verdict.ak_below_honest,
-                "honest_below_rv": verdict.honest_below_rv,
-            },
-            "closed_form": {"honest": closed.honest, "hs": closed.hs, "ak": closed.ak, "rv": closed.rv},
-            "quadrature": {"honest": quad.honest, "hs": quad.hs, "ak": quad.ak, "rv": quad.rv},
-            "monte_carlo": reports,
-        }
-        _write_json(cfg.json_path, payload)
+    payload = {
+        "verdicts": {
+            "hs_equals_ak": verdict.hs_equals_ak,
+            "ak_below_honest": verdict.ak_below_honest,
+            "honest_below_rv": verdict.honest_below_rv,
+        },
+        "closed_form": {leg: getattr(closed, leg) for leg in _LEGS},
+        "quadrature": {leg: getattr(quad, leg) for leg in _LEGS},
+        "monte_carlo": {label: asdict(report) for label, report in reports.items()},
+    }
+    rows = [t.cells() for t in tables]
+    _write(cfg, cfg.echo() | {"subcommand": "expect"}, analytics.CSV_HEADER, rows, payload)
     return 1 if failed else 0
 
 
@@ -178,7 +163,6 @@ def cmd_converge(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     tables = convergence_studies(
         cfg.strategy, cfg.params, interps, tuple(n_list), cfg.n_paths, cfg.seed
     )
-    rows = []
     failed = False
     for table in tables:
         ok = table.slope >= _SLOPE_FLOOR  # False for a NaN slope
@@ -187,28 +171,20 @@ def cmd_converge(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
               f"({'ok' if ok else 'TOO SHALLOW'})")
         for n, err in table.rows:
             print(f"  n = {n:>6d}  mean |error| = {err:.6e}")
-        rows.extend(
-            (table.interpretation.value,) + row for row in table.csv_rows()
-        )
         failed = failed or not ok
-    echo = cfg.echo() | {"subcommand": "converge", "n_list": ",".join(map(str, n_list))}
-    if cfg.csv_path:
-        _write_csv(
-            cfg.csv_path, echo, ("interpretation", "n", "mean_abs_error", "slope"), rows
-        )
-    if cfg.json_path:
-        payload = {
-            "config": echo,
-            "tables": [
-                {
-                    "interpretation": t.interpretation.value,
-                    "slope": t.slope,
-                    "rows": [{"n": n, "mean_abs_error": e} for n, e in t.rows],
-                }
-                for t in tables
-            ],
+    summaries = [
+        {
+            "interpretation": t.interpretation.value,
+            "slope": t.slope,
+            "rows": [{"n": n, "mean_abs_error": e} for n, e in t.rows],
         }
-        _write_json(cfg.json_path, payload)
+        for t in tables
+    ]
+    # one CSV row per JSON row, with its table's interpretation and slope
+    rows = [summary | row for summary in summaries for row in summary["rows"]]
+    echo = cfg.echo() | {"subcommand": "converge", "n_list": ",".join(map(str, n_list))}
+    header = ("interpretation", "n", "mean_abs_error", "slope")
+    _write(cfg, echo, header, rows, {"tables": summaries})
     return 1 if failed else 0
 
 
@@ -219,19 +195,10 @@ def cmd_jump(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     print(f"closed-form probability:  {report.closed_form:.6f}")
     mean_t = "n/a" if report.mean_flip_time is None else f"{report.mean_flip_time:.4f}"
     print(f"mean flip time: {mean_t}; forward-solution flips: {report.rv_flips}")
-    echo = cfg.echo() | {"subcommand": "jump"}
-    if cfg.csv_path:
-        header = ("frequency", "stderr", "closed_form", "n_flips", "n_paths", "grid_steps",
-                  "mean_flip_time", "rv_flips")
-        row = (
-            repr(report.frequency), repr(report.stderr), repr(report.closed_form),
-            str(report.n_flips), str(report.n_paths), str(report.grid_steps),
-            "" if report.mean_flip_time is None else repr(report.mean_flip_time),
-            str(report.rv_flips),
-        )
-        _write_csv(cfg.csv_path, echo, header, [row])
-    if cfg.json_path:
-        _write_json(cfg.json_path, {"config": echo, "report": report.to_dict()})
+    summary = asdict(report) | {"within_tolerance": report.within_tolerance}
+    header = ("frequency", "stderr", "closed_form", "n_flips", "n_paths", "grid_steps",
+              "mean_flip_time", "rv_flips")
+    _write(cfg, cfg.echo() | {"subcommand": "jump"}, header, [summary], {"report": summary})
     if not report.within_tolerance:
         print("frequency disagrees with the closed form beyond 4 binomial stderr")
         return 1
@@ -252,23 +219,15 @@ def cmd_conjecture(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
             f"{row.q10:>12.3e}{row.q25:>12.3e}{row.q50:>12.3e}{row.q75:>12.3e}{row.q90:>12.3e}"
         )
     print(f"candidate trend: {report.candidate_verdict}; control trend: {report.control_verdict}")
+    summary = asdict(report)
+    rows = []
+    for row in summary["rows"]:
+        candidate = row["group"] == "indicator-candidate"
+        verdict = report.candidate_verdict if candidate else report.control_verdict
+        rows.append(row | {"n": row["steps"], "verdict": verdict})
     echo = cfg.echo() | {"subcommand": "conjecture", "n_list": ",".join(map(str, n_list))}
-    if cfg.csv_path:
-        header = ("group", "n", "q10", "q25", "q50", "q75", "q90", "verdict")
-        rows = []
-        for row in report.rows:
-            verdict = (
-                report.candidate_verdict
-                if row.group == "indicator-candidate"
-                else report.control_verdict
-            )
-            rows.append(
-                (row.group, str(row.steps), repr(row.q10), repr(row.q25), repr(row.q50),
-                 repr(row.q75), repr(row.q90), verdict)
-            )
-        _write_csv(cfg.csv_path, echo, header, rows)
-    if cfg.json_path:
-        _write_json(cfg.json_path, {"config": echo, "report": report.to_dict()})
+    header = ("group", "n", "q10", "q25", "q50", "q75", "q90", "verdict")
+    _write(cfg, echo, header, rows, {"report": summary})
     return 0
 
 
@@ -302,20 +261,11 @@ def cmd_ordering_sweep(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     failed = chain_failures > 0 or quad_gap > 1e-8 or any(
         m <= 1e-10 for m in margins.values()
     )
+    payload = {"chain_failures": chain_failures, "max_quad_gap": quad_gap, "min_margins": margins}
+    row = payload | {"sets": args.sets} | {f"min_margin_{k}": v for k, v in margins.items()}
+    header = ("sets", "chain_failures", "max_quad_gap", *(f"min_margin_{k}" for k in margins))
     echo = cfg.echo() | {"subcommand": "ordering-sweep", "sets": str(args.sets)}
-    if cfg.csv_path:
-        header = ("sets", "chain_failures", "max_quad_gap", "min_margin_logistic",
-                  "min_margin_arctangent", "min_margin_affine")
-        row = (str(args.sets), str(chain_failures), repr(quad_gap),
-               repr(margins["logistic"]), repr(margins["arctangent"]), repr(margins["affine"]))
-        _write_csv(cfg.csv_path, echo, header, [row])
-    if cfg.json_path:
-        _write_json(cfg.json_path, {
-            "config": echo,
-            "chain_failures": chain_failures,
-            "max_quad_gap": quad_gap,
-            "min_margins": margins,
-        })
+    _write(cfg, echo, header, [row], payload)
     return 1 if failed else 0
 
 
@@ -330,7 +280,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     )
     sub.add_argument("--workers", type=int, help="parallel sampling workers")
     sub.add_argument("--csv", help="write results as CSV")
-    sub.add_argument("--json", dest="json_out", help="write a JSON summary")
+    sub.add_argument("--json", metavar="JSON_OUT", help="write a JSON summary")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -386,3 +336,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def run() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -1,20 +1,25 @@
 """Experiment configuration files: INI sections [market], [strategy], [run], [output].
 
-Unknown sections or keys are rejected, every market invariant is validated at
-load time, and ``dumps``/``loads`` round-trip to an identical configuration
-(floats are serialized with ``repr`` so they survive exactly). One field
-table, ``ExperimentConfig._fields``, lists every key; it drives ``dumps``,
-``echo`` and the keys ``loads`` accepts.
+Unknown sections or keys are rejected, every market invariant and the honest
+split are validated at load time, values are read literally (no ``%``
+interpolation), and ``dumps``/``loads`` round-trip to an identical
+configuration (floats are serialized with ``repr`` so they survive exactly).
+One field table, ``FIELDS``, names each run and output key once, with its
+section, ``ExperimentConfig`` attribute, parser and formatter. The config
+file, the environment and the CLI flags all set those keys through
+``ExperimentConfig.override``; ``dumps``, ``echo`` and the keys ``loads``
+accepts are read from the same table.
 """
 from __future__ import annotations
 
 import configparser
+from collections.abc import Mapping
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .harness import DEFAULT_PATHS, DEFAULT_SEED, DEFAULT_STEPS
 from .integrators import Interpretation
-from .market import FullInformation, Honest, MarketParams, PartialTrust, Strategy
+from .market import FullInformation, Honest, MarketParams, PartialTrust, Strategy, _check_honest
 from .paths import check_seed
 
 
@@ -28,6 +33,48 @@ DEFAULT_INTERPRETATIONS = (
     Interpretation.AYED_KUO,
     Interpretation.HITSUDA_SKOROKHOD,
 )
+
+
+def parse_int_list(text: str) -> tuple[int, ...]:
+    try:
+        items = tuple(int(part) for part in text.split(",") if part.strip())
+    except ValueError as exc:
+        raise ConfigError(f"{text!r} is not a comma-separated integer list") from exc
+    if not items:
+        raise ConfigError("empty integer list")
+    return items
+
+
+def _parse_interpretations(text: str) -> tuple[Interpretation, ...]:
+    out = []
+    for part in text.split(","):
+        name = part.strip()
+        if not name:
+            continue
+        try:
+            out.append(Interpretation(name))
+        except ValueError as exc:
+            raise ConfigError(f"unknown interpretation {name!r}") from exc
+    if not out:
+        raise ConfigError("interpretation list is empty")
+    return tuple(out)
+
+
+# (section, key, ExperimentConfig attribute, parser of the text, formatter of
+# the value) of every run and output key, in echo order
+FIELDS = (
+    ("run", "paths", "n_paths", int, str),
+    ("run", "steps", "steps", int, str),
+    ("run", "seed", "seed", int, str),
+    ("run", "workers", "workers", int, str),
+    ("run", "interpretations", "interpretations", _parse_interpretations,
+     lambda interps: ",".join(i.value for i in interps)),
+    ("run", "n_list", "n_list", parse_int_list, lambda n_list: ",".join(map(str, n_list))),
+    ("output", "csv", "csv_path", str, str),
+    ("output", "json", "json_path", str, str),
+)
+# the echo lists the honest split between these two slices of FIELDS
+_BEFORE_SPLIT = 5
 
 
 @dataclass(frozen=True)
@@ -50,30 +97,57 @@ class ExperimentConfig:
         # rather than let the samplers see them
         try:
             check_seed(self.seed)
+            if isinstance(self.strategy, Honest):
+                _check_honest(self.strategy, self.params)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         for name in ("n_paths", "steps", "workers"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
 
+    def override(
+        self,
+        values: Mapping[str, object],
+        invalid: str = "[{section}] {key} = {text!r} is not an integer",
+    ) -> ExperimentConfig:
+        """This config with each ``FIELDS`` key that ``values`` sets to a value other than None.
+
+        A text value is read with the key's parser (a config file, the
+        environment); any other value is taken as parsed (a typed CLI flag).
+        ``invalid`` formats the error for text that ``int`` rejects; the other
+        parsers name the bad value themselves.
+        """
+        changes = {}
+        for section, key, attr, parse, _ in FIELDS:
+            value = values.get(key)
+            if isinstance(value, str):
+                try:
+                    value = parse(value)
+                except ConfigError:
+                    raise
+                except ValueError as exc:
+                    message = invalid.format(section=section, key=key, text=value)
+                    raise ConfigError(message) from exc
+            if value is not None:
+                changes[attr] = value
+        return replace(self, **changes) if changes else self
+
     def _fields(self) -> list[tuple[str, str, str | None]]:
         """(section, key, value) of every config key in echo order; None marks an unset key."""
         p, s = self.params, self.strategy
         honest = isinstance(s, Honest)
+        run = [
+            (section, key, None if (value := getattr(self, attr)) is None else fmt(value))
+            for section, key, attr, _, fmt in FIELDS
+        ]
         return [
             *(("market", f.name, repr(getattr(p, f.name))) for f in fields(p)),
             ("strategy", "kind", _strategy_kind(s)),
-            ("run", "paths", str(self.n_paths)),
-            ("run", "steps", str(self.steps)),
-            ("run", "seed", str(self.seed)),
-            ("run", "workers", str(self.workers)),
-            ("run", "interpretations", ",".join(i.value for i in self.interpretations)),
+            *run[:_BEFORE_SPLIT],
             # after the run keys: the CSV echo of an honest strategy has always read so
             ("strategy", "bond0", repr(s.bond0) if honest else None),
             ("strategy", "stock0", repr(s.stock0) if honest else None),
-            ("run", "n_list", None if self.n_list is None else ",".join(map(str, self.n_list))),
-            ("output", "csv", self.csv_path),
-            ("output", "json", self.json_path),
+            *run[_BEFORE_SPLIT:],
         ]
 
     def dumps(self) -> str:
@@ -115,40 +189,9 @@ def _parse_float(section: str, key: str, value: str) -> float:
         raise ConfigError(f"[{section}] {key} = {value!r} is not a number") from exc
 
 
-def _parse_int(section: str, key: str, value: str) -> int:
-    try:
-        return int(value)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key} = {value!r} is not an integer") from exc
-
-
-def parse_int_list(text: str) -> tuple[int, ...]:
-    try:
-        items = tuple(int(part) for part in text.split(",") if part.strip())
-    except ValueError as exc:
-        raise ConfigError(f"{text!r} is not a comma-separated integer list") from exc
-    if not items:
-        raise ConfigError("empty integer list")
-    return items
-
-
-def _parse_interpretations(text: str) -> tuple[Interpretation, ...]:
-    out = []
-    for part in text.split(","):
-        name = part.strip()
-        if not name:
-            continue
-        try:
-            out.append(Interpretation(name))
-        except ValueError as exc:
-            raise ConfigError(f"unknown interpretation {name!r}") from exc
-    if not out:
-        raise ConfigError("interpretation list is empty")
-    return tuple(out)
-
-
 def loads(text: str) -> ExperimentConfig:
-    parser = configparser.ConfigParser()
+    # values are read literally: a path may hold a '%'
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text)
     except configparser.Error as exc:
@@ -190,25 +233,7 @@ def loads(text: str) -> ExperimentConfig:
     else:
         raise ConfigError(f"unknown strategy kind {kind!r}")
 
-    n_list = parse_int_list(run["n_list"]) if "n_list" in run else None
-    interps = (
-        _parse_interpretations(run["interpretations"])
-        if "interpretations" in run
-        else DEFAULT_INTERPRETATIONS
-    )
-
-    return ExperimentConfig(
-        params=params,
-        strategy=strategy,
-        interpretations=interps,
-        n_paths=_parse_int("run", "paths", run.get("paths", str(DEFAULT_PATHS))),
-        steps=_parse_int("run", "steps", run.get("steps", str(DEFAULT_STEPS))),
-        seed=_parse_int("run", "seed", run.get("seed", str(DEFAULT_SEED))),
-        workers=_parse_int("run", "workers", run.get("workers", "1")),
-        n_list=n_list,
-        csv_path=out.get("csv"),
-        json_path=out.get("json"),
-    )
+    return ExperimentConfig(params=params, strategy=strategy).override(run | out)
 
 
 def load_file(path: str | Path) -> ExperimentConfig:

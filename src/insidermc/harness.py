@@ -68,18 +68,6 @@ class MCReport:
     seed: int
     elapsed_seconds: float
 
-    def to_dict(self) -> dict:
-        return {
-            "estimate": self.estimate,
-            "stderr": self.stderr,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "n_paths": self.n_paths,
-            "grid_steps": self.grid_steps,
-            "seed": self.seed,
-            "elapsed_seconds": self.elapsed_seconds,
-        }
-
 
 def _blocks(grid: TimeGrid, start: int, stop: int):
     """Contiguous index ranges of at most ``_BLOCK_VALUES`` path values each.
@@ -249,9 +237,6 @@ class ConvergenceTable:
     n_paths: int
     seed: int
 
-    def csv_rows(self) -> list[tuple[str, str, str]]:
-        return [(str(n), repr(err), repr(self.slope)) for n, err in self.rows]
-
 
 def convergence_studies(
     strategy: Strategy,
@@ -342,20 +327,6 @@ class JumpReport:
             return bool(self.frequency == self.closed_form)
         return bool(abs(self.frequency - self.closed_form) <= 4.0 * self.stderr)
 
-    def to_dict(self) -> dict:
-        return {
-            "frequency": self.frequency,
-            "stderr": self.stderr,
-            "closed_form": self.closed_form,
-            "n_flips": self.n_flips,
-            "n_paths": self.n_paths,
-            "grid_steps": self.grid_steps,
-            "seed": self.seed,
-            "mean_flip_time": self.mean_flip_time,
-            "rv_flips": self.rv_flips,
-            "within_tolerance": self.within_tolerance,
-        }
-
 
 def _flip_chunk(args) -> tuple[np.ndarray, int]:
     params, grid, seed, start, stop = args
@@ -431,16 +402,6 @@ class ConjectureReport:
     n_paths: int
     seed: int
     label: str = field(default="evidence")
-
-    def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "candidate_verdict": self.candidate_verdict,
-            "control_verdict": self.control_verdict,
-            "n_paths": self.n_paths,
-            "seed": self.seed,
-            "rows": [vars(r) for r in self.rows],
-        }
 
 
 def _trend_verdict(n_list: tuple[int, ...], medians: np.ndarray) -> str:

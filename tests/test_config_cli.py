@@ -1,11 +1,17 @@
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import insidermc
 from insidermc import Honest, Interpretation, PartialTrust
-from insidermc.cli import main
+from insidermc.cli import _cell, main
 from insidermc.config import ConfigError, ExperimentConfig, load_file, loads
 
 SAMPLE = """\
@@ -59,6 +65,29 @@ def test_round_trip_covers_every_strategy_and_functional():
         ExperimentConfig(json_path="a.json", csv_path="b.csv"),
     ):
         assert loads(cfg.dumps()) == cfg
+
+
+def test_percent_in_a_value_is_read_literally(tmp_path, capsys, monkeypatch):
+    cfg = ExperimentConfig(csv_path="run%1.csv")
+    assert loads(cfg.dumps()) == cfg
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.ini").write_text(cfg.dumps())
+    assert main(["expect", "--config", "cfg.ini"]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "run%1.csv").read_text().startswith("# market.wealth = 1.0")
+
+
+def test_python_dash_m_runs_the_cli():
+    env = os.environ | {"PYTHONPATH": str(Path(insidermc.__file__).parents[1])}
+    runs = {
+        argv[-1]: subprocess.run(
+            [sys.executable, "-m", "insidermc", *argv], env=env, capture_output=True, text=True
+        )
+        for argv in (["expect"], ["expect", "--bogus"])
+    }
+    assert runs["expect"].returncode == 0
+    assert "chain verdicts" in runs["expect"].stdout
+    assert runs["--bogus"].returncode == 2
 
 
 def test_unknown_keys_and_sections_rejected():
@@ -142,6 +171,12 @@ def test_cli_expect_rejects_invalid_market(tmp_path, capsys):
     assert main(["expect", "--config", str(bad)]) == 2
     err = capsys.readouterr().err
     assert "stock rate must exceed bond rate" in err
+    # an honest split that does not sum to the wealth M = 1, for every subcommand
+    split = tmp_path / "split.ini"
+    split.write_text("[strategy]\nkind = honest\nbond0 = 5.0\nstock0 = 0.6\n")
+    for command in ("expect", "converge", "jump", "conjecture", "ordering-sweep"):
+        assert main([command, "--config", str(split)]) == 2
+        assert "honest split must sum to total wealth" in capsys.readouterr().err
 
 
 def test_cli_converge_small_ladder(tmp_path, capsys):
@@ -261,6 +296,7 @@ def test_cli_help_lists_flags(capsys):
     for flag in ("--config", "--seed", "--paths", "--steps", "--workers", "--csv",
                  "--json", "--mc"):
         assert flag in out
+    assert "--json JSON_OUT" in out
 
 
 def test_env_seed_applies_between_file_and_flags(tmp_path, capsys, monkeypatch):
@@ -465,3 +501,10 @@ def test_usage_errors_exit_2_with_stable_messages(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines()[-1].endswith(message)
+
+
+def test_csv_cells_refuse_numpy_scalars():
+    # a numpy scalar's repr names its type, which would corrupt the CSV bytes
+    assert [_cell(v) for v in (None, "a", 3, 0.1, True)] == ["", "a", "3", "0.1", "True"]
+    with pytest.raises(TypeError):
+        _cell(np.float64(0.1))
