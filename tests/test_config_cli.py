@@ -476,6 +476,21 @@ def test_json_and_stdout_bytes_match_recorded_digests(tmp_path, capsys, monkeypa
     assert env == ENV_DIGESTS
 
 
+# sha256 of the outputs of `ordering-sweep --sets 300 --seed 7`, recorded like
+# CSV_DIGESTS; sets 81 and 258 need 1024 nodes (arctangent, forward leg) where
+# every other set stops at 256 or 512
+SWEEP_DIGESTS = {
+    "json": "76863e925d47d6fc606b29ce9cb30153039ce78df95037e1b739c602d6a5af44",
+    "stdout": "f943779033b977b4dec46de7cb02ead91dd1f3c74c0ad48d2ec2fbbeab1bf740",
+    "csv": "26f1036039e68de471862ffdad523e76ae7f7e7ba9678aad4469ccba675e9bbf",
+}
+
+
+def test_sweep_bytes_match_recorded_digests(tmp_path, capsys):
+    argv = ["ordering-sweep", "--sets", "300", "--seed", "7"]
+    assert _output_digests(tmp_path, capsys, "sweep", argv) == SWEEP_DIGESTS
+
+
 @pytest.mark.parametrize(
     "argv, env, ini, message",
     [
