@@ -114,8 +114,8 @@ class ExperimentConfig:
 
         A text value is read with the key's parser (a config file, the
         environment); any other value is taken as parsed (a typed CLI flag).
-        ``invalid`` formats the error for text that ``int`` rejects; the other
-        parsers name the bad value themselves.
+        ``invalid`` formats the error for text that ``int`` rejects; the list
+        parsers name the bad value themselves, after the ``[section] key``.
         """
         changes = {}
         for section, key, attr, parse, _ in FIELDS:
@@ -123,8 +123,8 @@ class ExperimentConfig:
             if isinstance(value, str):
                 try:
                     value = parse(value)
-                except ConfigError:
-                    raise
+                except ConfigError as exc:
+                    raise ConfigError(f"[{section}] {key}: {exc}") from exc
                 except ValueError as exc:
                     message = invalid.format(section=section, key=key, text=value)
                     raise ConfigError(message) from exc

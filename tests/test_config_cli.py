@@ -495,12 +495,17 @@ def test_sweep_bytes_match_recorded_digests(tmp_path, capsys):
     "argv, env, ini, message",
     [
         (["--paths", "ten"], {}, None, "argument --paths: invalid int value: 'ten'"),
-        (["--n-list", "banana"], {}, None, "error: 'banana' is not a comma-separated integer list"),
+        (["--n-list", "banana"], {}, None,
+         "error: [run] n_list: 'banana' is not a comma-separated integer list"),
         ([], {"INSIDERMC_SEED": "abc"}, None, "error: INSIDERMC_SEED must be an integer"),
         ([], {"INSIDERMC_WORKERS": "2.5"}, None, "error: INSIDERMC_WORKERS must be an integer"),
         ([], {}, "[run]\npaths = ten\n", "error: [run] paths = 'ten' is not an integer"),
         ([], {}, "[market]\nmu = x\n", "error: [market] mu = 'x' is not a number"),
         ([], {}, "[run]\nseeds = 1\n", "error: unknown key(s) in [run]: seeds"),
+        ([], {}, "[run]\nn_list = banana\n",
+         "error: [run] n_list: 'banana' is not a comma-separated integer list"),
+        ([], {}, "[run]\ninterpretations = ito,x\n",
+         "error: [run] interpretations: unknown interpretation 'x'"),
     ],
 )
 def test_usage_errors_exit_2_with_stable_messages(
