@@ -11,7 +11,9 @@ from .analytics import (
     jump_probability,
     norm_cdf,
     ordering_monotone,
+    ordering_monotone_block,
     quadrature_expectation,
+    quadrature_expectations,
     quadrature_table,
     verify_ordering,
 )

@@ -8,11 +8,18 @@ A = sigma^2 / (4 (mu - rho)):
 * partial-trust, forward:       M (A e^{rho T} + (1 + A) e^{mu T})
 
 The quadrature oracle never touches that algebra: it integrates the
-translated functional numerically against the Gaussian terminal law.
+translated functional numerically against the Gaussian terminal law. It
+works on a block of parameter sets at once (``quadrature_expectations``):
+one node grid per node count, with the functional's per-set coefficients as
+column arrays, while each set still doubles its own node count until its own
+value is stable. ``ordering_monotone_block`` likewise probes a block of
+horizons for monotonicity at once. The one-set calls
+``quadrature_expectation`` and ``ordering_monotone`` return the same floats.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -78,18 +85,68 @@ def _hermgauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     return roots_hermite(n)
 
 
-def _tilted_gauss_hermite(
-    c: TerminalFunctional, shift: float, params: MarketParams, nodes: int
-) -> float:
+def _column(values: list[float]) -> np.ndarray:
+    """One value per parameter set, as a column that broadcasts across a node axis."""
+    return np.array(values, dtype=float)[:, None]
+
+
+def quadrature_expectations(
+    c: TerminalFunctional, shifts: Sequence[float], params_seq: Sequence[MarketParams]
+) -> list[float]:
+    """``quadrature_expectation`` of each (shift, params) pair, on one node grid per node count.
+
+    ``c`` may hold one coefficient per set as a column array (``Affine`` and
+    ``Smooth`` broadcast them against the node axis). Every set doubles its
+    node count until its own value is stable, exactly as a lone call would,
+    and gets the same float. A set that does not converge raises
+    ``QuadratureError`` naming the first such set, in ``params_seq`` order.
+    """
+    if isinstance(c, Indicator):
+        return [
+            float(c.scale * math.exp(p.mu * p.horizon)
+                  * norm_cdf((p.sigma * p.horizon - c.threshold - s) / math.sqrt(p.horizon)))
+            for s, p in zip(shifts, params_seq)
+        ]
     # Absorb the exponential growth factor into the Gaussian measure
     # (complete the square): the integrand becomes C evaluated under an
     # N(sigma T, T) law times e^{mu T}, which keeps every quadrature term at
     # the scale of the answer instead of cancelling across e^{sigma B_T}.
-    x, w = _hermgauss(nodes)
-    t = params.horizon
-    args = math.sqrt(2.0 * t) * x + params.sigma * t - shift
-    values = np.asarray(c.evaluate(args), dtype=float)
-    return math.exp(params.mu * t) / math.sqrt(math.pi) * float(w @ values)
+    # The per-set factors stay in libm (math.exp), which np.exp need not match.
+    growth = [math.exp(p.mu * p.horizon) for p in params_seq]
+    factor = [g / math.sqrt(math.pi) for g in growth]
+    root = _column([math.sqrt(2.0 * p.horizon) for p in params_seq])
+    drift = _column([p.sigma * p.horizon for p in params_seq])
+    shift = _column(shifts)
+    hint = np.abs(np.asarray(c.evaluate(drift - shift), dtype=float)).ravel() * growth
+
+    def tilted(nodes: int, rows: list[int]) -> dict[int, float]:
+        # every set of the block is evaluated; only the sets still doubling are summed
+        x, w = _hermgauss(nodes)
+        values = np.asarray(c.evaluate(root * x + drift - shift), dtype=float)
+        return {i: factor[i] * float(w @ values[i]) for i in rows}
+
+    tiny = np.finfo(float).tiny
+    result: dict[int, float] = {}
+    change: dict[int, float] = {}
+    active = list(range(len(params_seq)))
+    previous = tilted(_QUAD_START, active)
+    nodes = 2 * _QUAD_START
+    while active and nodes <= _QUAD_MAX:
+        value = tilted(nodes, active)
+        for i in active:
+            change[i] = abs(value[i] - previous[i])
+            if change[i] <= _QUAD_RTOL * max(abs(value[i]), abs(previous[i]), hint[i], tiny):
+                result[i] = value[i]
+        active = [i for i in active if i not in result]
+        previous = value
+        nodes *= 2
+    if active:
+        i = active[0]
+        raise QuadratureError(
+            f"no convergence up to {_QUAD_MAX} nodes for {params_seq[i]} "
+            f"(last change {change.get(i, math.nan):.3e})"
+        )
+    return [result[i] for i in range(len(params_seq))]
 
 
 def quadrature_expectation(
@@ -99,27 +156,10 @@ def quadrature_expectation(
 
     shift = 0 gives the forward stock leg, shift = sigma*T the anticipating
     one. Indicator functionals use the exact normal-CDF reduction instead of
-    node sums, which would ring at the discontinuity.
+    node sums, which would ring at the discontinuity. The one-set call of
+    ``quadrature_expectations``.
     """
-    t = params.horizon
-    if isinstance(c, Indicator):
-        arg = (params.sigma * t - c.threshold - shift) / math.sqrt(t)
-        return c.scale * math.exp(params.mu * t) * norm_cdf(arg)
-    scale_hint = abs(float(np.asarray(c.evaluate(params.sigma * t - shift)))) * math.exp(
-        params.mu * t
-    )
-    previous = _tilted_gauss_hermite(c, shift, params, _QUAD_START)
-    nodes = 2 * _QUAD_START
-    while nodes <= _QUAD_MAX:
-        value = _tilted_gauss_hermite(c, shift, params, nodes)
-        tol = _QUAD_RTOL * max(abs(value), abs(previous), scale_hint, np.finfo(float).tiny)
-        if abs(value - previous) <= tol:
-            return value
-        previous = value
-        nodes *= 2
-    raise QuadratureError(
-        f"no convergence up to {_QUAD_MAX} nodes (last change {abs(value - previous):.3e})"
-    )
+    return quadrature_expectations(c, (shift,), (params,))[0]
 
 
 def insider_bond_leg(params: MarketParams) -> float:
@@ -162,26 +202,41 @@ def verify_ordering(params: MarketParams) -> OrderingVerdict:
     )
 
 
+def ordering_monotone_block(
+    c: TerminalFunctional, params_seq: Sequence[MarketParams]
+) -> tuple[list[float], list[float]]:
+    """Stock-leg expectations (anticipating, forward) of each set, for increasing C.
+
+    The translated initial condition can only lose ground pointwise, so each
+    anticipating entry is strictly below its forward entry for any
+    nonconstant increasing continuous C. ``c`` may hold one coefficient per
+    set as a column array, as in ``quadrature_expectations``; the monotonicity
+    contract is checked for every set before any quadrature runs.
+    """
+    if isinstance(c, Indicator):
+        raise MonotonicityError("indicator functionals are not continuous")
+    if isinstance(c, Affine):
+        if not np.all(c.b > 0.0):
+            raise MonotonicityError("affine functional must have positive slope")
+    elif isinstance(c, MonotoneSmooth):
+        c.validate_monotone(np.array([p.horizon for p in params_seq]))
+    else:
+        raise MonotonicityError(f"{type(c).__name__} carries no monotonicity contract")
+    shifts = [p.sigma * p.horizon for p in params_seq]
+    e_anticipating = quadrature_expectations(c, shifts, params_seq)
+    e_forward = quadrature_expectations(c, [0.0] * len(params_seq), params_seq)
+    return e_anticipating, e_forward
+
+
 def ordering_monotone(
     c: TerminalFunctional, params: MarketParams
 ) -> tuple[float, float]:
     """Stock-leg expectations (anticipating, forward) for increasing C.
 
-    The translated initial condition can only lose ground pointwise, so the
-    first entry is strictly below the second for any nonconstant increasing
-    continuous C.
+    The one-set call of ``ordering_monotone_block``: the first entry is
+    strictly below the second for any nonconstant increasing continuous C.
     """
-    if isinstance(c, Indicator):
-        raise MonotonicityError("indicator functionals are not continuous")
-    if isinstance(c, Affine):
-        if not c.b > 0.0:
-            raise MonotonicityError("affine functional must have positive slope")
-    elif isinstance(c, MonotoneSmooth):
-        c.validate_monotone(params.horizon)
-    else:
-        raise MonotonicityError(f"{type(c).__name__} carries no monotonicity contract")
-    e_anticipating = quadrature_expectation(c, params.sigma * params.horizon, params)
-    e_forward = quadrature_expectation(c, 0.0, params)
+    (e_anticipating,), (e_forward,) = ordering_monotone_block(c, (params,))
     return e_anticipating, e_forward
 
 

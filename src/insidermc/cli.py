@@ -30,6 +30,7 @@ import numpy as np
 from . import analytics
 from .config import ConfigError, ExperimentConfig, load_file
 from .functionals import (
+    Affine,
     MonotonicityError,
     NonDifferentiableError,
     arctangent,
@@ -44,7 +45,7 @@ from .harness import (
 )
 from .integrators import Interpretation
 from .market import Honest, PartialTrust, random_params, stock_functional
-from .paths import TimeGrid
+from .paths import _BLOCK_VALUES, TimeGrid
 
 ENV_SEED = "INSIDERMC_SEED"
 ENV_WORKERS = "INSIDERMC_WORKERS"
@@ -238,22 +239,30 @@ def cmd_ordering_sweep(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     chain_failures = 0
     quad_gap = 0.0
     margins = {"logistic": math.inf, "arctangent": math.inf, "affine": math.inf}
-    for _ in range(args.sets):
-        params = random_params(rng)
-        verdict = analytics.verify_ordering(params)
-        if not verdict.all_hold:
-            chain_failures += 1
-        quad = analytics.quadrature_table(params)
-        gap = max(abs(verdict.hs - quad.hs), abs(verdict.rv - quad.rv)) / params.wealth
-        quad_gap = max(quad_gap, gap)
+    # each block's largest node grid holds at most _BLOCK_VALUES values
+    block = _BLOCK_VALUES // analytics._QUAD_MAX
+    for lo in range(0, args.sets, block):
+        sets = [random_params(rng) for _ in range(min(block, args.sets - lo))]
+        # one coefficient per set, as columns against the node axis
+        stocks = [stock_functional(PartialTrust(), params) for params in sets]
+        wealth = np.array([[params.wealth] for params in sets])
         families = {
-            "logistic": logistic(params.wealth),
-            "arctangent": arctangent(params.wealth),
-            "affine": stock_functional(PartialTrust(), params),
+            "logistic": logistic(wealth),
+            "arctangent": arctangent(wealth),
+            "affine": Affine(np.array([[c.a] for c in stocks]), np.array([[c.b] for c in stocks])),
         }
-        for name, c in families.items():
-            e_ak, e_rv = analytics.ordering_monotone(c, params)
-            margins[name] = min(margins[name], (e_rv - e_ak) / params.wealth)
+        legs = {name: analytics.ordering_monotone_block(c, sets) for name, c in families.items()}
+        for i, params in enumerate(sets):
+            verdict = analytics.verify_ordering(params)
+            if not verdict.all_hold:
+                chain_failures += 1
+            # the insider bond leg plus the affine legs are quadrature_table's HS and RV
+            bond = analytics.insider_bond_leg(params)
+            hs, rv = (bond + leg[i] for leg in legs["affine"])
+            gap = max(abs(verdict.hs - hs), abs(verdict.rv - rv)) / params.wealth
+            quad_gap = max(quad_gap, gap)
+            for name, (e_ak, e_rv) in legs.items():
+                margins[name] = min(margins[name], (e_rv[i] - e_ak[i]) / params.wealth)
     print(f"sets: {args.sets}; chain failures: {chain_failures}; "
           f"max closed-vs-quadrature gap: {quad_gap:.3e}")
     for name, margin in margins.items():

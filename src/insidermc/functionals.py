@@ -135,15 +135,20 @@ class Smooth(TerminalFunctional):
 class MonotoneSmooth(Smooth):
     """A Smooth map claimed nondecreasing; validated empirically on a probe grid."""
 
-    def validate_monotone(self, horizon: float, points: int = 1000) -> None:
-        """Probe over +-8*sqrt(horizon); raises MonotonicityError on failure."""
-        span = 8.0 * math.sqrt(horizon)
-        xs = np.linspace(-span, span, points)
+    def validate_monotone(self, horizon: ArrayLike, points: int = 1000) -> None:
+        """Probe over +-8*sqrt(T) for the horizon T, or for each T of an array of
+        horizons (one probe row per set, against column coefficients); raises
+        MonotonicityError for the first row that fails."""
+        span = 8.0 * np.sqrt(horizon)
+        xs = np.linspace(-span, span, points, axis=-1)
         ys = np.asarray(self.evaluate(xs), dtype=float)
-        if np.any(np.diff(ys) < 0.0):
-            raise MonotonicityError("evaluator decreases somewhere on the probe grid")
-        if not ys[-1] > ys[0]:
-            raise MonotonicityError("evaluator is constant on the probe grid")
+        decreases = np.any(np.diff(ys) < 0.0, axis=-1).ravel()
+        grows = (ys[..., -1] > ys[..., 0]).ravel()
+        for down, up in zip(decreases, grows):
+            if down:
+                raise MonotonicityError("evaluator decreases somewhere on the probe grid")
+            if not up:
+                raise MonotonicityError("evaluator is constant on the probe grid")
 
 
 def _logistic_deriv(x: ArrayLike) -> ArrayLike:

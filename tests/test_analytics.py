@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from insidermc import analytics
 from insidermc import (
     Affine,
     Indicator,
@@ -19,7 +20,9 @@ from insidermc import (
     logistic,
     norm_cdf,
     ordering_monotone,
+    ordering_monotone_block,
     quadrature_expectation,
+    quadrature_expectations,
     random_params,
     stock_functional,
     threshold,
@@ -32,6 +35,7 @@ from insidermc.analytics import (
     quadrature_table,
     render_tables,
 )
+from insidermc.cli import main
 
 BASELINE = MarketParams(wealth=1.0, rho=0.02, mu=0.05, sigma=0.2, horizon=1.0)
 DEBT = MarketParams(wealth=1.0, rho=0.04, mu=0.05, sigma=2.5, horizon=1.0)
@@ -208,6 +212,62 @@ def test_ordering_monotone_rejects_bad_inputs():
         ordering_monotone(Affine(1.0, -2.0), BASELINE)  # decreasing
     with pytest.raises(MonotonicityError):
         ordering_monotone(Indicator(1.0, 0.0), BASELINE)  # discontinuous
+
+
+def _column(values) -> np.ndarray:
+    return np.array([[v] for v in values])
+
+
+def _sweep_sets(seed: int, n: int) -> list[MarketParams]:
+    rng = np.random.default_rng(seed)
+    return [random_params(rng) for _ in range(n)]
+
+
+def test_batched_quadrature_equals_one_set_calls_bit_for_bit():
+    # at seed 7, set 81 needs 1024 nodes (arctangent, forward leg); the rest stop at 256 or 512
+    sets = _sweep_sets(7, 200)
+    stocks = [stock_functional(PartialTrust(), p) for p in sets]
+    wealth = _column(p.wealth for p in sets)
+    families = {
+        "logistic": (logistic(wealth), [logistic(p.wealth) for p in sets]),
+        "arctangent": (arctangent(wealth), [arctangent(p.wealth) for p in sets]),
+        "affine": (Affine(_column(c.a for c in stocks), _column(c.b for c in stocks)), stocks),
+        "constant": (Affine(wealth, 0.0), [Affine(p.wealth, 0.0) for p in sets]),
+        "indicator": (Indicator(1.0, 0.3), [Indicator(1.0, 0.3)] * len(sets)),
+    }
+    for name, (block, singles) in families.items():
+        for shifts in ([p.sigma * p.horizon for p in sets], [0.0] * len(sets)):
+            got = quadrature_expectations(block, shifts, sets)
+            want = [quadrature_expectation(c, s, p) for c, s, p in zip(singles, shifts, sets)]
+            assert got == want, name
+            assert all(type(v) is float for v in got)
+    legs = ordering_monotone_block(families["arctangent"][0], sets)
+    assert list(zip(*legs)) == [ordering_monotone(arctangent(p.wealth), p) for p in sets]
+
+
+def test_batched_quadrature_names_the_first_set_that_fails(monkeypatch, capsys):
+    # sets 81 and 258 need 1024 nodes, so a 512-node cap fails both
+    sets = _sweep_sets(7, 300)
+    monkeypatch.setattr(analytics, "_QUAD_MAX", 512)
+    with pytest.raises(analytics.QuadratureError, match="up to 512 nodes") as info:
+        quadrature_expectations(arctangent(1.0), [0.0] * len(sets), sets)
+    assert f"for {sets[81]} (last change" in str(info.value)
+    assert main(["ordering-sweep", "--sets", "300", "--seed", "7"]) == 3
+    assert f"for {sets[81]}" in capsys.readouterr().err
+
+
+def test_monotone_probe_block_raises_the_one_set_message():
+    sets = _sweep_sets(3, 6)
+    # the first failing row decides the message: a decreasing one, then a constant one
+    cases = (([1.0, 2.0, -1.0, 1.0, 0.0, 1.0], -1.0), ([1.0, 0.0, -1.0, 1.0, 1.0, 1.0], 0.0))
+    for scales, bad in cases:
+        with pytest.raises(MonotonicityError) as one:
+            ordering_monotone(logistic(bad), sets[scales.index(bad)])
+        with pytest.raises(MonotonicityError, match=f"^{one.value}$"):
+            ordering_monotone_block(logistic(_column(scales)), sets)
+    slopes = _column([1.0, 1.0, -2.0, 1.0, 1.0, 1.0])
+    with pytest.raises(MonotonicityError, match="affine functional must have positive slope"):
+        ordering_monotone_block(Affine(1.0, slopes), sets)
 
 
 def test_jump_probability_baseline_and_bounds():
