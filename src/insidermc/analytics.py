@@ -85,11 +85,6 @@ def _hermgauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     return roots_hermite(n)
 
 
-def _column(values: list[float]) -> np.ndarray:
-    """One value per parameter set, as a column that broadcasts across a node axis."""
-    return np.array(values, dtype=float)[:, None]
-
-
 def quadrature_expectations(
     c: TerminalFunctional, shifts: Sequence[float], params_seq: Sequence[MarketParams]
 ) -> list[float]:
@@ -114,10 +109,13 @@ def quadrature_expectations(
     # The per-set factors stay in libm (math.exp), which np.exp need not match.
     growth = [math.exp(p.mu * p.horizon) for p in params_seq]
     factor = [g / math.sqrt(math.pi) for g in growth]
-    root = _column([math.sqrt(2.0 * p.horizon) for p in params_seq])
-    drift = _column([p.sigma * p.horizon for p in params_seq])
-    shift = _column(shifts)
-    hint = np.abs(np.asarray(c.evaluate(drift - shift), dtype=float)).ravel() * growth
+    # sqrt(2T), sigma T and the shift of each set, as columns against the node axis
+    root, drift, shift = np.array([
+        [math.sqrt(2.0 * p.horizon) for p in params_seq],
+        [p.sigma * p.horizon for p in params_seq],
+        shifts,
+    ], dtype=float)[:, :, None]
+    hint = [abs(h) * g for h, g in zip(np.ravel(c.evaluate(drift - shift)).tolist(), growth)]
 
     def tilted(nodes: int, rows: list[int]) -> dict[int, float]:
         # every set of the block is evaluated; only the sets still doubling are summed
@@ -284,9 +282,9 @@ def quadrature_table(params: MarketParams) -> WealthTable:
     """Oracle row: stock legs by quadrature, insider bond leg in closed form."""
     c = stock_functional(PartialTrust(), params)
     bond = insider_bond_leg(params)
-    shift = params.sigma * params.horizon
-    anticipating = bond + quadrature_expectation(c, shift, params)
-    forward = bond + quadrature_expectation(c, 0.0, params)
+    # both stock legs in one kernel call: shift sigma T (anticipating), then 0 (forward)
+    legs = quadrature_expectations(c, (params.sigma * params.horizon, 0.0), (params, params))
+    anticipating, forward = (bond + leg for leg in legs)
     honest = quadrature_expectation(Affine(params.wealth, 0.0), 0.0, params)
     return WealthTable(
         params=params,
