@@ -136,9 +136,11 @@ class MonotoneSmooth(Smooth):
     """A Smooth map claimed nondecreasing; validated empirically on a probe grid."""
 
     def validate_monotone(self, horizon: ArrayLike, points: int = 1000) -> None:
-        """Probe over +-8*sqrt(T) for the horizon T, or for each T of an array of
-        horizons (one probe row per set, against column coefficients); raises
-        MonotonicityError for the first row that fails."""
+        """Probe over +-8*sqrt(horizon); raises MonotonicityError on failure.
+
+        ``horizon`` may be an array of horizons, one probe row per set against
+        column coefficients; the first row that fails raises.
+        """
         span = 8.0 * np.sqrt(horizon)
         xs = np.linspace(-span, span, points, axis=-1)
         ys = np.asarray(self.evaluate(xs), dtype=float)
