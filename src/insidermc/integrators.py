@@ -270,19 +270,37 @@ def first_flip(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Whether the indicator leg flips on/off along the grid, and when.
 
-    ``b_t`` holds terminal values with a trailing axis of length one; the
-    on/off state is taken at every node along that axis. The flip time is
-    the midpoint of the first bracketing interval, NaN where there is none.
+    ``b_t`` holds terminal values with a trailing axis of length one. The
+    on/off state at node k is ``B_T - s * t_k > z``, with s = sigma for the
+    anticipating variants and s = 0 for the forward one, whose state C(B_T)
+    is frozen. The flip time is the midpoint of the bracketing interval, NaN
+    where there is none.
+
+    With s >= 0 (``MarketParams`` enforces sigma > 0) and nondecreasing
+    ``nodes``, fl(s * t_k) is nondecreasing in k and fl(B_T - y) is
+    nonincreasing in y, so the state can only go from on to off, at most
+    once. A path therefore flipped exactly when its states at the first and
+    last node differ, and the flipped rows bisect the node index in
+    ceil(log2(steps)) rounds, reading the state only at the gathered index.
+    The result equals a node-by-node scan bit for bit, in O(rows) memory.
     """
-    if interp in ANTICIPATING:
-        factor = np.greater(b_t - params.sigma * nodes, c.threshold)
-    else:
-        # the forward state is C(B_T) at every node: compare once, then broadcast
-        factor = np.broadcast_to(np.greater(b_t, c.threshold), b_t.shape[:-1] + nodes.shape)
-    changes = factor[..., 1:] != factor[..., :-1]
-    flipped = changes.any(axis=-1)
-    i = changes.argmax(axis=-1)
-    return flipped, np.where(flipped, 0.5 * (nodes[i] + nodes[i + 1]), np.nan)
+    slope = params.sigma if interp in ANTICIPATING else 0.0
+    x = b_t[..., 0]
+    first = np.greater(x - slope * nodes[0], c.threshold)
+    flipped = first != np.greater(x - slope * nodes[-1], c.threshold)
+    rows = np.flatnonzero(flipped)
+    y = x.reshape(-1)[rows]
+    # state(lo) is on and state(hi) is off on every flipped row
+    lo = np.zeros(rows.size, dtype=np.intp)
+    hi = np.full(rows.size, nodes.size - 1)
+    for _ in range((nodes.size - 2).bit_length()):
+        mid = (lo + hi) >> 1
+        on = np.greater(y - slope * nodes[mid], c.threshold)
+        np.copyto(lo, mid, where=on)
+        np.copyto(hi, mid, where=~on)
+    times = np.full(x.shape, np.nan)
+    times.reshape(-1)[rows] = 0.5 * (nodes[lo] + nodes[lo + 1])
+    return flipped, times
 
 
 def detect_indicator_flip(
