@@ -192,7 +192,11 @@ def cmd_converge(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
 def cmd_jump(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     grid = TimeGrid(cfg.params.horizon, cfg.steps)
     report = discontinuity_probe(cfg.params, cfg.n_paths, grid, cfg.seed, cfg.workers)
-    print(f"empirical flip frequency: {report.frequency:.6f} +- {report.stderr:.6f}")
+    if report.degenerate:
+        frequency = f"degenerate ({report.n_flips} of {report.n_paths} paths flipped)"
+    else:
+        frequency = f"{report.frequency:.6f} +- {report.stderr:.6f}"
+    print(f"empirical flip frequency: {frequency}")
     print(f"closed-form probability:  {report.closed_form:.6f}")
     mean_t = "n/a" if report.mean_flip_time is None else f"{report.mean_flip_time:.4f}"
     print(f"mean flip time: {mean_t}; forward-solution flips: {report.rv_flips}")
@@ -200,6 +204,9 @@ def cmd_jump(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     header = ("frequency", "stderr", "closed_form", "n_flips", "n_paths", "grid_steps",
               "mean_flip_time", "rv_flips")
     _write(cfg, cfg.echo() | {"subcommand": "jump"}, header, [summary], {"report": summary})
+    if report.degenerate:
+        print("degenerate: a binomial stderr of 0 cannot be checked against the closed form")
+        return 1
     if not report.within_tolerance:
         print("frequency disagrees with the closed form beyond 4 binomial stderr")
         return 1

@@ -328,9 +328,14 @@ class JumpReport:
     rv_flips: int
 
     @property
+    def degenerate(self) -> bool:
+        """No path flipped, or every path did: the binomial stderr is 0 and checks nothing."""
+        return self.stderr == 0.0
+
+    @property
     def within_tolerance(self) -> bool:
-        if self.stderr == 0.0:
-            return bool(self.frequency == self.closed_form)
+        if self.degenerate:
+            return False
         return bool(abs(self.frequency - self.closed_form) <= 4.0 * self.stderr)
 
 
