@@ -285,9 +285,12 @@ def first_flip(
     The result equals a node-by-node scan bit for bit, in O(rows) memory.
     """
     slope = params.sigma if interp in ANTICIPATING else 0.0
+
+    def state(b, t):
+        return np.greater(b - slope * t, c.threshold)
+
     x = b_t[..., 0]
-    first = np.greater(x - slope * nodes[0], c.threshold)
-    flipped = first != np.greater(x - slope * nodes[-1], c.threshold)
+    flipped = state(x, nodes[0]) != state(x, nodes[-1])
     rows = np.flatnonzero(flipped)
     y = x.reshape(-1)[rows]
     # state(lo) is on and state(hi) is off on every flipped row
@@ -295,7 +298,7 @@ def first_flip(
     hi = np.full(rows.size, nodes.size - 1)
     for _ in range((nodes.size - 2).bit_length()):
         mid = (lo + hi) >> 1
-        on = np.greater(y - slope * nodes[mid], c.threshold)
+        on = state(y, nodes[mid])
         np.copyto(lo, mid, where=on)
         np.copyto(hi, mid, where=~on)
     times = np.full(x.shape, np.nan)
