@@ -8,12 +8,16 @@ alone, which the terminal stream draws directly; their references read each
 index's B_T from the stream contract written out in ``_contract_terminal``
 and evaluate it with the per-path ``total_wealth`` and
 ``detect_indicator_flip``. The block engine must reproduce every reference
-bit for bit, for any worker count.
+bit for bit, for any worker count. The flip kernel ``first_flip`` bisects
+the node index; its reference is the node-by-node scan of every state,
+``_scan_first_flip``.
 """
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from insidermc import (
     FullInformation,
@@ -35,11 +39,13 @@ from insidermc import (
     exact_solution,
     generate_path,
     initial_allocation,
+    random_params,
     skorokhod_via_correction,
     stock_functional,
     total_wealth,
 )
 from insidermc.harness import _BLOCK_VALUES, _blocks
+from insidermc.integrators import ANTICIPATING, first_flip
 from insidermc.paths import BrownianPath, sample_block, sample_terminal
 
 BASELINE = MarketParams(wealth=1.0, rho=0.02, mu=0.05, sigma=0.2, horizon=1.0)
@@ -162,6 +168,47 @@ def _reference_probe(params, n_paths, grid, seed):
     return len(flip_times), mean_time, rv_flips
 
 
+def _scan_first_flip(c, params, nodes, b_t, interp):
+    """``first_flip`` as a scan: the on/off state at every node, then the first change."""
+    if interp in ANTICIPATING:
+        factor = np.greater(b_t - params.sigma * nodes, c.threshold)
+    else:
+        factor = np.broadcast_to(np.greater(b_t, c.threshold), b_t.shape[:-1] + nodes.shape)
+    changes = factor[..., 1:] != factor[..., :-1]
+    flipped = changes.any(axis=-1)
+    i = changes.argmax(axis=-1)
+    return flipped, np.where(flipped, 0.5 * (nodes[i] + nodes[i + 1]), np.nan)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    steps=st.sampled_from((1, 2, 3, 64, 1024)),
+    interp=st.sampled_from((AK, HS, RV)),
+)
+def test_first_flip_equals_the_node_by_node_scan(seed, steps, interp):
+    rng = np.random.default_rng(seed)
+    params = random_params(rng)
+    nodes = TimeGrid(params.horizon, steps).nodes
+    assert np.all(nodes[1:] >= nodes[:-1])
+    c = stock_functional(FullInformation(), params)
+    # each node's boundary z + sigma t_k, one ulp to either side of it, and draws
+    # from the law of B_T and from the flip window
+    edges = c.threshold + params.sigma * nodes
+    b_t = np.concatenate([
+        edges,
+        np.nextafter(edges, -np.inf),
+        np.nextafter(edges, np.inf),
+        rng.standard_normal(200) * math.sqrt(params.horizon),
+        c.threshold + params.sigma * params.horizon * rng.uniform(size=200),
+    ])[:, None]
+    flipped, times = first_flip(c, params, nodes, b_t, interp)
+    want_flipped, want_times = _scan_first_flip(c, params, nodes, b_t, interp)
+    assert np.array_equal(flipped, want_flipped)
+    assert np.array_equal(times, want_times, equal_nan=True)
+    assert flipped.any() == (interp is not RV)
+
+
 @pytest.mark.parametrize("steps", [8, 64, 1024])
 def test_block_rows_equal_generate_path(steps):
     grid = TimeGrid(1.3, steps)
@@ -278,6 +325,25 @@ def test_exact_mode_at_70000_paths_does_not_depend_on_workers():
         ]
     probes = [discontinuity_probe(WIDE, 70_000, TimeGrid(2.0, 16), 8, workers=w) for w in (1, 2, 3)]
     assert probes[0] == probes[1] == probes[2]
+
+
+def test_probe_across_key_blocks_equals_the_scan_for_any_workers():
+    n = 2 * _BLOCK_VALUES + 4464  # 70000 paths: key blocks start at 32768 and 65536
+    grid = TimeGrid(2.0, 64)
+    serial, parallel = (discontinuity_probe(WIDE, n, grid, 8, workers=w) for w in (1, 3))
+    assert serial == parallel
+    c = stock_functional(FullInformation(), WIDE)
+    b_t = sample_terminal(8, grid.horizon, 0, n)[:, None]
+    flip_times = []
+    rv_flips = 0
+    for lo, hi in _blocks(grid, 0, n):
+        flipped, times = _scan_first_flip(c, WIDE, grid.nodes, b_t[lo:hi], AK)
+        flip_times.append(times[flipped])
+        rv_flips += int(np.count_nonzero(_scan_first_flip(c, WIDE, grid.nodes, b_t[lo:hi], RV)[0]))
+    flip_times = np.concatenate(flip_times)
+    assert serial.n_flips == flip_times.size > 0
+    assert serial.mean_flip_time == float(np.mean(flip_times))
+    assert serial.rv_flips == rv_flips == 0
 
 
 def test_steps_do_not_change_exact_mode_estimates():

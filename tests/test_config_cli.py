@@ -250,6 +250,29 @@ def test_cli_jump_writes_json_and_numeric_csv(tmp_path, capsys):
     assert float(row["closed_form"]) == report["closed_form"]
 
 
+@pytest.mark.parametrize("market,flips", [
+    ("rho = 0.02\nmu = 0.05\nsigma = 0.001", 0),  # the flip window is 0.001 wide
+    ("rho = 0.01\nmu = 100.01\nsigma = 10.0", 1000),  # the window is (-5, 5]
+])
+def test_cli_jump_names_a_degenerate_estimate(tmp_path, capsys, market, flips):
+    ini = tmp_path / "market.ini"
+    ini.write_text(f"[market]\nwealth = 1.0\n{market}\nhorizon = 1.0\n")
+    out_json = tmp_path / "j.json"
+    rc = main([
+        "jump", "--config", str(ini), "--paths", "1000", "--steps", "64", "--seed", "3",
+        "--json", str(out_json),
+    ])
+    stdout = capsys.readouterr().out
+    assert rc == 1
+    assert f"empirical flip frequency: degenerate ({flips} of 1000 paths flipped)\n" in stdout
+    assert stdout.endswith(
+        "degenerate: a binomial stderr of 0 cannot be checked against the closed form\n"
+    )
+    assert "+-" not in stdout and "4 binomial stderr" not in stdout
+    report = json.loads(out_json.read_text())["report"]
+    assert (report["n_flips"], report["stderr"], report["within_tolerance"]) == (flips, 0.0, False)
+
+
 @pytest.mark.parametrize("seed", ["-1", str(2**64)])
 def test_seed_outside_uint64_exits_2(tmp_path, capsys, monkeypatch, seed):
     args = ["jump", "--paths", "1000", "--steps", "8"]
