@@ -15,9 +15,9 @@ cases and ``convergence_studies`` several schemes on the same draw;
 
 ``discontinuity_probe`` locates each path's flip by bisection over the node
 index (``first_flip``), so its cost grows with log2(steps), not steps: at the
-documented defaults (1e5 paths, 1024 steps) it takes 7-9 ms in-process on a
-2-core Xeon, a third of it drawing B_T, against 0.35-0.42 s for a
-node-by-node scan of every state.
+documented defaults (1e5 paths, 1024 steps) it takes 5-9 ms in-process on a
+2-core Xeon, a third of it drawing B_T, against 0.22-0.42 s for a
+node-by-node scan of every state (the ranges span the machine's speed drift).
 """
 from __future__ import annotations
 

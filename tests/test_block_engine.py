@@ -323,27 +323,17 @@ def test_exact_mode_at_70000_paths_does_not_depend_on_workers():
         assert [(r.estimate, r.stderr) for r in other] == [
             (r.estimate, r.stderr) for r in reports[0]
         ]
-    probes = [discontinuity_probe(WIDE, 70_000, TimeGrid(2.0, 16), 8, workers=w) for w in (1, 2, 3)]
+    flip_grid = TimeGrid(2.0, 16)
+    probes = [discontinuity_probe(WIDE, 70_000, flip_grid, 8, workers=w) for w in (1, 2, 3)]
     assert probes[0] == probes[1] == probes[2]
-
-
-def test_probe_across_key_blocks_equals_the_scan_for_any_workers():
-    n = 2 * _BLOCK_VALUES + 4464  # 70000 paths: key blocks start at 32768 and 65536
-    grid = TimeGrid(2.0, 64)
-    serial, parallel = (discontinuity_probe(WIDE, n, grid, 8, workers=w) for w in (1, 3))
-    assert serial == parallel
+    # the probe across the key blocks at 32768 and 65536 equals the scan of the same draw
     c = stock_functional(FullInformation(), WIDE)
-    b_t = sample_terminal(8, grid.horizon, 0, n)[:, None]
-    flip_times = []
-    rv_flips = 0
-    for lo, hi in _blocks(grid, 0, n):
-        flipped, times = _scan_first_flip(c, WIDE, grid.nodes, b_t[lo:hi], AK)
-        flip_times.append(times[flipped])
-        rv_flips += int(np.count_nonzero(_scan_first_flip(c, WIDE, grid.nodes, b_t[lo:hi], RV)[0]))
-    flip_times = np.concatenate(flip_times)
-    assert serial.n_flips == flip_times.size > 0
-    assert serial.mean_flip_time == float(np.mean(flip_times))
-    assert serial.rv_flips == rv_flips == 0
+    b_t = sample_terminal(8, flip_grid.horizon, 0, 70_000)[:, None]
+    flipped, times = _scan_first_flip(c, WIDE, flip_grid.nodes, b_t, AK)
+    rv_flipped, _ = _scan_first_flip(c, WIDE, flip_grid.nodes, b_t, RV)
+    assert probes[0].n_flips == np.count_nonzero(flipped) > 0
+    assert probes[0].mean_flip_time == float(np.mean(times[flipped]))
+    assert probes[0].rv_flips == np.count_nonzero(rv_flipped) == 0
 
 
 def test_steps_do_not_change_exact_mode_estimates():
