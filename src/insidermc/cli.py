@@ -162,7 +162,7 @@ def cmd_converge(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
             "(need forward or hitsuda-skorokhod)"
         )
     tables = convergence_studies(
-        cfg.strategy, cfg.params, interps, tuple(n_list), cfg.n_paths, cfg.seed
+        cfg.strategy, cfg.params, interps, tuple(n_list), cfg.n_paths, cfg.seed, cfg.workers
     )
     failed = False
     for table in tables:
@@ -218,7 +218,7 @@ def cmd_jump(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
 
 def cmd_conjecture(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     n_list = cfg.n_list or _CONJECTURE_LADDER
-    report = conjecture_report(cfg.params, cfg.n_paths, tuple(n_list), cfg.seed)
+    report = conjecture_report(cfg.params, cfg.n_paths, tuple(n_list), cfg.seed, cfg.workers)
     print("residual quantiles (EVIDENCE about an open question, not a proof)")
     print(f"{'group':<22}{'n':>7}{'q10':>12}{'q25':>12}{'q50':>12}{'q75':>12}{'q90':>12}")
     for row in report.rows:

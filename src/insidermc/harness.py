@@ -12,6 +12,15 @@ block is drawn once for all the estimators that read it:
 ``estimate_expectations`` evaluates several ``(strategy, interpretation)``
 cases and ``convergence_studies`` several schemes on the same draw;
 ``estimate_expectation`` and ``convergence_study`` are their one-case calls.
+Each grid level is one kernel call for all its schemes or groups: the
+schemes share one Euler factor g and one cumprod(g) per level
+(``scheme_wealths``), and start from values read once per block, since
+every level of a block shares B_T; the two residual groups share the
+residual's arguments per level (``ak_residuals``). Every node is checked
+for finiteness; a ladder reports its first failure scheme by scheme, then
+level by level (``convergence_studies``), or level by level, then group by
+group (``conjecture_report``). Workers return per-path values, which are
+reduced in index order.
 
 ``discontinuity_probe`` locates each path's flip by bisection over the node
 index (``first_flip``), so its cost grows with log2(steps), not steps: at the
@@ -36,8 +45,9 @@ from .integrators import (
     ak_residuals,
     exact_wealth,
     first_flip,
-    growth_factor,
-    scheme_wealth,
+    scheme_stack,
+    scheme_starts,
+    scheme_wealths,
 )
 from .market import (
     FullInformation,
@@ -86,25 +96,13 @@ def _blocks(grid: TimeGrid, start: int, stop: int):
         yield lo, min(lo + rows, stop)
 
 
-def _check_finite(values: np.ndarray, what: str) -> None:
-    finite = np.isfinite(values)
-    if not finite.all():
-        bad = finite.size - np.count_nonzero(finite)
+def _non_finite(values: np.ndarray) -> int:
+    return values.size - int(np.count_nonzero(np.isfinite(values)))
+
+
+def _check_finite(bad: int, what: str) -> None:
+    if bad:
         raise NumericalError(f"{bad} {what} values are non-finite")
-
-
-def _scheme_wealth(
-    c: TerminalFunctional,
-    params: MarketParams,
-    grid: TimeGrid,
-    w: np.ndarray,
-    interp: Interpretation,
-) -> np.ndarray:
-    """``scheme_wealth`` of a block of paths; every node must stay finite."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        samples = scheme_wealth(c, params, grid, w, interp)
-    _check_finite(samples, "scheme wealth")
-    return samples
 
 
 def _terminal_chunk(args) -> np.ndarray:
@@ -121,14 +119,19 @@ def _terminal_chunk(args) -> np.ndarray:
                 with np.errstate(over="ignore", invalid="ignore"):
                     row[lo:hi] = wealth_at(strategy, params, terminal_node, b_t[lo:hi], interp)[:, 0]
         return out
-    functionals = [stock_functional(strategy, params) for strategy, _ in cases]
+    stacks = [
+        scheme_stack(stock_functional(strategy, params), interp) for strategy, interp in cases
+    ]
     bond_growth = math.exp(params.rho * params.horizon)
     for lo, hi in _blocks(grid, start, stop):
         w = sample_block(grid, seed, lo, hi)
-        for row, (strategy, interp), c in zip(out, cases, functionals):
-            stock = _scheme_wealth(c, params, grid, w, interp)[:, -1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            stocks = scheme_wealths(params, grid, w, scheme_starts(stacks, w[:, -1:]))
+        for row, (strategy, _), stock in zip(out, cases, stocks):
+            # every node must stay finite, not only the terminal one
+            _check_finite(_non_finite(stock), "scheme wealth")
             _, bond0 = initial_allocation(strategy, params, w[:, -1])
-            row[lo - start : hi - start] = stock + bond0 * bond_growth
+            row[lo - start : hi - start] = stock[:, -1] + bond0 * bond_growth
     return out
 
 
@@ -244,6 +247,40 @@ class ConvergenceTable:
     seed: int
 
 
+def _convergence_chunk(args) -> np.ndarray:
+    """Absolute terminal errors of paths start..stop-1, shaped (path, scheme, level)."""
+    c, stacks, targets, params, n_list, seed, start, stop = args
+    n_max = n_list[-1]
+    fine_grid = TimeGrid(params.horizon, n_max)
+    grids = [TimeGrid(params.horizon, n) for n in n_list]
+    errors = np.empty((stop - start, len(stacks), len(n_list)))
+    for lo, hi in _blocks(fine_grid, start, stop):
+        w = sample_block(fine_grid, seed, lo, hi)
+        b_t = w[:, -1:]
+        exact = {}
+        for target in dict.fromkeys(targets):
+            with np.errstate(over="ignore", invalid="ignore"):
+                exact[target] = exact_wealth(c, params, fine_grid.nodes[-1:], b_t, target)
+            _check_finite(_non_finite(exact[target]), "exact wealth")
+        with np.errstate(over="ignore", invalid="ignore"):
+            # every level of the block shares B_T, so the start values too
+            starts = scheme_starts(stacks, b_t)
+        approx = np.empty((hi - lo, len(stacks), len(n_list)))
+        bad = np.zeros((len(stacks), len(n_list)), dtype=int)
+        for j, g in enumerate(grids):
+            with np.errstate(over="ignore", invalid="ignore"):
+                wealths = scheme_wealths(params, g, w[:, :: n_max // g.steps], starts)
+            for i, samples in enumerate(wealths):
+                bad[i, j] = _non_finite(samples)
+                approx[:, i, j] = samples[:, -1]
+        # the first failure in (scheme, level) order, as when each scheme ran its own ladder
+        for count in bad.flat:
+            _check_finite(int(count), "scheme wealth")
+        for i, target in enumerate(targets):
+            errors[lo - start : hi - start, i] = np.abs(approx[:, i] - exact[target])
+    return errors
+
+
 def convergence_studies(
     strategy: Strategy,
     params: MarketParams,
@@ -251,19 +288,24 @@ def convergence_studies(
     n_list: tuple[int, ...],
     n_paths: int,
     seed: int,
+    workers: int = 1,
 ) -> list[ConvergenceTable]:
     """Scheme-vs-exact terminal error over a ladder of grid sizes, one table per scheme.
 
     Coarser grids are restrictions of one fine path per sample, so every
     level and every scheme sees the same Brownian motion and the same exact
     reference value, which depends on B_T alone; the fine paths are drawn
-    once for all interpretations.
+    once for all interpretations, and each level builds the Euler factors
+    once for all schemes. Workers return per-path errors, which are summed
+    here in index order, so the tables do not depend on ``workers``.
     """
     _check_step_ladder(n_list, minimum=3)
     if n_paths < 1:
         raise ValueError(f"need at least 1 path, got {n_paths}")
     interps = tuple(interps)
     c = stock_functional(strategy, params)
+    # a scheme that cannot run is rejected before anything is drawn
+    stacks = [scheme_stack(c, interp) for interp in interps]
     # the solution each scheme approximates
     targets = [
         Interpretation.HITSUDA_SKOROKHOD
@@ -271,25 +313,14 @@ def convergence_studies(
         else Interpretation.FORWARD
         for interp in interps
     ]
-    n_max = n_list[-1]
-    fine_grid = TimeGrid(params.horizon, n_max)
-    grids = [TimeGrid(params.horizon, n) for n in n_list]
-    totals = np.zeros((len(targets), len(n_list)))
-    for lo, hi in _blocks(fine_grid, 0, n_paths):
-        w = sample_block(fine_grid, seed, lo, hi)
-        exact = {}
-        for target in dict.fromkeys(targets):
-            with np.errstate(over="ignore", invalid="ignore"):
-                exact[target] = exact_wealth(c, params, fine_grid.nodes[-1:], w[:, -1:], target)
-            _check_finite(exact[target], "exact wealth")
-        for total, interp, target in zip(totals, interps, targets):
-            approx = np.column_stack([
-                _scheme_wealth(c, params, g, w[:, :: n_max // g.steps], interp)[:, -1]
-                for g in grids
-            ])
-            # row by row in index order: the sequential sum, not numpy's pairwise one
-            for row in np.abs(approx - exact[target]):
-                total += row
+    chunks = _map_chunks(
+        _convergence_chunk, (c, stacks, targets, params, tuple(n_list), seed), n_paths, workers
+    )
+    totals = np.zeros((len(interps), len(n_list)))
+    # row by row in index order: the sequential sum, not numpy's pairwise one
+    for errors in chunks:
+        for row in errors:
+            totals += row
     tables = []
     for interp, total in zip(interps, totals):
         errors = total / n_paths
@@ -308,9 +339,10 @@ def convergence_study(
     n_list: tuple[int, ...],
     n_paths: int,
     seed: int,
+    workers: int = 1,
 ) -> ConvergenceTable:
     """The one-scheme call of ``convergence_studies``."""
-    return convergence_studies(strategy, params, (interp,), n_list, n_paths, seed)[0]
+    return convergence_studies(strategy, params, (interp,), n_list, n_paths, seed, workers)[0]
 
 
 @dataclass(frozen=True)
@@ -425,42 +457,52 @@ def _trend_verdict(n_list: tuple[int, ...], medians: np.ndarray) -> str:
     return "inconclusive"
 
 
+def _conjecture_groups(params: MarketParams) -> dict[str, TerminalFunctional]:
+    return {
+        "indicator-candidate": stock_functional(FullInformation(), params),
+        "affine-control": stock_functional(PartialTrust(), params),
+    }
+
+
+def _residual_chunk(args) -> np.ndarray:
+    """Absolute residuals of paths start..stop-1, shaped (group, level, path)."""
+    params, n_list, seed, start, stop = args
+    groups = _conjecture_groups(params)
+    functionals = list(groups.values())
+    n_max = n_list[-1]
+    fine_grid = TimeGrid(params.horizon, n_max)
+    grids = [TimeGrid(params.horizon, n) for n in n_list]
+    residuals = np.empty((len(groups), len(n_list), stop - start))
+    for lo, hi in _blocks(fine_grid, start, stop):
+        w = sample_block(fine_grid, seed, lo, hi)
+        for j, g in enumerate(grids):
+            with np.errstate(over="ignore", invalid="ignore"):
+                values = ak_residuals(functionals, params, g, w[:, :: n_max // g.steps])
+            for name, group, out in zip(groups, values, residuals):
+                _check_finite(_non_finite(group), f"{name} residual")
+                out[j, lo - start : hi - start] = np.abs(group)
+    return residuals
+
+
 def conjecture_report(
-    params: MarketParams, n_paths: int, n_list: tuple[int, ...], seed: int
+    params: MarketParams, n_paths: int, n_list: tuple[int, ...], seed: int, workers: int = 1
 ) -> ConjectureReport:
     """Integral-form residuals of the translated-indicator candidate across grids.
 
     Runs the affine partial-trust functional through the same pipeline as a
-    control group with a known solution.
+    control group with a known solution; each level builds the residual's
+    shared arguments once for both groups. Workers return per-path
+    residuals, placed here in index order, so the report does not depend on
+    ``workers``.
     """
     if n_paths < 100:
         raise ValueError(f"need at least 100 paths, got {n_paths}")
     _check_step_ladder(n_list, minimum=2)
-    groups = {
-        "indicator-candidate": stock_functional(FullInformation(), params),
-        "affine-control": stock_functional(PartialTrust(), params),
-    }
-    n_max = n_list[-1]
-    fine_grid = TimeGrid(params.horizon, n_max)
-    grids = [TimeGrid(params.horizon, n) for n in n_list]
-    residuals = {
-        name: np.empty((len(n_list), n_paths)) for name in groups
-    }
-    for lo, hi in _blocks(fine_grid, 0, n_paths):
-        w = sample_block(fine_grid, seed, lo, hi)
-        for j, g in enumerate(grids):
-            coarse = w[:, :: n_max // g.steps]
-            with np.errstate(over="ignore", invalid="ignore"):
-                # E(t) on this level, shared by both groups
-                growth = growth_factor(params, g.nodes, coarse)
-                for name, c in groups.items():
-                    values = ak_residuals(c, params, g, coarse, growth=growth)
-                    _check_finite(values, f"{name} residual")
-                    residuals[name][j, lo:hi] = np.abs(values)
+    chunks = _map_chunks(_residual_chunk, (params, tuple(n_list), seed), n_paths, workers)
+    residuals = dict(zip(_conjecture_groups(params), np.concatenate(chunks, axis=-1)))
     rows = []
     verdicts = {}
-    for name in groups:
-        block = residuals[name]
+    for name, block in residuals.items():
         for j, n in enumerate(n_list):
             qs = np.quantile(block[j], _QUANTILES)
             rows.append(ResidualQuantiles(name, n, *(float(q) for q in qs)))

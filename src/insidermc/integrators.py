@@ -16,13 +16,17 @@ the divergence-type integral is the forward sum minus the Malliavin trace
 term.
 
 The exact solution, the two schemes and the mixed-endpoint residual are array
-kernels (``exact_wealth``, ``scheme_wealth``, ``ak_residuals``) over a
-trailing node axis; the per-path functions are their one-row calls and
-return the sample array.
+kernels (``exact_wealths``, ``scheme_wealths``, ``ak_residuals``) over a
+trailing node axis. Each takes several functionals or schemes at once and
+builds what they share once: the growth factor and C's argument, the Euler
+factors g and their running product, and the residual's integrand
+arguments. ``exact_wealth`` and ``scheme_wealth`` are their one-case calls;
+the per-path functions are one-row calls and return the sample array.
 """
 from __future__ import annotations
 
 import enum
+from collections.abc import Sequence
 from typing import TYPE_CHECKING, Callable, Union
 
 import numpy as np
@@ -61,34 +65,43 @@ def growth_factor(params: "MarketParams", nodes: np.ndarray, w: np.ndarray) -> n
     return np.exp((params.mu - 0.5 * params.sigma**2) * nodes + params.sigma * w)
 
 
-def exact_wealth(
-    c: TerminalFunctional,
+def exact_wealths(
+    cs: Sequence[TerminalFunctional],
     params: "MarketParams",
     nodes: np.ndarray,
     w: np.ndarray,
     interp: Interpretation,
     growth: np.ndarray | None = None,
-) -> np.ndarray:
-    """Closed-form solution at ``nodes`` for Brownian values ``w`` at those nodes.
+) -> list[np.ndarray]:
+    """Closed-form solution at ``nodes`` of each functional in ``cs``, for Brownian values ``w``.
 
     ``w`` holds one path or a block of paths along leading axes. Its last
     node must be the horizon, so ``w[..., -1:]`` is B_T; passing only the
     last node gives the terminal wealth alone. The anticipating variants
     evaluate the translated functional C(. - sigma t) at B_T node by node;
     the forward variant keeps C(B_T) frozen. Ito is only defined for
-    deterministic C. ``growth`` is ``growth_factor(params, nodes, w)``, for a
-    caller that already holds it.
+    deterministic C. C's argument and the growth factor are built once for
+    all functionals; ``growth`` passes in ``growth_factor(params, nodes, w)``
+    for a caller that already holds it.
     """
-    if interp is Interpretation.ITO and not c.is_deterministic:
+    if interp is Interpretation.ITO and not all(c.is_deterministic for c in cs):
         raise ValueError("Ito interpretation requires a deterministic initial condition")
     b_t = w[..., -1:]
-    if interp in ANTICIPATING:
-        initial = c.evaluate(b_t - params.sigma * nodes)
-    else:
-        initial = c.evaluate(b_t)
+    argument = b_t - params.sigma * nodes if interp in ANTICIPATING else b_t
     if growth is None:
         growth = growth_factor(params, nodes, w)
-    return np.asarray(initial * growth, dtype=float)
+    return [np.asarray(c.evaluate(argument) * growth, dtype=float) for c in cs]
+
+
+def exact_wealth(
+    c: TerminalFunctional,
+    params: "MarketParams",
+    nodes: np.ndarray,
+    w: np.ndarray,
+    interp: Interpretation,
+) -> np.ndarray:
+    """The one-functional call of ``exact_wealths``."""
+    return exact_wealths([c], params, nodes, w, interp)[0]
 
 
 def exact_solution(
@@ -108,19 +121,28 @@ def euler_forward(
     return scheme_wealth(c, params, path.grid, path.values, Interpretation.FORWARD)
 
 
-def _riemann_sum(
-    u: Integrand, nodes: np.ndarray, w: np.ndarray, i: int, right: bool
-) -> np.ndarray:
-    """Riemann sum of u over the first i steps, along the trailing node axis of w.
+def _riemann_sums(
+    values: Callable, nodes: np.ndarray, w: np.ndarray, i: int, right: bool
+) -> list[np.ndarray]:
+    """Riemann sums over the first i steps, along the trailing node axis of w.
 
     Each term is u(t_{k-1}, W_{k-1}, B_T - W_j) * (W_k - W_{k-1}), with the
     future argument read at the right node (j = k) or at the left node
     (j = k - 1). With no future dependence both are the Ito left-point sum.
+    The arguments are built once; ``values(s, x, y)`` yields the integrand
+    values of each integrand u on them, one sum per integrand.
     """
     x = w[..., :i]
     y = w[..., -1:] - (w[..., 1 : i + 1] if right else x)
     dw = np.diff(w[..., : i + 1], axis=-1)
-    return np.sum(u(nodes[:i], x, y) * dw, axis=-1)
+    return [np.sum(u * dw, axis=-1) for u in values(nodes[:i], x, y)]
+
+
+def _riemann_sum(
+    u: Integrand, nodes: np.ndarray, w: np.ndarray, i: int, right: bool
+) -> np.ndarray:
+    """The one-integrand call of ``_riemann_sums``."""
+    return _riemann_sums(lambda s, x, y: [u(s, x, y)], nodes, w, i, right)[0]
 
 
 def ak_integral(u: Integrand, path: BrownianPath, t: float) -> float:
@@ -155,35 +177,39 @@ def ak_residual(
     For smooth C the residual vanishes with the mesh; for indicator C its
     behavior is the numerical evidence the open solution question turns on.
     """
-    return float(ak_residuals(c, params, path.grid, path.values, t))
+    return float(ak_residuals([c], params, path.grid, path.values, t)[0])
 
 
 def ak_residuals(
-    c: TerminalFunctional,
+    cs: Sequence[TerminalFunctional],
     params: "MarketParams",
     grid: TimeGrid,
     w: np.ndarray,
     t: float | None = None,
-    growth: np.ndarray | None = None,
-) -> np.ndarray:
-    """``ak_residual`` over [0, t] for every path along the leading axes of ``w``.
+) -> list[np.ndarray]:
+    """``ak_residual`` over [0, t] of each functional in ``cs``, for every path of ``w``.
 
-    E(t) is evaluated once and read both by the exact solution and, at the
-    left nodes, by the integrand Phi(s, x, y) = C(y + x - sigma s) E(s);
-    ``growth`` passes in ``growth_factor(params, grid.nodes, w)`` when
-    functionals share a block.
+    The functionals share what does not depend on them: E(t), read both by
+    the exact solution and, at the left nodes, by the integrand
+    Phi(s, x, y) = C(y + x - sigma s) E(s); the exact solution's argument
+    B_T - sigma t; Phi's argument y + x - sigma s; and the increments.
     """
     i = grid.steps if t is None else grid.index_of(t)
-    if growth is None:
-        growth = growth_factor(params, grid.nodes, w)
-    samples = exact_wealth(c, params, grid.nodes, w, Interpretation.AYED_KUO, growth)
-    drift = params.mu * grid.dt * np.sum(samples[..., :i], axis=-1)
+    growth = growth_factor(params, grid.nodes, w)
+    exact = exact_wealths(cs, params, grid.nodes, w, Interpretation.AYED_KUO, growth)
+    left_growth = growth[..., :i]
 
-    def phi(s, x, y):
-        return c.evaluate(y + x - params.sigma * s) * growth[..., :i]
+    def phis(s, x, y):
+        z = y + x - params.sigma * s
+        for c in cs:
+            yield c.evaluate(z) * left_growth
 
-    stochastic = _riemann_sum(phi, grid.nodes, w, i, right=True)
-    return samples[..., i] - samples[..., 0] - drift - params.sigma * stochastic
+    stochastic = _riemann_sums(phis, grid.nodes, w, i, right=True)
+    residuals = []
+    for samples, mixed in zip(exact, stochastic):
+        drift = params.mu * grid.dt * np.sum(samples[..., :i], axis=-1)
+        residuals.append(samples[..., i] - samples[..., 0] - drift - params.sigma * mixed)
+    return residuals
 
 
 def _correction_stack(c: TerminalFunctional) -> list[TerminalFunctional]:
@@ -204,6 +230,81 @@ def _correction_stack(c: TerminalFunctional) -> list[TerminalFunctional]:
     return levels
 
 
+def scheme_stack(c: TerminalFunctional, interp: Interpretation) -> list[TerminalFunctional]:
+    """The functionals whose values at B_T start each level of a scheme, level 0 (C) first.
+
+    Forward and Ito run the plain Euler scheme on C alone; Hitsuda-Skorokhod
+    adds the correction stack of C's derivatives.
+    """
+    if interp in (Interpretation.ITO, Interpretation.FORWARD):
+        return [c]
+    if interp is Interpretation.HITSUDA_SKOROKHOD:
+        return _correction_stack(c)
+    raise ValueError(f"no direct scheme implements {interp.value}")
+
+
+def scheme_starts(
+    stacks: Sequence[Sequence[TerminalFunctional]], b_t: np.ndarray
+) -> list[list[np.ndarray]]:
+    """Each stack's level values at the terminal values ``b_t`` (trailing axis of length one).
+
+    They depend on the path only through B_T, which every coarser view of a
+    path shares, so one evaluation serves every level of a grid ladder.
+    """
+    return [[np.asarray(lvl.evaluate(b_t), dtype=float) for lvl in stack] for stack in stacks]
+
+
+def scheme_wealths(
+    params: "MarketParams",
+    grid: TimeGrid,
+    w: np.ndarray,
+    starts: Sequence[Sequence[np.ndarray]],
+) -> list[np.ndarray]:
+    """Discrete stock wealth of each scheme at the nodes of ``grid`` for Brownian values ``w``.
+
+    ``w`` holds one path or a block of paths along leading axes; ``starts``
+    holds each scheme's ``scheme_starts`` on the B_T of ``w``. Every scheme
+    is the left-point Euler scheme S_m = S_0 * g_1 * ... * g_m with
+    g_k = 1 + mu dt + sigma dW_k, so ``g`` and its running product are built
+    once for all of them. Hitsuda-Skorokhod adds the per-step Malliavin drift
+    correction: each stack level k holds the k-th derivative process started
+    at C^(k)(B_T) and is corrected by sigma * dt times the level below it;
+    level 0 is the wealth. With a vanishing first derivative the stack has
+    one level and the scheme is plain Euler, bit for bit.
+    """
+    dt = grid.dt
+    sigma = params.sigma
+    g = np.diff(w, axis=-1)
+    g *= sigma
+    g += 1.0 + params.mu * dt
+    growth = np.cumprod(g, axis=-1)
+    wealths = []
+    for start in starts:
+        samples = np.empty(w.shape)
+        samples[..., :1] = start[0]
+        # Work in ratios r_m = S_m / prod(g_1..g_m), held in samples[..., 1:];
+        # the correction recursion is then r_m = r_{m-1} - sigma*dt * r^below_{m-1} / g_m,
+        # which cumsum solves. The top level's ratios are its constant start over g.
+        # The in-place steps keep every product's operands.
+        ratios = samples[..., 1:]
+        if len(start) == 1:
+            np.multiply(start[0], growth, out=ratios)
+        else:
+            np.divide(start[-1], g, out=ratios)
+            left = np.empty_like(g) if len(start) > 2 else None
+            for k in range(len(start) - 2, -1, -1):
+                np.cumsum(ratios, axis=-1, out=ratios)
+                ratios *= sigma * dt
+                np.subtract(start[k], ratios, out=ratios)
+                if k:
+                    left[..., :1] = start[k]
+                    left[..., 1:] = ratios[..., :-1]
+                    np.divide(left, g, out=ratios)
+            ratios *= growth
+        wealths.append(samples)
+    return wealths
+
+
 def scheme_wealth(
     c: TerminalFunctional,
     params: "MarketParams",
@@ -211,47 +312,9 @@ def scheme_wealth(
     w: np.ndarray,
     interp: Interpretation,
 ) -> np.ndarray:
-    """Discrete stock wealth at the nodes of ``grid`` for Brownian values ``w``.
-
-    ``w`` holds one path or a block of paths along leading axes. Forward and
-    Ito run the left-point Euler scheme S_m = C(B_T) * g_1 * ... * g_m with
-    g_k = 1 + mu dt + sigma dW_k. Hitsuda-Skorokhod adds the per-step
-    Malliavin drift correction: each stack level k holds the k-th derivative
-    process started at C^(k)(B_T) and is corrected by sigma * dt times the
-    level below it; level 0 is the wealth. With a vanishing first derivative
-    the stack has one level and the scheme is plain Euler, bit for bit.
-    """
-    if interp in (Interpretation.ITO, Interpretation.FORWARD):
-        levels = [c]
-    elif interp is Interpretation.HITSUDA_SKOROKHOD:
-        levels = _correction_stack(c)
-    else:
-        raise ValueError(f"no direct scheme implements {interp.value}")
-    dt = grid.dt
-    sigma = params.sigma
-    g = np.diff(w, axis=-1)
-    g *= sigma
-    g += 1.0 + params.mu * dt
-    b_t = w[..., -1:]
-    start = [np.asarray(lvl.evaluate(b_t), dtype=float) for lvl in levels]
-
-    # Work in ratios r_m = S_m / prod(g_1..g_m), held in samples[..., 1:]; the
-    # correction recursion is then r_m = r_{m-1} - sigma*dt * r^below_{m-1} / g_m,
-    # which cumsum solves. The in-place steps keep every product's operands.
-    samples = np.empty(w.shape)
-    samples[..., :1] = start[0]
-    ratios = samples[..., 1:]
-    ratios[...] = start[-1]
-    left = np.empty_like(g)
-    for k in range(len(levels) - 2, -1, -1):
-        left[..., :1] = start[k + 1]
-        left[..., 1:] = ratios[..., :-1]
-        np.divide(left, g, out=ratios)
-        np.cumsum(ratios, axis=-1, out=ratios)
-        ratios *= sigma * dt
-        np.subtract(start[k], ratios, out=ratios)
-    ratios *= np.cumprod(g, axis=-1, out=g)
-    return samples
+    """The one-scheme call of ``scheme_wealths`` for initial condition C and ``interp``."""
+    starts = scheme_starts([scheme_stack(c, interp)], w[..., -1:])
+    return scheme_wealths(params, grid, w, starts)[0]
 
 
 def skorokhod_via_correction(

@@ -301,6 +301,33 @@ def test_cli_conjecture(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("seed", ["3", "20240101"])
+@pytest.mark.parametrize(
+    "args",
+    [
+        # 1025 nodes give 31 rows per block, 257 nodes 127; each worker's range
+        # starts inside a block of the serial run
+        ("converge", "--paths", "100", "--n-list", "64,256,1024"),
+        ("conjecture", "--paths", "150", "--n-list", "64,256"),
+    ],
+    ids=["converge", "conjecture"],
+)
+def test_ladders_do_not_depend_on_workers(tmp_path, capsys, args, seed):
+    outputs = []
+    for workers in ("1", "2"):
+        csv, js = tmp_path / f"w{workers}.csv", tmp_path / f"w{workers}.json"
+        rc = main([*args, "--seed", seed, "--workers", workers, "--csv", str(csv),
+                   "--json", str(js)])
+        echo = json.loads(js.read_text()).pop("config")
+        assert echo["run.workers"] == workers
+        lines = [l for l in csv.read_text().splitlines() if l != f"# run.workers = {workers}"]
+        payload = json.loads(js.read_text())
+        del payload["config"]
+        outputs.append((rc, capsys.readouterr().out, lines, payload))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] in (0, 1)
+
+
 def test_cli_ordering_sweep(capsys):
     rc = main(["ordering-sweep", "--sets", "25", "--seed", "31"])
     out = capsys.readouterr().out

@@ -10,9 +10,11 @@ from insidermc import (
     PartialTrust,
     TimeGrid,
     conjecture_report,
+    convergence_studies,
     convergence_study,
     discontinuity_probe,
     estimate_expectation,
+    estimate_expectations,
     expected_honest_max,
     expected_insider,
     jump_probability,
@@ -43,27 +45,65 @@ def test_estimate_requires_minimum_paths():
 
 
 HUGE = MarketParams(wealth=1e306, rho=0.02, mu=0.05, sigma=2.0, horizon=5.0)
+RV_HS = (Interpretation.FORWARD, Interpretation.HITSUDA_SKOROKHOD)
 
 
 def test_non_finite_wealth_is_a_numerical_failure():
     # the partial-trust legs overflow to inf on some paths at this wealth
     with pytest.raises(NumericalError):
         estimate_expectation(PartialTrust(), HUGE, Interpretation.FORWARD, 200, TimeGrid(5, 8), 1)
-    with pytest.raises(NumericalError):
-        estimate_expectation(
-            PartialTrust(), HUGE, Interpretation.FORWARD, 200, TimeGrid(5, 8), 1, use_exact=False
-        )
+    # the scheme mode names the first failing case; recorded when each case ran alone
+    for interps, message in (
+        (RV_HS, "238 scheme wealth values are non-finite"),
+        (RV_HS[::-1], "511 scheme wealth values are non-finite"),
+    ):
+        cases = [(PartialTrust(), interp) for interp in interps]
+        with pytest.raises(NumericalError) as failure:
+            with np.errstate(over="ignore"):
+                estimate_expectations(cases, HUGE, 200, TimeGrid(5, 8), 1, use_exact=False)
+        assert str(failure.value) == message
+
+
+# the exact wealth stays finite here; forward fails only at n = 16 (2 values) and
+# HS first at n = 8 (4 values), so the message tells which (scheme, level) of the
+# ladder is reported first
+LATE = MarketParams(wealth=3e303, rho=0.02, mu=0.05, sigma=2.5, horizon=5.0)
+# the messages were recorded when each scheme ran its own ladder, scheme by scheme
+LADDER_FAILURES = {
+    Interpretation.FORWARD: ("1 exact wealth", "2 scheme wealth"),
+    Interpretation.HITSUDA_SKOROKHOD: ("2 exact wealth", "4 scheme wealth"),
+}
 
 
 @pytest.mark.parametrize("interp", [Interpretation.FORWARD, Interpretation.HITSUDA_SKOROKHOD])
 def test_non_finite_scheme_wealth_in_a_ladder_is_a_numerical_failure(interp):
-    with pytest.raises(NumericalError):
-        convergence_study(PartialTrust(), HUGE, interp, (4, 8, 16), 200, 1)
+    other = next(i for i in RV_HS if i is not interp)
+    exact, scheme = LADDER_FAILURES[interp]
+    # alone, then first of both schemes: the first scheme's failure is named
+    for params, interps, seed, what in (
+        (HUGE, (interp,), 1, exact),
+        (LATE, (interp,), 2, scheme),
+        (LATE, (interp, other), 2, scheme),
+    ):
+        with pytest.raises(NumericalError) as failure:
+            with np.errstate(over="ignore"):
+                convergence_studies(PartialTrust(), params, interps, (4, 8, 16), 200, seed)
+        assert str(failure.value) == f"{what} values are non-finite"
 
 
 def test_non_finite_residuals_are_a_numerical_failure():
-    with pytest.raises(NumericalError):
-        conjecture_report(HUGE, 200, (4, 8, 16), 1)
+    for wealth, sigma, message in (
+        # the control fails on every level (23, 36, 73 values): the first level is named
+        (1e306, 2.0, "23 affine-control residual"),
+        # the candidate fails first at n = 8, the control at n = 4: levels come first
+        (5e307, 2.0, "200 affine-control residual"),
+        # both fail at n = 4: the candidate group comes first within a level
+        (1e307, 0.5, "4 indicator-candidate residual"),
+    ):
+        params = MarketParams(wealth=wealth, rho=0.02, mu=0.05, sigma=sigma, horizon=5.0)
+        with pytest.raises(NumericalError) as failure:
+            conjecture_report(params, 200, (4, 8, 16), 1)
+        assert str(failure.value) == f"{message} values are non-finite"
 
 
 def test_worker_count_does_not_change_the_bits():
