@@ -10,9 +10,7 @@ from .analytics import (
     expected_insider,
     jump_probability,
     norm_cdf,
-    ordering_monotone,
     ordering_monotone_block,
-    quadrature_expectation,
     quadrature_expectations,
     quadrature_table,
     verify_ordering,
@@ -40,9 +38,7 @@ from .harness import (
     NumericalError,
     conjecture_report,
     convergence_studies,
-    convergence_study,
     discontinuity_probe,
-    estimate_expectation,
     estimate_expectations,
 )
 from .integrators import (

@@ -12,9 +12,9 @@ translated functional numerically against the Gaussian terminal law. It
 works on a block of parameter sets at once (``quadrature_expectations``):
 one node grid per node count, with the functional's per-set coefficients as
 column arrays, while each set still doubles its own node count until its own
-value is stable. ``ordering_monotone_block`` likewise probes a block of
-horizons for monotonicity at once. The one-set calls
-``quadrature_expectation`` and ``ordering_monotone`` return the same floats.
+value is stable, so a set gets the same float in any block, a block of one
+included. ``ordering_monotone_block`` likewise probes a block of horizons for
+monotonicity at once.
 """
 from __future__ import annotations
 
@@ -88,13 +88,17 @@ def _hermgauss(n: int) -> tuple[np.ndarray, np.ndarray]:
 def quadrature_expectations(
     c: TerminalFunctional, shifts: Sequence[float], params_seq: Sequence[MarketParams]
 ) -> list[float]:
-    """``quadrature_expectation`` of each (shift, params) pair, on one node grid per node count.
+    """Numerical oracle for E[C(B_T - shift) exp((mu - sigma^2/2) T + sigma B_T)], per set.
 
-    ``c`` may hold one coefficient per set as a column array (``Affine`` and
-    ``Smooth`` broadcast them against the node axis). Every set doubles its
-    node count until its own value is stable, exactly as a lone call would,
-    and gets the same float. A set that does not converge raises
-    ``QuadratureError`` naming the first such set, in ``params_seq`` order.
+    One value per (shift, params) pair, on one node grid per node count.
+    shift = 0 gives the forward stock leg, shift = sigma*T the anticipating
+    one. Indicator functionals use the exact normal-CDF reduction instead of
+    node sums, which would ring at the discontinuity. ``c`` may hold one
+    coefficient per set as a column array (``Affine`` and ``Smooth``
+    broadcast them against the node axis). Every set doubles its node count
+    until its own value is stable, exactly as a one-set call would, and gets
+    the same float. A set that does not converge raises ``QuadratureError``
+    naming the first such set, in ``params_seq`` order.
     """
     if isinstance(c, Indicator):
         return [
@@ -145,19 +149,6 @@ def quadrature_expectations(
             f"(last change {change.get(i, math.nan):.3e})"
         )
     return [result[i] for i in range(len(params_seq))]
-
-
-def quadrature_expectation(
-    c: TerminalFunctional, shift: float, params: MarketParams
-) -> float:
-    """Numerical oracle for E[C(B_T - shift) exp((mu - sigma^2/2) T + sigma B_T)].
-
-    shift = 0 gives the forward stock leg, shift = sigma*T the anticipating
-    one. Indicator functionals use the exact normal-CDF reduction instead of
-    node sums, which would ring at the discontinuity. The one-set call of
-    ``quadrature_expectations``.
-    """
-    return quadrature_expectations(c, (shift,), (params,))[0]
 
 
 def insider_bond_leg(params: MarketParams) -> float:
@@ -226,18 +217,6 @@ def ordering_monotone_block(
     return e_anticipating, e_forward
 
 
-def ordering_monotone(
-    c: TerminalFunctional, params: MarketParams
-) -> tuple[float, float]:
-    """Stock-leg expectations (anticipating, forward) for increasing C.
-
-    The one-set call of ``ordering_monotone_block``: the first entry is
-    strictly below the second for any nonconstant increasing continuous C.
-    """
-    (e_anticipating,), (e_forward,) = ordering_monotone_block(c, (params,))
-    return e_anticipating, e_forward
-
-
 def jump_probability(params: MarketParams) -> float:
     """Probability that the translated indicator leg flips somewhere in (0, T].
 
@@ -285,7 +264,7 @@ def quadrature_table(params: MarketParams) -> WealthTable:
     # both stock legs in one kernel call: shift sigma T (anticipating), then 0 (forward)
     legs = quadrature_expectations(c, (params.sigma * params.horizon, 0.0), (params, params))
     anticipating, forward = (bond + leg for leg in legs)
-    honest = quadrature_expectation(Affine(params.wealth, 0.0), 0.0, params)
+    (honest,) = quadrature_expectations(Affine(params.wealth, 0.0), (0.0,), (params,))
     return WealthTable(
         params=params,
         method="quadrature",

@@ -112,7 +112,7 @@ def cmd_expect(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
             (PartialTrust(), Interpretation.FORWARD),
         )
         estimates = estimate_expectations(
-            cases, cfg.params, cfg.n_paths, grid, cfg.seed, use_exact=True, workers=cfg.workers,
+            cases, cfg.params, cfg.n_paths, grid, cfg.seed, workers=cfg.workers,
         )
         reports = dict(zip(_LEGS, estimates))
         tables.append(analytics.WealthTable(
@@ -197,7 +197,7 @@ def cmd_jump(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     else:
         frequency = f"{report.frequency:.6f} +- {report.stderr:.6f}"
     print(f"empirical flip frequency: {frequency}")
-    print(f"closed-form probability:  {report.closed_form:.6f}")
+    print(f"closed-form probability:  {report.closed_form:.6g}")
     mean_t = "n/a" if report.mean_flip_time is None else f"{report.mean_flip_time:.4f}"
     print(f"mean flip time: {mean_t}; forward-solution flips: {report.rv_flips}")
     summary = asdict(report) | {"within_tolerance": report.within_tolerance}

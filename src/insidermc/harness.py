@@ -2,25 +2,25 @@
 
 Sampling is partitioned by path index, and every sample is a pure function
 of the seed and the path index, so estimates are identical for any worker
-count. Each estimator draws only what it reads: the exact mode of
-``estimate_expectations`` and ``discontinuity_probe`` read B_T alone and
-draw it directly (``sample_terminal``); the scheme mode and the grid ladders
-need whole paths (``sample_block``), and read each coarser level as a strided
-view of a block's finest paths. Every estimate is evaluated over blocks of
-contiguous path indices with array kernels on a trailing node axis, and each
-block is drawn once for all the estimators that read it:
-``estimate_expectations`` evaluates several ``(strategy, interpretation)``
-cases and ``convergence_studies`` several schemes on the same draw;
-``estimate_expectation`` and ``convergence_study`` are their one-case calls.
-Each grid level is one kernel call for all its schemes or groups: the
-schemes share one Euler factor g and one cumprod(g) per level
+count. Each estimator draws only what it reads: ``estimate_expectations``,
+which evaluates the exact solution, and ``discontinuity_probe`` read B_T
+alone and draw it directly (``sample_terminal``); the grid ladders need whole
+paths (``sample_block``), and read each coarser level as a strided view of a
+block's finest paths. Every estimate is evaluated over blocks of contiguous
+path indices with array kernels on a trailing node axis, and each block is
+drawn once for all the estimators that read it: ``estimate_expectations``
+evaluates several ``(strategy, interpretation)`` cases and
+``convergence_studies`` several schemes on the same draw; a one-case caller
+passes one case. Each grid level is one kernel call for all its schemes or
+groups: the schemes share one Euler factor g and one cumprod(g) per level
 (``scheme_wealths``), and start from values read once per block, since
 every level of a block shares B_T; the two residual groups share the
 residual's arguments per level (``ak_residuals``). Every node is checked
 for finiteness; a ladder reports its first failure scheme by scheme, then
 level by level (``convergence_studies``), or level by level, then group by
 group (``conjecture_report``). Workers return per-path values, which are
-reduced in index order.
+reduced in index order; a reduction that overflows is a numerical failure
+too.
 
 ``discontinuity_probe`` locates each path's flip by bisection over the node
 index (``first_flip``), so its cost grows with log2(steps), not steps: at the
@@ -43,7 +43,7 @@ from .functionals import TerminalFunctional
 from .integrators import (
     Interpretation,
     ak_residuals,
-    exact_wealth,
+    exact_wealths,
     first_flip,
     scheme_stack,
     scheme_starts,
@@ -54,7 +54,6 @@ from .market import (
     MarketParams,
     PartialTrust,
     Strategy,
-    initial_allocation,
     stock_functional,
     wealth_at,
 )
@@ -106,32 +105,17 @@ def _check_finite(bad: int, what: str) -> None:
 
 
 def _terminal_chunk(args) -> np.ndarray:
-    cases, params, grid, seed, use_exact, start, stop = args
+    cases, params, grid, seed, start, stop = args
     out = np.empty((len(cases), stop - start))
-    if use_exact:
-        # the exact terminal wealth reads the path only through B_T
-        terminal_node = grid.nodes[-1:]
-        b_t = sample_terminal(seed, grid.horizon, start, stop)[:, None]
-        for lo in range(0, stop - start, _BLOCK_VALUES):
-            hi = lo + _BLOCK_VALUES
-            for row, (strategy, interp) in zip(out, cases):
-                # overflow shows as inf/nan, which estimate_expectations reports
-                with np.errstate(over="ignore", invalid="ignore"):
-                    row[lo:hi] = wealth_at(strategy, params, terminal_node, b_t[lo:hi], interp)[:, 0]
-        return out
-    stacks = [
-        scheme_stack(stock_functional(strategy, params), interp) for strategy, interp in cases
-    ]
-    bond_growth = math.exp(params.rho * params.horizon)
-    for lo, hi in _blocks(grid, start, stop):
-        w = sample_block(grid, seed, lo, hi)
-        with np.errstate(over="ignore", invalid="ignore"):
-            stocks = scheme_wealths(params, grid, w, scheme_starts(stacks, w[:, -1:]))
-        for row, (strategy, _), stock in zip(out, cases, stocks):
-            # every node must stay finite, not only the terminal one
-            _check_finite(_non_finite(stock), "scheme wealth")
-            _, bond0 = initial_allocation(strategy, params, w[:, -1])
-            row[lo - start : hi - start] = stock[:, -1] + bond0 * bond_growth
+    # the exact terminal wealth reads the path only through B_T
+    terminal_node = grid.nodes[-1:]
+    b_t = sample_terminal(seed, grid.horizon, start, stop)[:, None]
+    for lo in range(0, stop - start, _BLOCK_VALUES):
+        hi = lo + _BLOCK_VALUES
+        for row, (strategy, interp) in zip(out, cases):
+            # overflow shows as inf/nan, which estimate_expectations reports
+            with np.errstate(over="ignore", invalid="ignore"):
+                row[lo:hi] = wealth_at(strategy, params, terminal_node, b_t[lo:hi], interp)[:, 0]
     return out
 
 
@@ -153,38 +137,37 @@ def estimate_expectations(
     n_paths: int,
     grid: TimeGrid,
     seed: int,
-    use_exact: bool = True,
     workers: int = 1,
 ) -> list[MCReport]:
     """Average terminal total wealth over paths 0..n_paths-1, one report per case.
 
     Each case is a ``(strategy, interpretation)`` pair; every case is
     evaluated on each sampled block, so the paths are drawn once for all of
-    them. ``use_exact`` evaluates the per-path closed-form solution (testing
-    the expectation formulas) on B_T drawn directly, so ``grid`` sets only
-    the horizon and ``grid.steps`` does not change the estimate; otherwise
-    the discrete scheme runs on whole paths (testing the scheme). Path
-    indices are split into contiguous chunks per worker and re-assembled in
-    order, so the estimates do not depend on ``workers``. Every report
-    carries the wall time of the whole shared run.
+    them. Each sample is the per-path closed-form solution (testing the
+    expectation formulas) on B_T drawn directly, so ``grid`` sets only the
+    horizon and ``grid.steps`` does not change the estimate. Path indices
+    are split into contiguous chunks per worker and re-assembled in order,
+    so the estimates do not depend on ``workers``. Every report carries the
+    wall time of the whole shared run.
     """
     if n_paths < 100:
         raise ValueError(f"need at least 100 paths, got {n_paths}")
     cases = tuple(cases)
     start = time.perf_counter()
     values = np.concatenate(
-        _map_chunks(
-            _terminal_chunk, (cases, params, grid, seed, use_exact), n_paths, workers
-        ),
-        axis=1,
+        _map_chunks(_terminal_chunk, (cases, params, grid, seed), n_paths, workers), axis=1
     )
     for row in values:
         bad = int(np.count_nonzero(~np.isfinite(row)))
         if bad:
             raise NumericalError(f"{bad} of {n_paths} terminal samples are non-finite")
-    moments = [
-        (float(np.mean(row)), float(np.std(row, ddof=1) / math.sqrt(n_paths))) for row in values
-    ]
+    with np.errstate(over="ignore"):
+        moments = [
+            (float(np.mean(row)), float(np.std(row, ddof=1) / math.sqrt(n_paths)))
+            for row in values
+        ]
+    # finite samples can still sum past the float range
+    _check_finite(_non_finite(np.array(moments)), "estimate and stderr")
     elapsed = time.perf_counter() - start
     return [
         MCReport(
@@ -199,22 +182,6 @@ def estimate_expectations(
         )
         for estimate, stderr in moments
     ]
-
-
-def estimate_expectation(
-    strategy: Strategy,
-    params: MarketParams,
-    interp: Interpretation,
-    n_paths: int,
-    grid: TimeGrid,
-    seed: int,
-    use_exact: bool = True,
-    workers: int = 1,
-) -> MCReport:
-    """The one-case call of ``estimate_expectations``."""
-    return estimate_expectations(
-        [(strategy, interp)], params, n_paths, grid, seed, use_exact, workers
-    )[0]
 
 
 def _check_step_ladder(n_list: tuple[int, ...], minimum: int) -> None:
@@ -260,7 +227,7 @@ def _convergence_chunk(args) -> np.ndarray:
         exact = {}
         for target in dict.fromkeys(targets):
             with np.errstate(over="ignore", invalid="ignore"):
-                exact[target] = exact_wealth(c, params, fine_grid.nodes[-1:], b_t, target)
+                (exact[target],) = exact_wealths([c], params, fine_grid.nodes[-1:], b_t, target)
             _check_finite(_non_finite(exact[target]), "exact wealth")
         with np.errstate(over="ignore", invalid="ignore"):
             # every level of the block shares B_T, so the start values too
@@ -318,9 +285,12 @@ def convergence_studies(
     )
     totals = np.zeros((len(interps), len(n_list)))
     # row by row in index order: the sequential sum, not numpy's pairwise one
-    for errors in chunks:
-        for row in errors:
-            totals += row
+    with np.errstate(over="ignore"):
+        for errors in chunks:
+            for row in errors:
+                totals += row
+    # finite errors can still sum past the float range
+    _check_finite(_non_finite(totals), "error total")
     tables = []
     for interp, total in zip(interps, totals):
         errors = total / n_paths
@@ -330,19 +300,6 @@ def convergence_studies(
             rows=rows, slope=slope, interpretation=interp, n_paths=n_paths, seed=seed
         ))
     return tables
-
-
-def convergence_study(
-    strategy: Strategy,
-    params: MarketParams,
-    interp: Interpretation,
-    n_list: tuple[int, ...],
-    n_paths: int,
-    seed: int,
-    workers: int = 1,
-) -> ConvergenceTable:
-    """The one-scheme call of ``convergence_studies``."""
-    return convergence_studies(strategy, params, (interp,), n_list, n_paths, seed, workers)[0]
 
 
 @dataclass(frozen=True)

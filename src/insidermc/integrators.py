@@ -20,8 +20,8 @@ kernels (``exact_wealths``, ``scheme_wealths``, ``ak_residuals``) over a
 trailing node axis. Each takes several functionals or schemes at once and
 builds what they share once: the growth factor and C's argument, the Euler
 factors g and their running product, and the residual's integrand
-arguments. ``exact_wealth`` and ``scheme_wealth`` are their one-case calls;
-the per-path functions are one-row calls and return the sample array.
+arguments. A one-case caller passes a one-element sequence; the per-path
+functions are such one-row calls and return the sample array.
 """
 from __future__ import annotations
 
@@ -93,32 +93,22 @@ def exact_wealths(
     return [np.asarray(c.evaluate(argument) * growth, dtype=float) for c in cs]
 
 
-def exact_wealth(
-    c: TerminalFunctional,
-    params: "MarketParams",
-    nodes: np.ndarray,
-    w: np.ndarray,
-    interp: Interpretation,
-) -> np.ndarray:
-    """The one-functional call of ``exact_wealths``."""
-    return exact_wealths([c], params, nodes, w, interp)[0]
-
-
 def exact_solution(
     c: TerminalFunctional,
     params: "MarketParams",
     path: BrownianPath,
     interp: Interpretation,
 ) -> np.ndarray:
-    """Closed-form per-path solution under the chosen interpretation (see ``exact_wealth``)."""
-    return exact_wealth(c, params, path.grid.nodes, path.values, interp)
+    """Closed-form per-path solution under the chosen interpretation (see ``exact_wealths``)."""
+    return exact_wealths([c], params, path.grid.nodes, path.values, interp)[0]
 
 
 def euler_forward(
     c: TerminalFunctional, params: "MarketParams", path: BrownianPath
 ) -> np.ndarray:
     """Left-point Euler scheme for the forward equation, S_0 = C(B_T)."""
-    return scheme_wealth(c, params, path.grid, path.values, Interpretation.FORWARD)
+    starts = scheme_starts([scheme_stack(c, Interpretation.FORWARD)], path.values[-1:])
+    return scheme_wealths(params, path.grid, path.values, starts)[0]
 
 
 def _riemann_sums(
@@ -138,23 +128,22 @@ def _riemann_sums(
     return [np.sum(u * dw, axis=-1) for u in values(nodes[:i], x, y)]
 
 
-def _riemann_sum(
-    u: Integrand, nodes: np.ndarray, w: np.ndarray, i: int, right: bool
-) -> np.ndarray:
-    """The one-integrand call of ``_riemann_sums``."""
-    return _riemann_sums(lambda s, x, y: [u(s, x, y)], nodes, w, i, right)[0]
-
-
 def ak_integral(u: Integrand, path: BrownianPath, t: float) -> float:
     """Mixed-endpoint Riemann sum over [0, t]: the future argument at the right node."""
     i = path.grid.index_of(t)
-    return float(_riemann_sum(u, path.grid.nodes, path.values, i, right=True))
+    (total,) = _riemann_sums(
+        lambda s, x, y: [u(s, x, y)], path.grid.nodes, path.values, i, right=True
+    )
+    return float(total)
 
 
 def forward_integral(u: Integrand, path: BrownianPath, t: float) -> float:
     """Left-point Riemann sum over [0, t]: all arguments at the left node."""
     i = path.grid.index_of(t)
-    return float(_riemann_sum(u, path.grid.nodes, path.values, i, right=False))
+    (total,) = _riemann_sums(
+        lambda s, x, y: [u(s, x, y)], path.grid.nodes, path.values, i, right=False
+    )
+    return float(total)
 
 
 def skorokhod_integral(u: ProductIntegrand, path: BrownianPath, t: float) -> float:
@@ -305,23 +294,12 @@ def scheme_wealths(
     return wealths
 
 
-def scheme_wealth(
-    c: TerminalFunctional,
-    params: "MarketParams",
-    grid: TimeGrid,
-    w: np.ndarray,
-    interp: Interpretation,
-) -> np.ndarray:
-    """The one-scheme call of ``scheme_wealths`` for initial condition C and ``interp``."""
-    starts = scheme_starts([scheme_stack(c, interp)], w[..., -1:])
-    return scheme_wealths(params, grid, w, starts)[0]
-
-
 def skorokhod_via_correction(
     c: TerminalFunctional, params: "MarketParams", path: BrownianPath
 ) -> np.ndarray:
-    """Forward Euler with the per-step Malliavin drift correction (see ``scheme_wealth``)."""
-    return scheme_wealth(c, params, path.grid, path.values, Interpretation.HITSUDA_SKOROKHOD)
+    """Forward Euler with the per-step Malliavin drift correction (see ``scheme_wealths``)."""
+    starts = scheme_starts([scheme_stack(c, Interpretation.HITSUDA_SKOROKHOD)], path.values[-1:])
+    return scheme_wealths(params, path.grid, path.values, starts)[0]
 
 
 def first_flip(

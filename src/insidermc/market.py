@@ -19,7 +19,7 @@ from typing import Union
 import numpy as np
 
 from .functionals import Affine, ArrayLike, Indicator, TerminalFunctional
-from .integrators import Interpretation, exact_wealth
+from .integrators import Interpretation, exact_wealths
 from .paths import BrownianPath
 
 
@@ -120,8 +120,8 @@ def wealth_at(
     w: np.ndarray,
     interp: Interpretation,
 ) -> np.ndarray:
-    """Exact total wealth at ``nodes`` along the trailing axis of ``w`` (see ``exact_wealth``)."""
-    stock = exact_wealth(stock_functional(strategy, params), params, nodes, w, interp)
+    """Exact total wealth at ``nodes`` along the trailing axis of ``w`` (see ``exact_wealths``)."""
+    (stock,) = exact_wealths([stock_functional(strategy, params)], params, nodes, w, interp)
     _, bond0 = initial_allocation(strategy, params, w[..., -1:])
     return stock + bond0 * np.exp(params.rho * nodes)
 

@@ -17,16 +17,16 @@ from insidermc import (
     ak_integral,
     arctangent,
     conjecture_report,
-    convergence_study,
+    convergence_studies,
     discontinuity_probe,
-    estimate_expectation,
+    estimate_expectations,
     exact_solution,
     expected_honest_max,
     expected_insider,
     generate_path,
     logistic,
-    ordering_monotone,
-    quadrature_expectation,
+    ordering_monotone_block,
+    quadrature_expectations,
     random_params,
     skorokhod_integral,
     stock_functional,
@@ -50,6 +50,7 @@ AK = Interpretation.AYED_KUO
 HS = Interpretation.HITSUDA_SKOROKHOD
 RV = Interpretation.FORWARD
 ITO = Interpretation.ITO
+CASES = ((Honest(0.0, 1.0), ITO), (PartialTrust(), AK), (PartialTrust(), HS), (PartialTrust(), RV))
 
 
 def test_criterion_01_closed_form_vs_quadrature_sweep():
@@ -60,8 +61,8 @@ def test_criterion_01_closed_form_vs_quadrature_sweep():
         p = random_params(rng, wealth=float(rng.uniform(0.2, 5.0)))
         bond = insider_bond_leg(p)
         c = stock_functional(PartialTrust(), p)
-        quad_anticipating = bond + quadrature_expectation(c, p.sigma * p.horizon, p)
-        quad_forward = bond + quadrature_expectation(c, 0.0, p)
+        legs = quadrature_expectations(c, (p.sigma * p.horizon, 0.0), (p, p))
+        quad_anticipating, quad_forward = (bond + leg for leg in legs)
         for interp, oracle in ((HS, quad_anticipating), (AK, quad_anticipating), (RV, quad_forward)):
             gap = abs(expected_insider(p, interp) - oracle) / p.wealth
             worst = max(worst, gap)
@@ -78,10 +79,7 @@ def test_criterion_02_monte_carlo_reproduces_closed_forms():
     # so a short grid keeps the run well inside budget at N = 1e5
     grid = TimeGrid(1.0, 8)
     n = 100_000
-    honest = estimate_expectation(Honest(0.0, 1.0), BASELINE, ITO, n, grid, DEFAULT_SEED)
-    ak = estimate_expectation(PartialTrust(), BASELINE, AK, n, grid, DEFAULT_SEED)
-    hs = estimate_expectation(PartialTrust(), BASELINE, HS, n, grid, DEFAULT_SEED)
-    rv = estimate_expectation(PartialTrust(), BASELINE, RV, n, grid, DEFAULT_SEED)
+    honest, ak, hs, rv = estimate_expectations(CASES, BASELINE, n, grid, DEFAULT_SEED)
     assert abs(honest.estimate - E_HONEST) <= 3.0 * honest.stderr
     assert abs(ak.estimate - E_ANTICIPATING) <= 3.0 * ak.stderr
     assert abs(hs.estimate - E_ANTICIPATING) <= 3.0 * hs.stderr
@@ -101,10 +99,7 @@ def test_criterion_03_strict_ordering_chain():
     # empirical chain under common random numbers at the documented seed
     grid = TimeGrid(1.0, 16)
     n = 10_000
-    honest = estimate_expectation(Honest(0.0, 1.0), BASELINE, ITO, n, grid, DEFAULT_SEED)
-    ak = estimate_expectation(PartialTrust(), BASELINE, AK, n, grid, DEFAULT_SEED)
-    hs = estimate_expectation(PartialTrust(), BASELINE, HS, n, grid, DEFAULT_SEED)
-    rv = estimate_expectation(PartialTrust(), BASELINE, RV, n, grid, DEFAULT_SEED)
+    honest, ak, hs, rv = estimate_expectations(CASES, BASELINE, n, grid, DEFAULT_SEED)
     assert hs.estimate == ak.estimate
     assert ak.estimate < honest.estimate < rv.estimate
     print(f"\nCRITERION 3 PASS: chain verdicts true on 1000 sets; empirical chain "
@@ -127,8 +122,8 @@ def test_criterion_04_anticipating_solutions_identical():
                 assert np.array_equal(a, h)
                 count += 1
     grid = TimeGrid(1.0, 16)
-    ak = estimate_expectation(PartialTrust(), BASELINE, AK, 2000, grid, DEFAULT_SEED)
-    hs = estimate_expectation(PartialTrust(), BASELINE, HS, 2000, grid, DEFAULT_SEED)
+    (ak,) = estimate_expectations([(PartialTrust(), AK)], BASELINE, 2000, grid, DEFAULT_SEED)
+    (hs,) = estimate_expectations([(PartialTrust(), HS)], BASELINE, 2000, grid, DEFAULT_SEED)
     assert ak.estimate == hs.estimate and ak.stderr == hs.stderr
     print(f"\nCRITERION 4 PASS: {count} sampled paths node-wise identical (tolerance 0); "
           f"MC estimates bit-identical")
@@ -149,8 +144,9 @@ def test_criterion_05_debt_regime():
 def test_criterion_06_scheme_convergence_slopes():
     start = time.monotonic()
     ladder = (256, 512, 1024, 2048, 4096, 8192, 16384)
-    forward = convergence_study(PartialTrust(), BASELINE, RV, ladder, 1000, DEFAULT_SEED)
-    corrected = convergence_study(PartialTrust(), BASELINE, HS, ladder, 1000, DEFAULT_SEED)
+    forward, corrected = convergence_studies(
+        PartialTrust(), BASELINE, (RV, HS), ladder, 1000, DEFAULT_SEED
+    )
     assert forward.slope >= 0.4
     assert corrected.slope >= 0.4
     elapsed = time.monotonic() - start
@@ -218,7 +214,7 @@ def test_criterion_10_monotone_ordering_by_quadrature():
             stock_functional(PartialTrust(), p),
         )
         for c in families:
-            e_ak, e_rv = ordering_monotone(c, p)
+            (e_ak,), (e_rv,) = ordering_monotone_block(c, (p,))
             margin = (e_rv - e_ak) / p.wealth
             worst = min(worst, margin)
             assert margin > 1e-10

@@ -19,9 +19,7 @@ from insidermc import (
     jump_probability,
     logistic,
     norm_cdf,
-    ordering_monotone,
     ordering_monotone_block,
-    quadrature_expectation,
     quadrature_expectations,
     random_params,
     stock_functional,
@@ -91,7 +89,7 @@ def test_debt_regime_value_and_signs():
 
 def test_quadrature_constant_functional_gives_lognormal_mean():
     for shift in (0.0, 0.37, -1.2):
-        got = quadrature_expectation(Affine(1.0, 0.0), shift, BASELINE)
+        (got,) = quadrature_expectations(Affine(1.0, 0.0), (shift,), (BASELINE,))
         assert math.isclose(got, math.exp(0.05), rel_tol=1e-12)
 
 
@@ -99,9 +97,9 @@ def test_quadrature_affine_matches_closed_form_stock_legs():
     p = BASELINE
     c = stock_functional(PartialTrust(), p)
     a = p.sigma**2 / (4.0 * (p.mu - p.rho))
-    forward_leg = quadrature_expectation(c, 0.0, p)
+    (forward_leg,) = quadrature_expectations(c, (0.0,), (p,))
     assert math.isclose(forward_leg, p.wealth * (1.0 + a) * math.exp(p.mu), rel_tol=1e-10)
-    anticipating_leg = quadrature_expectation(c, p.sigma * p.horizon, p)
+    (anticipating_leg,) = quadrature_expectations(c, (p.sigma * p.horizon,), (p,))
     assert math.isclose(anticipating_leg, p.wealth * (1.0 - a) * math.exp(p.mu), rel_tol=1e-10)
 
 
@@ -126,7 +124,7 @@ def test_quadrature_against_dense_trapezoid():
     p = BASELINE
     shift = p.sigma * p.horizon
     for c in (stock_functional(PartialTrust(), p), logistic(1.0), Indicator(1.0, -0.05)):
-        got = quadrature_expectation(c, shift, p)
+        (got,) = quadrature_expectations(c, (shift,), (p,))
         want = _dense_trapezoid_oracle(c, shift, p)
         assert math.isclose(got, want, rel_tol=1e-6)
 
@@ -136,7 +134,7 @@ def test_indicator_quadrature_closed_form():
     c = Indicator(p.wealth, threshold(p))
     # P(B_T > z + shift - sigma T) under the tilted law, times M e^{mu T}
     for shift in (0.0, p.sigma * p.horizon):
-        got = quadrature_expectation(c, shift, p)
+        (got,) = quadrature_expectations(c, (shift,), (p,))
         arg = (p.sigma * p.horizon - c.threshold - shift) / math.sqrt(p.horizon)
         want = p.wealth * math.exp(p.mu * p.horizon) * norm_cdf(arg)
         assert math.isclose(got, want, rel_tol=1e-14)
@@ -196,22 +194,22 @@ def test_negativity_frontier_located_by_bisection():
 def test_ordering_monotone_families():
     p = BASELINE
     for c in (logistic(1.0), arctangent(1.0)):
-        e_ak, e_rv = ordering_monotone(c, p)
+        (e_ak,), (e_rv,) = ordering_monotone_block(c, (p,))
         assert e_ak < e_rv
     # affine gap is exactly M_b * sigma * T * e^{mu T} for slope M_b
     c = stock_functional(PartialTrust(), p)
-    e_ak, e_rv = ordering_monotone(c, p)
+    (e_ak,), (e_rv,) = ordering_monotone_block(c, (p,))
     want_gap = c.b * p.sigma * p.horizon * math.exp(p.mu * p.horizon)
     assert math.isclose(e_rv - e_ak, want_gap, rel_tol=1e-10)
 
 
 def test_ordering_monotone_rejects_bad_inputs():
     with pytest.raises(MonotonicityError):
-        ordering_monotone(Affine(1.0, 0.0), BASELINE)  # constant
+        ordering_monotone_block(Affine(1.0, 0.0), (BASELINE,))  # constant
     with pytest.raises(MonotonicityError):
-        ordering_monotone(Affine(1.0, -2.0), BASELINE)  # decreasing
+        ordering_monotone_block(Affine(1.0, -2.0), (BASELINE,))  # decreasing
     with pytest.raises(MonotonicityError):
-        ordering_monotone(Indicator(1.0, 0.0), BASELINE)  # discontinuous
+        ordering_monotone_block(Indicator(1.0, 0.0), (BASELINE,))  # discontinuous
 
 
 def _column(values) -> np.ndarray:
@@ -238,11 +236,14 @@ def test_batched_quadrature_equals_one_set_calls_bit_for_bit():
     for name, (block, singles) in families.items():
         for shifts in ([p.sigma * p.horizon for p in sets], [0.0] * len(sets)):
             got = quadrature_expectations(block, shifts, sets)
-            want = [quadrature_expectation(c, s, p) for c, s, p in zip(singles, shifts, sets)]
+            want = [
+                quadrature_expectations(c, (s,), (p,))[0] for c, s, p in zip(singles, shifts, sets)
+            ]
             assert got == want, name
             assert all(type(v) is float for v in got)
     legs = ordering_monotone_block(families["arctangent"][0], sets)
-    assert list(zip(*legs)) == [ordering_monotone(arctangent(p.wealth), p) for p in sets]
+    singles = [ordering_monotone_block(arctangent(p.wealth), (p,)) for p in sets]
+    assert list(zip(*legs)) == [(e_ak, e_rv) for (e_ak,), (e_rv,) in singles]
 
 
 def test_batched_quadrature_names_the_first_set_that_fails(monkeypatch, capsys):
@@ -262,7 +263,7 @@ def test_monotone_probe_block_raises_the_one_set_message():
     cases = (([1.0, 2.0, -1.0, 1.0, 0.0, 1.0], -1.0), ([1.0, 0.0, -1.0, 1.0, 1.0, 1.0], 0.0))
     for scales, bad in cases:
         with pytest.raises(MonotonicityError) as one:
-            ordering_monotone(logistic(bad), sets[scales.index(bad)])
+            ordering_monotone_block(logistic(bad), (sets[scales.index(bad)],))
         with pytest.raises(MonotonicityError, match=f"^{one.value}$"):
             ordering_monotone_block(logistic(_column(scales)), sets)
     slopes = _column([1.0, 1.0, -2.0, 1.0, 1.0, 1.0])

@@ -3,7 +3,7 @@
 The whole-path references draw one path at a time with ``generate_path``,
 ``coarsen`` it for the grid ladders and evaluate it with the per-path
 ``euler_forward``, ``skorokhod_via_correction``, ``exact_solution`` and
-``ak_residual``. The exact-mode expectation and the flip probe read B_T
+``ak_residual``. The expectation estimator and the flip probe read B_T
 alone, which the terminal stream draws directly; their references read each
 index's B_T from the stream contract written out in ``_contract_terminal``
 and evaluate it with the per-path ``total_wealth`` and
@@ -30,15 +30,12 @@ from insidermc import (
     coarsen,
     conjecture_report,
     convergence_studies,
-    convergence_study,
     detect_indicator_flip,
     discontinuity_probe,
-    estimate_expectation,
     estimate_expectations,
     euler_forward,
     exact_solution,
     generate_path,
-    initial_allocation,
     random_params,
     skorokhod_via_correction,
     stock_functional,
@@ -99,18 +96,6 @@ def _reference_scheme(c, params, path, interp):
     if interp is HS:
         return skorokhod_via_correction(c, params, path)
     return euler_forward(c, params, path)
-
-
-def _reference_scheme_expectation(strategy, params, interp, n_paths, grid, seed):
-    c = stock_functional(strategy, params)
-    values = []
-    for idx in range(n_paths):
-        path = generate_path(grid, seed, idx)
-        stock = _reference_scheme(c, params, path, interp)
-        _, bond0 = initial_allocation(strategy, params, path.terminal)
-        values.append(stock[-1] + bond0 * math.exp(params.rho * params.horizon))
-    values = np.array(values)
-    return float(np.mean(values)), float(np.std(values, ddof=1) / math.sqrt(n_paths))
 
 
 def _reference_convergence(strategy, params, interp, n_list, n_paths, seed):
@@ -244,7 +229,7 @@ def test_sample_block_rejects_bad_ranges_and_seeds():
 def test_expectation_matches_per_path_reference(seed, steps, n_paths):
     grid = TimeGrid(1.0, steps)
     for _, strategy, interp in CASES:
-        report = estimate_expectation(strategy, BASELINE, interp, n_paths, grid, seed)
+        (report,) = estimate_expectations([(strategy, interp)], BASELINE, n_paths, grid, seed)
         estimate, stderr = _reference_expectation(strategy, BASELINE, interp, n_paths, grid, seed)
         assert report.estimate == estimate
         assert report.stderr == stderr
@@ -279,7 +264,7 @@ def test_outputs_equal_values_recorded_from_the_per_path_sampler():
         "rv": (1.7576221201000692, 0.030922279501596713),
     }
     for label, strategy, interp in CASES:
-        r = estimate_expectation(strategy, BASELINE, interp, 1200, TimeGrid(1.0, 64), 3)
+        (r,) = estimate_expectations([(strategy, interp)], BASELINE, 1200, TimeGrid(1.0, 64), 3)
         assert (r.estimate, r.stderr) == recorded[label]
 
 
@@ -347,8 +332,10 @@ def test_steps_do_not_change_exact_mode_estimates():
 def test_worker_count_does_not_change_the_bits():
     grid = TimeGrid(1.0, 64)
     for _, strategy, interp in CASES:
-        serial = estimate_expectation(strategy, BASELINE, interp, 1500, grid, 8, workers=1)
-        parallel = estimate_expectation(strategy, BASELINE, interp, 1500, grid, 8, workers=2)
+        (serial,) = estimate_expectations([(strategy, interp)], BASELINE, 1500, grid, 8, workers=1)
+        (parallel,) = estimate_expectations(
+            [(strategy, interp)], BASELINE, 1500, grid, 8, workers=2
+        )
         assert (serial.estimate, serial.stderr) == (parallel.estimate, parallel.stderr)
     serial = discontinuity_probe(WIDE, 3000, TimeGrid(2.0, 32), 8, workers=1)
     parallel = discontinuity_probe(WIDE, 3000, TimeGrid(2.0, 32), 8, workers=2)
@@ -364,7 +351,7 @@ LADDER = (4, 8, 16, 32, 64)  # 600 paths of 65 nodes span two blocks
 @pytest.mark.parametrize("label,strategy,interp", SCHEME_CASES, ids=[c[0] for c in SCHEME_CASES])
 def test_convergence_study_matches_per_path_reference(seed, label, strategy, interp):
     assert len(list(_blocks(TimeGrid(1.0, LADDER[-1]), 0, 600))) == 2
-    table = convergence_study(strategy, BASELINE, interp, LADDER, 600, seed)
+    (table,) = convergence_studies(strategy, BASELINE, (interp,), LADDER, 600, seed)
     reference = _reference_convergence(strategy, BASELINE, interp, LADDER, 600, seed)
     assert [err for _, err in table.rows] == reference
 
@@ -372,7 +359,7 @@ def test_convergence_study_matches_per_path_reference(seed, label, strategy, int
 def test_convergence_study_matches_reference_on_a_long_fine_grid():
     # 1025 nodes give 31 rows per block, so 40 paths span two blocks
     ladder = (64, 256, 1024)
-    table = convergence_study(PartialTrust(), WIDE, HS, ladder, 40, 20240101)
+    (table,) = convergence_studies(PartialTrust(), WIDE, (HS,), ladder, 40, 20240101)
     assert [err for _, err in table.rows] == _reference_convergence(
         PartialTrust(), WIDE, HS, ladder, 40, 20240101
     )
@@ -387,30 +374,6 @@ def test_conjecture_report_matches_per_path_reference(seed, params):
     assert _quantile_rows(report) == _reference_residuals(params, 300, n_list, seed)
 
 
-@pytest.mark.parametrize("seed", [3, 20240101])
-def test_scheme_expectation_matches_per_path_reference(seed):
-    grid = TimeGrid(1.0, 64)
-    for _, strategy, interp in SCHEME_CASES:
-        report = estimate_expectation(strategy, BASELINE, interp, 1200, grid, seed, use_exact=False)
-        assert (report.estimate, report.stderr) == _reference_scheme_expectation(
-            strategy, BASELINE, interp, 1200, grid, seed
-        )
-    with pytest.raises(ValueError, match="no direct scheme"):
-        estimate_expectation(PartialTrust(), BASELINE, AK, 100, grid, seed, use_exact=False)
-
-
-def test_scheme_worker_count_does_not_change_the_bits():
-    grid = TimeGrid(1.0, 64)
-    for _, strategy, interp in SCHEME_CASES:
-        serial = estimate_expectation(
-            strategy, BASELINE, interp, 1500, grid, 8, use_exact=False, workers=1
-        )
-        parallel = estimate_expectation(
-            strategy, BASELINE, interp, 1500, grid, 8, use_exact=False, workers=2
-        )
-        assert (serial.estimate, serial.stderr) == (parallel.estimate, parallel.stderr)
-
-
 def test_ladder_outputs_equal_values_recorded_from_the_per_path_loops():
     # recorded with the per-path loops and kernels the block engine replaced;
     # the references above share the new kernels, these pin them too
@@ -423,7 +386,7 @@ def test_ladder_outputs_equal_values_recorded_from_the_per_path_loops():
                     0.0042027704187330844, 0.002968314276732923], 0.4851961661018626),
     }
     for label, strategy, interp in SCHEME_CASES:
-        table = convergence_study(strategy, BASELINE, interp, LADDER, 600, 3)
+        (table,) = convergence_studies(strategy, BASELINE, (interp,), LADDER, 600, 3)
         assert ([err for _, err in table.rows], table.slope) == recorded[label]
     report = conjecture_report(BASELINE, 300, (16, 64, 256), 3)
     medians = [row.q50 for row in report.rows]
@@ -432,16 +395,6 @@ def test_ladder_outputs_equal_values_recorded_from_the_per_path_loops():
         0.1747151339062322, 0.08642890344100626, 0.04508555514270943,
     ]
     assert report.rows[-1].q90 == 0.10652111618258588
-    scheme = {
-        "honest": (1.0503248406063492, 0.005873533211750189),
-        "hs": (0.9890868558598784, 0.027311378453868666),
-        "rv": (1.6887817945416137, 0.028786033652597538),
-    }
-    for label, strategy, interp in SCHEME_CASES:
-        r = estimate_expectation(
-            strategy, BASELINE, interp, 1200, TimeGrid(1.0, 64), 3, use_exact=False
-        )
-        assert (r.estimate, r.stderr) == scheme[label]
 
 
 def test_ladder_outputs_equal_recorded_values_off_power_of_two_steps():
@@ -454,37 +407,26 @@ def test_ladder_outputs_equal_recorded_values_off_power_of_two_steps():
               0.5880019855505948, 0.39884331885638646], 0.6094944938717479),
     }
     for interp, expected in recorded.items():
-        table = convergence_study(PartialTrust(), odd, interp, LADDER, 600, 5)
+        (table,) = convergence_studies(PartialTrust(), odd, (interp,), LADDER, 600, 5)
         assert ([err for _, err in table.rows], table.slope) == expected
     report = conjecture_report(odd, 300, (16, 64, 256), 5)
     assert [row.q50 for row in report.rows] == [
         0.0, 0.0, 0.0, 1.2136426886056304, 0.6137300429866892, 0.3167842484735857,
     ]
     assert (report.rows[0].q90, report.rows[-1].q90) == (0.7669181321771208, 1.2247622719631652)
-    scheme = {
-        RV: (10.459073179997421, 0.5082937497599384),
-        HS: (1.4022660252845551, 0.37275840257177256),
-    }
-    for interp, expected in scheme.items():
-        r = estimate_expectation(
-            PartialTrust(), odd, interp, 1200, TimeGrid(1.3, 64), 5, use_exact=False
-        )
-        assert (r.estimate, r.stderr) == expected
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("use_exact", [True, False], ids=["exact", "scheme"])
-def test_multi_case_estimates_equal_the_one_case_calls(use_exact, workers):
-    cases = CASES if use_exact else SCHEME_CASES
+@pytest.mark.parametrize("workers", [1, 2], ids=["exact-1", "exact-2"])
+def test_multi_case_estimates_equal_the_one_case_calls(workers):
     grid = TimeGrid(1.0, 64)
     reports = estimate_expectations(
-        [(strategy, interp) for _, strategy, interp in cases], BASELINE, 1500, grid, 8,
-        use_exact=use_exact, workers=workers,
+        [(strategy, interp) for _, strategy, interp in CASES], BASELINE, 1500, grid, 8,
+        workers=workers,
     )
-    assert len(reports) == len(cases)
-    for report, (_, strategy, interp) in zip(reports, cases):
-        single = estimate_expectation(
-            strategy, BASELINE, interp, 1500, grid, 8, use_exact=use_exact, workers=workers
+    assert len(reports) == len(CASES)
+    for report, (_, strategy, interp) in zip(reports, CASES):
+        (single,) = estimate_expectations(
+            [(strategy, interp)], BASELINE, 1500, grid, 8, workers=workers
         )
         assert (report.estimate, report.stderr) == (single.estimate, single.stderr)
     # one shared run, so one wall time on every report
@@ -495,8 +437,7 @@ def test_convergence_studies_equal_the_one_scheme_calls():
     tables = convergence_studies(PartialTrust(), BASELINE, (RV, HS), LADDER, 600, 3)
     assert [t.interpretation for t in tables] == [RV, HS]
     for table in tables:
-        single = convergence_study(PartialTrust(), BASELINE, table.interpretation, LADDER, 600, 3)
+        (single,) = convergence_studies(
+            PartialTrust(), BASELINE, (table.interpretation,), LADDER, 600, 3
+        )
         assert (table.rows, table.slope) == (single.rows, single.slope)
-    honest = convergence_studies(Honest(0.0, 1.0), BASELINE, (Interpretation.ITO,), LADDER, 600, 3)
-    single = convergence_study(Honest(0.0, 1.0), BASELINE, Interpretation.ITO, LADDER, 600, 3)
-    assert honest == [single]

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import insidermc
-from insidermc import Honest, Interpretation, PartialTrust
+from insidermc import Honest, Interpretation, PartialTrust, jump_probability
 from insidermc.cli import _cell, main
 from insidermc.config import ConfigError, ExperimentConfig, load_file, loads
 
@@ -222,6 +222,28 @@ def test_cli_converge_non_finite_wealth_exits_3(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("ini,argv,what", [
+    (
+        "[market]\nwealth = 1e304\nsigma = 2.0\nhorizon = 5.0\n[run]\ninterpretations = forward\n",
+        ["converge", "--paths", "200", "--n-list", "4,8,16"],
+        "3 error total",
+    ),
+    (
+        "[market]\nwealth = 1e304\n",
+        ["expect", "--mc", "--paths", "100000"],
+        "8 estimate and stderr",
+    ),
+], ids=["converge", "expect"])
+def test_cli_overflowing_reduction_exits_3(tmp_path, capsys, ini, argv, what):
+    # every per-path value is finite, but their sum passes the float range
+    path = tmp_path / "huge.ini"
+    path.write_text(ini)
+    assert main(argv + ["--config", str(path), "--seed", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"numerical failure: {what} values are non-finite\n"
+
+
 def test_cli_jump(tmp_path, capsys):
     out = tmp_path / "j.csv"
     rc = main([
@@ -269,6 +291,8 @@ def test_cli_jump_names_a_degenerate_estimate(tmp_path, capsys, market, flips):
         "degenerate: a binomial stderr of 0 cannot be checked against the closed form\n"
     )
     assert "+-" not in stdout and "4 binomial stderr" not in stdout
+    closed_form = format(jump_probability(load_file(ini).params), ".6g")
+    assert stdout.splitlines()[1] == f"closed-form probability:  {closed_form}"
     report = json.loads(out_json.read_text())["report"]
     assert (report["n_flips"], report["stderr"], report["within_tolerance"]) == (flips, 0.0, False)
 
@@ -489,7 +513,7 @@ STDOUT_DIGESTS = {
     "expect": "6b51674ba78914668b65ee46f5cb6ac475e8b5bb0cf233102242ca711e1b5bcf",
     "converge": "624721364729011503efe4629a29846c95044555933b5073b4fc095ccbe2b22d",
     "conjecture": "0dfb7bccc998f467036eee9fa94fe18d0ff30bfab0d89afd781cfdcca94e6da2",
-    "jump": "20f2bb439b747b9932c366733f463b2376d68d4ae857d9310c3c5ff00a9a6652",
+    "jump": "15ddbcab886533e48b18831401b4632a81a392a4a5731aca88a311bbeefaae45",
     "ordering-sweep": "05491beddfb643598df9afdde8422f1035fe1124deabc28e6fc6fddca60bfa15",
     "converge-honest": "b51d4271576a0f78d5043f50c63ee3d3b63997e4675c07fdcc1a6db3d41f3592",
 }

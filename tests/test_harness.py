@@ -11,9 +11,7 @@ from insidermc import (
     TimeGrid,
     conjecture_report,
     convergence_studies,
-    convergence_study,
     discontinuity_probe,
-    estimate_expectation,
     estimate_expectations,
     expected_honest_max,
     expected_insider,
@@ -25,23 +23,27 @@ from insidermc.paths import sample_terminal
 
 BASELINE = MarketParams(wealth=1.0, rho=0.02, mu=0.05, sigma=0.2, horizon=1.0)
 GRID = TimeGrid(1.0, 16)
+ITO = Interpretation.ITO
+AK = Interpretation.AYED_KUO
+HS = Interpretation.HITSUDA_SKOROKHOD
+RV = Interpretation.FORWARD
 
 
 def test_estimate_is_deterministic_and_reports_sane_fields():
-    a = estimate_expectation(PartialTrust(), BASELINE, Interpretation.FORWARD, 500, GRID, 11)
-    b = estimate_expectation(PartialTrust(), BASELINE, Interpretation.FORWARD, 500, GRID, 11)
+    (a,) = estimate_expectations([(PartialTrust(), RV)], BASELINE, 500, GRID, 11)
+    (b,) = estimate_expectations([(PartialTrust(), RV)], BASELINE, 500, GRID, 11)
     assert a.estimate == b.estimate
     assert a.stderr == b.stderr
     assert a.n_paths == 500 and a.grid_steps == 16 and a.seed == 11
     assert a.ci_low == a.estimate - 1.96 * a.stderr
     assert a.ci_high == a.estimate + 1.96 * a.stderr
-    c = estimate_expectation(PartialTrust(), BASELINE, Interpretation.FORWARD, 500, GRID, 12)
+    (c,) = estimate_expectations([(PartialTrust(), RV)], BASELINE, 500, GRID, 12)
     assert c.estimate != a.estimate
 
 
 def test_estimate_requires_minimum_paths():
     with pytest.raises(ValueError):
-        estimate_expectation(PartialTrust(), BASELINE, Interpretation.FORWARD, 99, GRID, 1)
+        estimate_expectations([(PartialTrust(), RV)], BASELINE, 99, GRID, 1)
 
 
 HUGE = MarketParams(wealth=1e306, rho=0.02, mu=0.05, sigma=2.0, horizon=5.0)
@@ -51,17 +53,7 @@ RV_HS = (Interpretation.FORWARD, Interpretation.HITSUDA_SKOROKHOD)
 def test_non_finite_wealth_is_a_numerical_failure():
     # the partial-trust legs overflow to inf on some paths at this wealth
     with pytest.raises(NumericalError):
-        estimate_expectation(PartialTrust(), HUGE, Interpretation.FORWARD, 200, TimeGrid(5, 8), 1)
-    # the scheme mode names the first failing case; recorded when each case ran alone
-    for interps, message in (
-        (RV_HS, "238 scheme wealth values are non-finite"),
-        (RV_HS[::-1], "511 scheme wealth values are non-finite"),
-    ):
-        cases = [(PartialTrust(), interp) for interp in interps]
-        with pytest.raises(NumericalError) as failure:
-            with np.errstate(over="ignore"):
-                estimate_expectations(cases, HUGE, 200, TimeGrid(5, 8), 1, use_exact=False)
-        assert str(failure.value) == message
+        estimate_expectations([(PartialTrust(), RV)], HUGE, 200, TimeGrid(5, 8), 1)
 
 
 # the exact wealth stays finite here; forward fails only at n = 16 (2 values) and
@@ -107,99 +99,65 @@ def test_non_finite_residuals_are_a_numerical_failure():
 
 
 def test_worker_count_does_not_change_the_bits():
-    serial = estimate_expectation(
-        PartialTrust(), BASELINE, Interpretation.AYED_KUO, 300, GRID, 5, workers=1
-    )
-    parallel = estimate_expectation(
-        PartialTrust(), BASELINE, Interpretation.AYED_KUO, 300, GRID, 5, workers=3
-    )
+    (serial,) = estimate_expectations([(PartialTrust(), AK)], BASELINE, 300, GRID, 5, workers=1)
+    (parallel,) = estimate_expectations([(PartialTrust(), AK)], BASELINE, 300, GRID, 5, workers=3)
     assert serial.estimate == parallel.estimate
     assert serial.stderr == parallel.stderr
 
 
 def test_anticipating_estimates_are_bit_identical():
-    ak = estimate_expectation(PartialTrust(), BASELINE, Interpretation.AYED_KUO, 400, GRID, 9)
-    hs = estimate_expectation(
-        PartialTrust(), BASELINE, Interpretation.HITSUDA_SKOROKHOD, 400, GRID, 9
-    )
+    (ak,) = estimate_expectations([(PartialTrust(), AK)], BASELINE, 400, GRID, 9)
+    (hs,) = estimate_expectations([(PartialTrust(), HS)], BASELINE, 400, GRID, 9)
     assert ak.estimate == hs.estimate
     assert ak.stderr == hs.stderr
 
 
 def test_bond_only_honest_estimate_is_exact():
-    r = estimate_expectation(Honest(1.0, 0.0), BASELINE, Interpretation.ITO, 200, GRID, 2)
+    (r,) = estimate_expectations([(Honest(1.0, 0.0), ITO)], BASELINE, 200, GRID, 2)
     assert math.isclose(r.estimate, math.exp(0.02), rel_tol=1e-12)
     assert r.stderr < 1e-14
 
 
 def test_estimates_land_near_closed_forms():
     n = 4000
-    honest = estimate_expectation(Honest(0.0, 1.0), BASELINE, Interpretation.ITO, n, GRID, 77)
+    (honest,) = estimate_expectations([(Honest(0.0, 1.0), ITO)], BASELINE, n, GRID, 77)
     assert abs(honest.estimate - expected_honest_max(BASELINE)) < 3.0 * honest.stderr
-    rv = estimate_expectation(PartialTrust(), BASELINE, Interpretation.FORWARD, n, GRID, 77)
+    (rv,) = estimate_expectations([(PartialTrust(), RV)], BASELINE, n, GRID, 77)
     assert abs(rv.estimate - expected_insider(BASELINE, Interpretation.FORWARD)) < 3.0 * rv.stderr
-    ak = estimate_expectation(PartialTrust(), BASELINE, Interpretation.AYED_KUO, n, GRID, 77)
+    (ak,) = estimate_expectations([(PartialTrust(), AK)], BASELINE, n, GRID, 77)
     assert abs(ak.estimate - expected_insider(BASELINE, Interpretation.AYED_KUO)) < 3.0 * ak.stderr
 
 
-def test_scheme_estimates_track_exact_estimates():
-    n = 2000
-    grid = TimeGrid(1.0, 256)
-    exact = estimate_expectation(
-        PartialTrust(), BASELINE, Interpretation.FORWARD, n, grid, 13, use_exact=True
-    )
-    scheme = estimate_expectation(
-        PartialTrust(), BASELINE, Interpretation.FORWARD, n, grid, 13, use_exact=False
-    )
-    assert abs(exact.estimate - scheme.estimate) < 4.0 * exact.stderr
-    with pytest.raises(ValueError):
-        estimate_expectation(
-            PartialTrust(), BASELINE, Interpretation.AYED_KUO, n, grid, 13, use_exact=False
-        )
-
-
 def test_stderr_scales_like_inverse_root_n():
-    small = estimate_expectation(Honest(0.0, 1.0), BASELINE, Interpretation.ITO, 2000, GRID, 3)
-    large = estimate_expectation(Honest(0.0, 1.0), BASELINE, Interpretation.ITO, 8000, GRID, 3)
+    (small,) = estimate_expectations([(Honest(0.0, 1.0), ITO)], BASELINE, 2000, GRID, 3)
+    (large,) = estimate_expectations([(Honest(0.0, 1.0), ITO)], BASELINE, 8000, GRID, 3)
     ratio = small.stderr / large.stderr
     assert 1.6 < ratio < 2.4
 
 
 def test_convergence_study_slopes_and_validation():
-    table = convergence_study(
-        PartialTrust(), BASELINE, Interpretation.FORWARD, (256, 1024, 4096), 100, 21
-    )
+    (table,) = convergence_studies(PartialTrust(), BASELINE, (RV,), (256, 1024, 4096), 100, 21)
     assert [n for n, _ in table.rows] == [256, 1024, 4096]
     errs = [err for _, err in table.rows]
     assert errs[0] > errs[-1]
     assert table.slope >= 0.4
-    hs = convergence_study(
-        PartialTrust(), BASELINE, Interpretation.HITSUDA_SKOROKHOD, (256, 1024, 4096), 100, 21
-    )
+    (hs,) = convergence_studies(PartialTrust(), BASELINE, (HS,), (256, 1024, 4096), 100, 21)
     assert hs.slope >= 0.4
 
     with pytest.raises(ValueError):
-        convergence_study(PartialTrust(), BASELINE, Interpretation.FORWARD, (256, 1024), 100, 21)
+        convergence_studies(PartialTrust(), BASELINE, (RV,), (256, 1024), 100, 21)
     with pytest.raises(ValueError):
-        convergence_study(
-            PartialTrust(), BASELINE, Interpretation.FORWARD, (256, 1000, 4096), 100, 21
-        )
+        convergence_studies(PartialTrust(), BASELINE, (RV,), (256, 1000, 4096), 100, 21)
     with pytest.raises(ValueError):
-        convergence_study(
-            PartialTrust(), BASELINE, Interpretation.FORWARD, (1024, 256, 4096), 100, 21
-        )
+        convergence_studies(PartialTrust(), BASELINE, (RV,), (1024, 256, 4096), 100, 21)
     with pytest.raises(ValueError):
-        convergence_study(
-            PartialTrust(), BASELINE, Interpretation.AYED_KUO, (256, 1024, 4096), 100, 21
-        )
+        convergence_studies(PartialTrust(), BASELINE, (AK,), (256, 1024, 4096), 100, 21)
     with pytest.raises(ValueError, match="at least 1 path"):
-        convergence_study(PartialTrust(), BASELINE, Interpretation.FORWARD, (4, 8, 16), 0, 21)
+        convergence_studies(PartialTrust(), BASELINE, (RV,), (4, 8, 16), 0, 21)
 
 
 def test_deterministic_strategy_converges_too():
-    table = convergence_study(
-        Honest(0.3, 0.7), BASELINE, Interpretation.ITO, (256, 1024, 4096), 100, 29
-    )
+    (table,) = convergence_studies(Honest(0.3, 0.7), BASELINE, (ITO,), (256, 1024, 4096), 100, 29)
     assert table.slope >= 0.4
 
 

@@ -29,7 +29,6 @@ from insidermc.integrators import (
     ak_residuals,
     scheme_stack,
     scheme_starts,
-    scheme_wealth,
     scheme_wealths,
 )
 from insidermc.market import FullInformation
@@ -129,10 +128,12 @@ def test_shared_scheme_kernel_equals_the_one_scheme_kernel(params, steps):
         reference = _one_scheme_reference(c, params, grid, w, interp)
         assert np.isfinite(reference).all()
         assert _same_bits(wealth, reference)
-        assert _same_bits(scheme_wealth(c, params, grid, w, interp), reference)
+        starts = scheme_starts([scheme_stack(c, interp)], w[:, -1:])
+        assert _same_bits(scheme_wealths(params, grid, w, starts)[0], reference)
         # one path along a single node axis, as the per-path calls pass it
+        row_starts = scheme_starts([scheme_stack(c, interp)], w[1, -1:])
         assert _same_bits(
-            scheme_wealth(c, params, grid, w[1], interp),
+            scheme_wealths(params, grid, w[1], row_starts)[0],
             _one_scheme_reference(c, params, grid, w[1], interp),
         )
 
