@@ -13,14 +13,17 @@ works on a block of parameter sets at once (``quadrature_expectations``):
 one node grid per node count, with the functional's per-set coefficients as
 column arrays, while each set still doubles its own node count until its own
 value is stable, so a set gets the same float in any block, a block of one
-included. ``ordering_monotone_block`` likewise probes a block of horizons for
-monotonicity at once.
+included. Only the sets still doubling are evaluated, in row chunks of at
+most ``_CHUNK_VALUES`` values, so the kernel bounds its own memory for any
+block size, and each chunk's node sums take one stacked matmul.
+``ordering_monotone_block`` likewise probes a block of horizons for
+monotonicity in row chunks and takes both stock legs in one kernel call.
 """
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -35,12 +38,17 @@ from .functionals import (
 )
 from .integrators import ANTICIPATING, Interpretation
 from .market import MarketParams, PartialTrust, stock_functional, threshold
+from .paths import _BLOCK_VALUES
 
 CSV_HEADER = ("rho", "mu", "sigma", "T", "M", "E_I", "E_HS", "E_AK", "E_RV", "method")
 
 _QUAD_START = 256
 _QUAD_MAX = 4096
 _QUAD_RTOL = 1e-8
+# values per evaluation: half a path block stays in cache and reads faster than a whole one
+_CHUNK_VALUES = _BLOCK_VALUES // 2
+# probe points per set of the monotonicity check
+_PROBE_POINTS = 1000
 
 
 class QuadratureError(RuntimeError):
@@ -85,6 +93,45 @@ def _hermgauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     return roots_hermite(n)
 
 
+def _take(c: TerminalFunctional, rows) -> TerminalFunctional:
+    """``c`` with each per-set column coefficient cut to ``rows`` (an index array or slice)."""
+    if not is_dataclass(c):
+        return c
+    cut = {
+        f.name: v[rows] for f in fields(c)
+        if isinstance(v := getattr(c, f.name), np.ndarray) and v.ndim == 2
+    }
+    return replace(c, **cut) if cut else c
+
+
+def _row_dots(values: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``[w @ row for row in values]`` in one call, bit for bit.
+
+    The stacked matmul takes one dot product per row, as ``w @ row`` does;
+    the plain matrix-vector product ``values @ w`` sums in another order and
+    differs in the last bits.
+    """
+    return np.matmul(values[:, None, :], w)[:, 0]
+
+
+def _node_sums(c: TerminalFunctional, columns: np.ndarray, nodes: int) -> np.ndarray:
+    """Gauss-Hermite sums of C at sqrt(2T) x + sigma T - shift, one per row of ``columns``.
+
+    Evaluates in row chunks of at most ``_CHUNK_VALUES`` values.
+    """
+    x, w = _hermgauss(nodes)
+    rows = columns.shape[1]
+    step = max(1, _CHUNK_VALUES // nodes)
+    sums = np.empty(rows)
+    for lo in range(0, rows, step):
+        chunk = slice(lo, lo + step)
+        root, drift, shift = columns[:, chunk]
+        # a chunk of every row needs no row selection (the one-set path)
+        part = c if step >= rows else _take(c, chunk)
+        sums[chunk] = _row_dots(np.asarray(part.evaluate(root * x + drift - shift), dtype=float), w)
+    return sums
+
+
 def quadrature_expectations(
     c: TerminalFunctional, shifts: Sequence[float], params_seq: Sequence[MarketParams]
 ) -> list[float]:
@@ -97,8 +144,9 @@ def quadrature_expectations(
     coefficient per set as a column array (``Affine`` and ``Smooth``
     broadcast them against the node axis). Every set doubles its node count
     until its own value is stable, exactly as a one-set call would, and gets
-    the same float. A set that does not converge raises ``QuadratureError``
-    naming the first such set, in ``params_seq`` order.
+    the same float; only the sets still doubling are evaluated, in row chunks
+    of at most ``_CHUNK_VALUES`` values. A set that does not converge raises
+    ``QuadratureError`` naming the first such set, in ``params_seq`` order.
     """
     if isinstance(c, Indicator):
         return [
@@ -106,49 +154,50 @@ def quadrature_expectations(
                   * norm_cdf((p.sigma * p.horizon - c.threshold - s) / math.sqrt(p.horizon)))
             for s, p in zip(shifts, params_seq)
         ]
+    n = len(params_seq)
     # Absorb the exponential growth factor into the Gaussian measure
     # (complete the square): the integrand becomes C evaluated under an
     # N(sigma T, T) law times e^{mu T}, which keeps every quadrature term at
     # the scale of the answer instead of cancelling across e^{sigma B_T}.
     # The per-set factors stay in libm (math.exp), which np.exp need not match.
-    growth = [math.exp(p.mu * p.horizon) for p in params_seq]
-    factor = [g / math.sqrt(math.pi) for g in growth]
-    # sqrt(2T), sigma T and the shift of each set, as columns against the node axis
-    root, drift, shift = np.array([
+    # Rows: e^{mu T}, then sqrt(2T), sigma T and the shift of each set, the
+    # last three as columns against the node axis.
+    table = np.array([
+        [math.exp(p.mu * p.horizon) for p in params_seq],
         [math.sqrt(2.0 * p.horizon) for p in params_seq],
         [p.sigma * p.horizon for p in params_seq],
         shifts,
-    ], dtype=float)[:, :, None]
-    hint = [abs(h) * g for h, g in zip(np.ravel(c.evaluate(drift - shift)).tolist(), growth)]
-
-    def tilted(nodes: int, rows: list[int]) -> dict[int, float]:
-        # every set of the block is evaluated; only the sets still doubling are summed
-        x, w = _hermgauss(nodes)
-        values = np.asarray(c.evaluate(root * x + drift - shift), dtype=float)
-        return {i: factor[i] * float(w @ values[i]) for i in rows}
-
-    tiny = np.finfo(float).tiny
-    result: dict[int, float] = {}
-    change: dict[int, float] = {}
-    active = list(range(len(params_seq)))
-    previous = tilted(_QUAD_START, active)
+    ], dtype=float)
+    growth, columns = table[0], table[1:, :, None]
+    hint = np.abs(np.ravel(c.evaluate(columns[1] - columns[2]))) * growth
+    # The per-set state of the sets still doubling, compacted as sets settle.
+    # A set settles when its change is at most RTOL * max(|value|, |previous|,
+    # hint, tiny); RTOL * max is the max of the scaled terms, bit for bit, so
+    # the hint's term (its floor) is scaled once.
+    index = np.arange(n)
+    factor = growth / math.sqrt(math.pi)
+    floor = _QUAD_RTOL * np.fmax(hint, np.finfo(float).tiny)
+    moved = np.full(n, math.nan)
+    result = np.empty(n)
+    previous = factor * _node_sums(c, columns, _QUAD_START)
     nodes = 2 * _QUAD_START
-    while active and nodes <= _QUAD_MAX:
-        value = tilted(nodes, active)
-        for i in active:
-            change[i] = abs(value[i] - previous[i])
-            if change[i] <= _QUAD_RTOL * max(abs(value[i]), abs(previous[i]), hint[i], tiny):
-                result[i] = value[i]
-        active = [i for i in active if i not in result]
-        previous = value
+    while index.size and nodes <= _QUAD_MAX:
+        value = factor * _node_sums(c, columns, nodes)
+        moved = np.abs(value - previous)
+        # a set still doubling is written over when it settles
+        result[index] = value
+        keep = ~(moved <= np.maximum(_QUAD_RTOL * np.maximum(np.abs(value), np.abs(previous)), floor))
+        index = index[keep]
+        if index.size:
+            factor, floor, previous, moved = factor[keep], floor[keep], value[keep], moved[keep]
+            columns, c = columns[:, keep], _take(c, keep)
         nodes *= 2
-    if active:
-        i = active[0]
+    if index.size:
         raise QuadratureError(
-            f"no convergence up to {_QUAD_MAX} nodes for {params_seq[i]} "
-            f"(last change {change.get(i, math.nan):.3e})"
+            f"no convergence up to {_QUAD_MAX} nodes for {params_seq[index[0]]} "
+            f"(last change {moved[0]:.3e})"
         )
-    return [result[i] for i in range(len(params_seq))]
+    return result.tolist()
 
 
 def insider_bond_leg(params: MarketParams) -> float:
@@ -208,13 +257,19 @@ def ordering_monotone_block(
         if not np.all(c.b > 0.0):
             raise MonotonicityError("affine functional must have positive slope")
     elif isinstance(c, MonotoneSmooth):
-        c.validate_monotone(np.array([p.horizon for p in params_seq]))
+        horizons = np.array([p.horizon for p in params_seq])
+        step = max(1, _CHUNK_VALUES // _PROBE_POINTS)
+        for lo in range(0, len(params_seq), step):
+            rows = slice(lo, lo + step)
+            probe = c if step >= len(params_seq) else _take(c, rows)
+            probe.validate_monotone(horizons[rows], _PROBE_POINTS)
     else:
         raise MonotonicityError(f"{type(c).__name__} carries no monotonicity contract")
-    shifts = [p.sigma * p.horizon for p in params_seq]
-    e_anticipating = quadrature_expectations(c, shifts, params_seq)
-    e_forward = quadrature_expectations(c, [0.0] * len(params_seq), params_seq)
-    return e_anticipating, e_forward
+    # both legs in one kernel call: shift sigma T (anticipating), then 0 (forward)
+    n = len(params_seq)
+    shifts = [p.sigma * p.horizon for p in params_seq] + [0.0] * n
+    legs = quadrature_expectations(_take(c, np.tile(np.arange(n), 2)), shifts, [*params_seq] * 2)
+    return legs[:n], legs[n:]
 
 
 def jump_probability(params: MarketParams) -> float:
@@ -261,10 +316,12 @@ def quadrature_table(params: MarketParams) -> WealthTable:
     """Oracle row: stock legs by quadrature, insider bond leg in closed form."""
     c = stock_functional(PartialTrust(), params)
     bond = insider_bond_leg(params)
-    # both stock legs in one kernel call: shift sigma T (anticipating), then 0 (forward)
-    legs = quadrature_expectations(c, (params.sigma * params.horizon, 0.0), (params, params))
-    anticipating, forward = (bond + leg for leg in legs)
-    (honest,) = quadrature_expectations(Affine(params.wealth, 0.0), (0.0,), (params,))
+    # one kernel call, one row per leg: the affine stock leg at shift sigma T
+    # (anticipating) and 0 (forward), then the all-stock honest leg, the constant M
+    legs = Affine(np.array([[c.a], [c.a], [params.wealth]]), np.array([[c.b], [c.b], [0.0]]))
+    shifts = (params.sigma * params.horizon, 0.0, 0.0)
+    *stock, honest = quadrature_expectations(legs, shifts, (params,) * 3)
+    anticipating, forward = (bond + leg for leg in stock)
     return WealthTable(
         params=params,
         method="quadrature",

@@ -23,6 +23,7 @@ import math
 import os
 import sys
 from dataclasses import asdict
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -246,8 +247,8 @@ def cmd_ordering_sweep(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     chain_failures = 0
     quad_gap = 0.0
     margins = {"logistic": math.inf, "arctangent": math.inf, "affine": math.inf}
-    # each block's largest node grid holds at most _BLOCK_VALUES values
-    block = _BLOCK_VALUES // analytics._QUAD_MAX
+    # the kernels bound each evaluation; a block bounds the per-set state held at once
+    block = _BLOCK_VALUES // analytics._QUAD_START
     for lo in range(0, args.sets, block):
         sets = [random_params(rng) for _ in range(min(block, args.sets - lo))]
         # one coefficient per set, as columns against the node axis
@@ -333,10 +334,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    # built on the first call, not at import; parse_args keeps no state between calls
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -257,15 +258,51 @@ def test_batched_quadrature_names_the_first_set_that_fails(monkeypatch, capsys):
     assert f"for {sets[81]}" in capsys.readouterr().err
 
 
+def test_kernel_evaluates_only_the_sets_still_doubling():
+    # at seed 7, set 81 needs 1024 nodes (arctangent, forward leg); the rest stop at 512
+    sets = _sweep_sets(7, 200)
+    c = arctangent(_column(p.wealth for p in sets))
+    sizes = []
+
+    def counted(x):
+        sizes.append(np.size(x))
+        return c.fn(x)
+
+    shifts = [0.0] * len(sets)
+    got = quadrature_expectations(replace(c, fn=counted), shifts, sets)
+    assert got == quadrature_expectations(c, shifts, sets)
+    # the hint probe at each set's centre, then the sets still doubling at each node count
+    assert sum(sizes) == 200 + 200 * 256 + 200 * 512 + 1 * 1024
+    assert max(sizes) <= analytics._CHUNK_VALUES
+
+
+@pytest.mark.parametrize("nodes", [256, 512, 1024, 2048, 4096])
+def test_chunk_sums_equal_one_dot_per_row(nodes):
+    # the kernel's row sums must keep the bits of w @ row for any chunk height
+    _, w = analytics._hermgauss(nodes)
+    values = np.random.default_rng(nodes).standard_normal((333, nodes))
+    want = [float(w @ row) for row in values]
+    for rows in range(1, 334):
+        assert analytics._row_dots(values[:rows], w).tolist() == want[:rows], rows
+
+
 def test_monotone_probe_block_raises_the_one_set_message():
-    sets = _sweep_sets(3, 6)
     # the first failing row decides the message: a decreasing one, then a constant one
-    cases = (([1.0, 2.0, -1.0, 1.0, 0.0, 1.0], -1.0), ([1.0, 0.0, -1.0, 1.0, 1.0, 1.0], 0.0))
+    cases = [([1.0, 2.0, -1.0, 1.0, 0.0, 1.0], -1.0), ([1.0, 0.0, -1.0, 1.0, 1.0, 1.0], 0.0)]
+    # 120 sets probed in chunks: the first failing row, 40, lies past the first
+    # chunk, and a row with the other failure follows in a later chunk
+    assert 40 >= analytics._CHUNK_VALUES // analytics._PROBE_POINTS
+    for bad, later in ((-1.0, 0.0), (0.0, -1.0)):
+        scales = [1.0] * 120
+        scales[40], scales[100] = bad, later
+        cases.append((scales, bad))
     for scales, bad in cases:
+        sets = _sweep_sets(3, len(scales))
         with pytest.raises(MonotonicityError) as one:
             ordering_monotone_block(logistic(bad), (sets[scales.index(bad)],))
         with pytest.raises(MonotonicityError, match=f"^{one.value}$"):
             ordering_monotone_block(logistic(_column(scales)), sets)
+    sets = _sweep_sets(3, 6)
     slopes = _column([1.0, 1.0, -2.0, 1.0, 1.0, 1.0])
     with pytest.raises(MonotonicityError, match="affine functional must have positive slope"):
         ordering_monotone_block(Affine(1.0, slopes), sets)

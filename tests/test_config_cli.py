@@ -11,6 +11,7 @@ import pytest
 
 import insidermc
 from insidermc import Honest, Interpretation, PartialTrust, jump_probability
+from insidermc import cli
 from insidermc.cli import _cell, main
 from insidermc.config import ConfigError, ExperimentConfig, load_file, loads
 
@@ -548,6 +549,28 @@ def test_json_and_stdout_bytes_match_recorded_digests(tmp_path, capsys, monkeypa
     monkeypatch.setenv("INSIDERMC_WORKERS", "2")
     env = _output_digests(tmp_path, capsys, "env", ["expect", "--mc", "--paths", "1000"])
     assert env == ENV_DIGESTS
+
+
+def test_successive_main_calls_share_no_parser_state(tmp_path, capsys):
+    # main parses with one parser per process; a flag or value given to one call
+    # must not reach the next
+    parser = cli._parser()
+    assert cli._parser() is parser
+    assert parser.parse_args(["expect", "--mc", "--seed", "3"]).mc
+    plain = parser.parse_args(["expect"])
+    assert not plain.mc and plain.seed is None
+    assert parser.parse_args(["ordering-sweep", "--sets", "5"]).sets == 5
+    assert parser.parse_args(["ordering-sweep"]).sets == 1000
+    with_mc, without = tmp_path / "mc.csv", tmp_path / "plain.csv"
+    assert main(["expect", "--mc", "--paths", "1000", "--seed", "7", "--csv", str(with_mc)]) == 0
+    assert main(["expect", "--seed", "7", "--csv", str(without)]) == 0
+    assert _sha256(with_mc.read_bytes()) == CSV_DIGESTS["expect"]
+    cli._parser.cache_clear()
+    fresh = tmp_path / "fresh.csv"
+    assert main(["expect", "--seed", "7", "--csv", str(fresh)]) == 0
+    assert without.read_bytes() == fresh.read_bytes()
+    assert b"monte-carlo" not in without.read_bytes()
+    capsys.readouterr()
 
 
 # sha256 of the outputs of `ordering-sweep --sets 300 --seed 7`, recorded like
