@@ -251,6 +251,7 @@ def ordering_monotone_block(
     set as a column array, as in ``quadrature_expectations``; the monotonicity
     contract is checked for every set before any quadrature runs.
     """
+    n = len(params_seq)
     if isinstance(c, Indicator):
         raise MonotonicityError("indicator functionals are not continuous")
     if isinstance(c, Affine):
@@ -259,14 +260,13 @@ def ordering_monotone_block(
     elif isinstance(c, MonotoneSmooth):
         horizons = np.array([p.horizon for p in params_seq])
         step = max(1, _CHUNK_VALUES // _PROBE_POINTS)
-        for lo in range(0, len(params_seq), step):
+        for lo in range(0, n, step):
             rows = slice(lo, lo + step)
-            probe = c if step >= len(params_seq) else _take(c, rows)
+            probe = c if step >= n else _take(c, rows)
             probe.validate_monotone(horizons[rows], _PROBE_POINTS)
     else:
         raise MonotonicityError(f"{type(c).__name__} carries no monotonicity contract")
     # both legs in one kernel call: shift sigma T (anticipating), then 0 (forward)
-    n = len(params_seq)
     shifts = [p.sigma * p.horizon for p in params_seq] + [0.0] * n
     legs = quadrature_expectations(_take(c, np.tile(np.arange(n), 2)), shifts, [*params_seq] * 2)
     return legs[:n], legs[n:]
