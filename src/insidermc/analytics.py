@@ -27,7 +27,6 @@ from dataclasses import dataclass, fields, is_dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import erfc, roots_hermite
 
 from .functionals import (
     Affine,
@@ -57,6 +56,9 @@ class QuadratureError(RuntimeError):
 
 def norm_cdf(x: float) -> float:
     """Standard normal CDF via the complementary error function."""
+    # scipy is imported where it is called, so `import insidermc` loads none of it
+    from scipy.special import erfc
+
     return 0.5 * erfc(-x / math.sqrt(2.0))
 
 
@@ -90,6 +92,8 @@ def expected_insider(params: MarketParams, interp: Interpretation) -> float:
 def _hermgauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     # numpy's hermgauss overflows past a few hundred nodes; scipy's
     # Golub-Welsch/asymptotic routine stays finite up to the cap
+    from scipy.special import roots_hermite
+
     return roots_hermite(n)
 
 

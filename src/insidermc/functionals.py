@@ -11,7 +11,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Union
 
 import numpy as np
-from scipy.special import expit
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -154,12 +153,17 @@ class MonotoneSmooth(Smooth):
 
 
 def _logistic_deriv(x: ArrayLike) -> ArrayLike:
+    from scipy.special import expit
+
     p = expit(x)
     return p * (1.0 - p)
 
 
 def logistic(scale: float = 1.0) -> MonotoneSmooth:
     """Bounded increasing map x -> scale / (1 + exp(-x))."""
+    # imported here, not at module scope, so that `import insidermc` loads no scipy
+    from scipy.special import expit
+
     return MonotoneSmooth(scale=scale, fn=expit, dfn=_logistic_deriv)
 
 

@@ -33,7 +33,6 @@ from __future__ import annotations
 import math
 import time
 from collections.abc import Sequence
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -127,6 +126,8 @@ def _map_chunks(fn, args: tuple, n_paths: int, workers: int) -> list:
         return [fn(args + (0, n_paths))]
     bounds = np.linspace(0, n_paths, workers + 1, dtype=int)
     jobs = [args + (int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
+    from concurrent.futures import ProcessPoolExecutor  # only a multi-worker run needs it
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, jobs))
 
