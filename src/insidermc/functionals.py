@@ -31,7 +31,10 @@ def _require_finite(x: ArrayLike) -> None:
 class TerminalFunctional:
     """Scalar map applied to the terminal Brownian value B_T."""
 
-    def evaluate(self, x: ArrayLike) -> ArrayLike:
+    def evaluate(self, x: ArrayLike, out: np.ndarray | None = None) -> ArrayLike:
+        """C(x), written into ``out`` when given (of the broadcast shape of x
+        and the coefficients) and returned; without ``out`` a new array, or a
+        float for scalar input."""
         raise NotImplementedError
 
     def __call__(self, x: ArrayLike) -> ArrayLike:
@@ -60,9 +63,14 @@ class Affine(TerminalFunctional):
     a: float
     b: float = 0.0
 
-    def evaluate(self, x: ArrayLike) -> ArrayLike:
+    def evaluate(self, x: ArrayLike, out: np.ndarray | None = None) -> ArrayLike:
         _require_finite(x)
-        return self.a + self.b * x
+        if out is None:
+            out = np.empty(np.broadcast(x, self.a, self.b).shape)
+        # b * x + a is a + b * x, bit for bit
+        np.multiply(x, self.b, out=out)
+        out += self.a
+        return out if out.ndim else float(out)
 
     def translate(self, s: float) -> "Affine":
         if not math.isfinite(s):
@@ -88,10 +96,13 @@ class Indicator(TerminalFunctional):
     scale: float
     threshold: float
 
-    def evaluate(self, x: ArrayLike) -> ArrayLike:
+    def evaluate(self, x: ArrayLike, out: np.ndarray | None = None) -> ArrayLike:
         _require_finite(x)
-        out = np.where(np.greater(x, self.threshold), self.scale, 0.0)
-        return float(out) if np.ndim(x) == 0 else out
+        if out is None:
+            out = np.empty(np.broadcast(x, self.scale, self.threshold).shape)
+        out.fill(0.0)
+        np.copyto(out, self.scale, where=np.greater(x, self.threshold))
+        return out if out.ndim else float(out)
 
     def translate(self, s: float) -> "Indicator":
         if not math.isfinite(s):
@@ -115,9 +126,9 @@ class Smooth(TerminalFunctional):
     dfn: Callable[[ArrayLike], ArrayLike] | None = None
     shift: float = 0.0
 
-    def evaluate(self, x: ArrayLike) -> ArrayLike:
+    def evaluate(self, x: ArrayLike, out: np.ndarray | None = None) -> ArrayLike:
         _require_finite(x)
-        return self.scale * self.fn(np.asarray(x, dtype=float) - self.shift)
+        return np.multiply(self.scale, self.fn(np.asarray(x, dtype=float) - self.shift), out=out)
 
     def translate(self, s: float) -> "Smooth":
         if not math.isfinite(s):

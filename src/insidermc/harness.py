@@ -22,6 +22,16 @@ group (``conjecture_report``). Workers return per-path values, which are
 reduced in index order; a reduction that overflows is a numerical failure
 too.
 
+Each ladder chunk allocates its working set once (``_ladder_blocks``): one
+array for a block's finest paths, into which every block is drawn, and one
+kernel ``Workspace`` of the same size, into which ``scheme_wealths`` and
+``ak_residuals`` write every node-sized array, a coarser level into a
+prefix of each buffer. Freed and reallocated per block and level, these
+arrays outgrew malloc's trim threshold, so their pages went back to the
+OS and were faulted in again on the next block: with glibc on Linux
+x86-64, about 42500 minor faults per round of the benchmark's ladder
+workload, against about 700 with the workspace.
+
 ``discontinuity_probe`` locates each path's flip by bisection over the node
 index (``first_flip``), so its cost grows with log2(steps), not steps: at the
 documented defaults (1e5 paths, 1024 steps) it takes 5-9 ms in-process on a
@@ -41,6 +51,7 @@ from .analytics import jump_probability
 from .functionals import TerminalFunctional
 from .integrators import (
     Interpretation,
+    Workspace,
     ak_residuals,
     exact_wealths,
     first_flip,
@@ -92,6 +103,21 @@ def _blocks(grid: TimeGrid, start: int, stop: int):
     rows = max(1, _BLOCK_VALUES // (grid.steps + 1))
     for lo in range(start, stop, rows):
         yield lo, min(lo + rows, stop)
+
+
+def _ladder_blocks(grid: TimeGrid, seed: int, start: int, stop: int):
+    """``(lo, hi, paths, work)`` per block of ``_blocks``: the block's paths on
+    ``grid`` and a kernel workspace of the same size, both allocated once.
+
+    Every block is drawn into the same array, and the ladder's kernels write
+    into the same workspace, a coarser level into a prefix of it; so a chunk
+    makes its node-sized allocations once, not per block and level.
+    """
+    rows = min(max(1, _BLOCK_VALUES // (grid.steps + 1)), stop - start)
+    buffer = np.empty((rows, grid.steps + 1))
+    work = Workspace(buffer.size)
+    for lo, hi in _blocks(grid, start, stop):
+        yield lo, hi, sample_block(grid, seed, lo, hi, out=buffer[: hi - lo]), work
 
 
 def _non_finite(values: np.ndarray) -> int:
@@ -222,8 +248,7 @@ def _convergence_chunk(args) -> np.ndarray:
     fine_grid = TimeGrid(params.horizon, n_max)
     grids = [TimeGrid(params.horizon, n) for n in n_list]
     errors = np.empty((stop - start, len(stacks), len(n_list)))
-    for lo, hi in _blocks(fine_grid, start, stop):
-        w = sample_block(fine_grid, seed, lo, hi)
+    for lo, hi, w, work in _ladder_blocks(fine_grid, seed, start, stop):
         b_t = w[:, -1:]
         exact = {}
         for target in dict.fromkeys(targets):
@@ -237,7 +262,7 @@ def _convergence_chunk(args) -> np.ndarray:
         bad = np.zeros((len(stacks), len(n_list)), dtype=int)
         for j, g in enumerate(grids):
             with np.errstate(over="ignore", invalid="ignore"):
-                wealths = scheme_wealths(params, g, w[:, :: n_max // g.steps], starts)
+                wealths = scheme_wealths(params, g, w[:, :: n_max // g.steps], starts, work)
             for i, samples in enumerate(wealths):
                 bad[i, j] = _non_finite(samples)
                 approx[:, i, j] = samples[:, -1]
@@ -431,11 +456,10 @@ def _residual_chunk(args) -> np.ndarray:
     fine_grid = TimeGrid(params.horizon, n_max)
     grids = [TimeGrid(params.horizon, n) for n in n_list]
     residuals = np.empty((len(groups), len(n_list), stop - start))
-    for lo, hi in _blocks(fine_grid, start, stop):
-        w = sample_block(fine_grid, seed, lo, hi)
+    for lo, hi, w, work in _ladder_blocks(fine_grid, seed, start, stop):
         for j, g in enumerate(grids):
             with np.errstate(over="ignore", invalid="ignore"):
-                values = ak_residuals(functionals, params, g, w[:, :: n_max // g.steps])
+                values = ak_residuals(functionals, params, g, w[:, :: n_max // g.steps], work=work)
             for name, group, out in zip(groups, values, residuals):
                 _check_finite(_non_finite(group), f"{name} residual")
                 out[j, lo - start : hi - start] = np.abs(group)

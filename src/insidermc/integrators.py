@@ -21,11 +21,15 @@ trailing node axis. Each takes several functionals or schemes at once and
 builds what they share once: the growth factor and C's argument, the Euler
 factors g and their running product, and the residual's integrand
 arguments. A one-case caller passes a one-element sequence; the per-path
-functions are such one-row calls and return the sample array.
+functions are such one-row calls and return the sample array. Each kernel
+takes every node-sized array from a ``Workspace``; a caller that evaluates
+block after block passes one workspace to every call, and a call without
+one gets its own.
 """
 from __future__ import annotations
 
 import enum
+import math
 from collections.abc import Sequence
 from typing import TYPE_CHECKING, Callable, Union
 
@@ -60,9 +64,41 @@ class Interpretation(enum.Enum):
 ANTICIPATING = (Interpretation.AYED_KUO, Interpretation.HITSUDA_SKOROKHOD)
 
 
-def growth_factor(params: "MarketParams", nodes: np.ndarray, w: np.ndarray) -> np.ndarray:
+class Workspace:
+    """Named float64 arrays reused from one kernel call to the next.
+
+    Each name holds one buffer of ``size`` values, allocated on its first
+    use; ``take`` returns its leading values as a C-contiguous array of the
+    given shape, so a coarser grid level uses a prefix of a finer level's
+    buffer and every array has the layout a fresh one would. What a kernel
+    returns from the workspace is valid until the workspace serves its next
+    call.
+    """
+
+    def __init__(self, size: int):
+        self.size = size
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def take(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        n = math.prod(shape)
+        if n > self.size:
+            raise ValueError(f"{name}: {n} values exceed the workspace's {self.size}")
+        buffer = self._buffers.get(name)
+        if buffer is None:
+            buffer = self._buffers[name] = np.empty(self.size)
+        return buffer[:n].reshape(shape)
+
+
+def growth_factor(
+    params: "MarketParams", nodes: np.ndarray, w: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """E(t) = exp((mu - sigma^2/2) t + sigma B_t) along the trailing node axis of w."""
-    return np.exp((params.mu - 0.5 * params.sigma**2) * nodes + params.sigma * w)
+    if out is None:
+        out = np.empty(np.broadcast(nodes, w).shape)
+    # IEEE addition commutes: adding the drift term to sigma B_t is the formula's sum, bit for bit
+    np.multiply(params.sigma, w, out=out)
+    out += (params.mu - 0.5 * params.sigma**2) * nodes
+    return np.exp(out, out=out)
 
 
 def exact_wealths(
@@ -72,6 +108,7 @@ def exact_wealths(
     w: np.ndarray,
     interp: Interpretation,
     growth: np.ndarray | None = None,
+    work: Workspace | None = None,
 ) -> list[np.ndarray]:
     """Closed-form solution at ``nodes`` of each functional in ``cs``, for Brownian values ``w``.
 
@@ -82,15 +119,24 @@ def exact_wealths(
     the forward variant keeps C(B_T) frozen. Ito is only defined for
     deterministic C. C's argument and the growth factor are built once for
     all functionals; ``growth`` passes in ``growth_factor(params, nodes, w)``
-    for a caller that already holds it.
+    for a caller that already holds it. The arrays are taken from ``work``.
     """
     if interp is Interpretation.ITO and not all(c.is_deterministic for c in cs):
         raise ValueError("Ito interpretation requires a deterministic initial condition")
-    b_t = w[..., -1:]
-    argument = b_t - params.sigma * nodes if interp in ANTICIPATING else b_t
+    shape = np.broadcast(nodes, w).shape
+    if work is None:
+        work = Workspace(math.prod(shape))
     if growth is None:
-        growth = growth_factor(params, nodes, w)
-    return [np.asarray(c.evaluate(argument) * growth, dtype=float) for c in cs]
+        growth = growth_factor(params, nodes, w, work.take("growth", shape))
+    argument = w[..., -1:]
+    if interp in ANTICIPATING:
+        argument = np.subtract(argument, params.sigma * nodes, out=work.take("argument", shape))
+    wealths = []
+    for k, c in enumerate(cs):
+        samples = c.evaluate(argument, out=work.take(f"exact{k}", shape))
+        samples *= growth
+        wealths.append(samples)
+    return wealths
 
 
 def exact_solution(
@@ -112,20 +158,30 @@ def euler_forward(
 
 
 def _riemann_sums(
-    values: Callable, nodes: np.ndarray, w: np.ndarray, i: int, right: bool
+    values: Callable,
+    nodes: np.ndarray,
+    w: np.ndarray,
+    i: int,
+    right: bool,
+    work: Workspace | None = None,
 ) -> list[np.ndarray]:
     """Riemann sums over the first i steps, along the trailing node axis of w.
 
     Each term is u(t_{k-1}, W_{k-1}, B_T - W_j) * (W_k - W_{k-1}), with the
     future argument read at the right node (j = k) or at the left node
     (j = k - 1). With no future dependence both are the Ito left-point sum.
-    The arguments are built once; ``values(s, x, y)`` yields the integrand
-    values of each integrand u on them, one sum per integrand.
+    The arguments are built once, in ``work``; ``values(s, x, y)`` yields
+    the integrand values of each integrand u on them, one sum per integrand.
     """
+    shape = w.shape[:-1] + (i,)
+    if work is None:
+        work = Workspace(math.prod(shape))
     x = w[..., :i]
-    y = w[..., -1:] - (w[..., 1 : i + 1] if right else x)
-    dw = np.diff(w[..., : i + 1], axis=-1)
-    return [np.sum(u * dw, axis=-1) for u in values(nodes[:i], x, y)]
+    y = np.subtract(w[..., -1:], w[..., 1 : i + 1] if right else x, out=work.take("y", shape))
+    # np.diff, written into the workspace
+    dw = np.subtract(w[..., 1 : i + 1], x, out=work.take("dw", shape))
+    terms = work.take("terms", shape)
+    return [np.sum(np.multiply(u, dw, out=terms), axis=-1) for u in values(nodes[:i], x, y)]
 
 
 def ak_integral(u: Integrand, path: BrownianPath, t: float) -> float:
@@ -175,25 +231,34 @@ def ak_residuals(
     grid: TimeGrid,
     w: np.ndarray,
     t: float | None = None,
+    work: Workspace | None = None,
 ) -> list[np.ndarray]:
     """``ak_residual`` over [0, t] of each functional in ``cs``, for every path of ``w``.
 
     The functionals share what does not depend on them: E(t), read both by
     the exact solution and, at the left nodes, by the integrand
     Phi(s, x, y) = C(y + x - sigma s) E(s); the exact solution's argument
-    B_T - sigma t; Phi's argument y + x - sigma s; and the increments.
+    B_T - sigma t; Phi's argument y + x - sigma s; and the increments. Every
+    node-sized array is taken from ``work``.
     """
     i = grid.steps if t is None else grid.index_of(t)
-    growth = growth_factor(params, grid.nodes, w)
-    exact = exact_wealths(cs, params, grid.nodes, w, Interpretation.AYED_KUO, growth)
+    if work is None:
+        work = Workspace(w.size)
+    growth = growth_factor(params, grid.nodes, w, work.take("growth", w.shape))
+    exact = exact_wealths(cs, params, grid.nodes, w, Interpretation.AYED_KUO, growth, work)
     left_growth = growth[..., :i]
 
     def phis(s, x, y):
-        z = y + x - params.sigma * s
+        z = np.add(y, x, out=work.take("z", y.shape))
+        z -= params.sigma * s
+        phi = work.take("phi", y.shape)
         for c in cs:
-            yield c.evaluate(z) * left_growth
+            # each Phi is summed before the next is written over it
+            c.evaluate(z, out=phi)
+            phi *= left_growth
+            yield phi
 
-    stochastic = _riemann_sums(phis, grid.nodes, w, i, right=True)
+    stochastic = _riemann_sums(phis, grid.nodes, w, i, right=True, work=work)
     residuals = []
     for samples, mixed in zip(exact, stochastic):
         drift = params.mu * grid.dt * np.sum(samples[..., :i], axis=-1)
@@ -248,6 +313,7 @@ def scheme_wealths(
     grid: TimeGrid,
     w: np.ndarray,
     starts: Sequence[Sequence[np.ndarray]],
+    work: Workspace | None = None,
 ) -> list[np.ndarray]:
     """Discrete stock wealth of each scheme at the nodes of ``grid`` for Brownian values ``w``.
 
@@ -259,17 +325,22 @@ def scheme_wealths(
     correction: each stack level k holds the k-th derivative process started
     at C^(k)(B_T) and is corrected by sigma * dt times the level below it;
     level 0 is the wealth. With a vanishing first derivative the stack has
-    one level and the scheme is plain Euler, bit for bit.
+    one level and the scheme is plain Euler, bit for bit. Every node-sized
+    array, the returned wealths too, is taken from ``work``.
     """
     dt = grid.dt
     sigma = params.sigma
-    g = np.diff(w, axis=-1)
+    if work is None:
+        work = Workspace(w.size)
+    steps = w.shape[:-1] + (w.shape[-1] - 1,)
+    # np.diff, written into the workspace
+    g = np.subtract(w[..., 1:], w[..., :-1], out=work.take("g", steps))
     g *= sigma
     g += 1.0 + params.mu * dt
-    growth = np.cumprod(g, axis=-1)
+    growth = np.cumprod(g, axis=-1, out=work.take("cumprod", steps))
     wealths = []
-    for start in starts:
-        samples = np.empty(w.shape)
+    for j, start in enumerate(starts):
+        samples = work.take(f"samples{j}", w.shape)
         samples[..., :1] = start[0]
         # Work in ratios r_m = S_m / prod(g_1..g_m), held in samples[..., 1:];
         # the correction recursion is then r_m = r_{m-1} - sigma*dt * r^below_{m-1} / g_m,
@@ -280,7 +351,7 @@ def scheme_wealths(
             np.multiply(start[0], growth, out=ratios)
         else:
             np.divide(start[-1], g, out=ratios)
-            left = np.empty_like(g) if len(start) > 2 else None
+            left = work.take("left", steps) if len(start) > 2 else None
             for k in range(len(start) - 2, -1, -1):
                 np.cumsum(ratios, axis=-1, out=ratios)
                 ratios *= sigma * dt

@@ -129,7 +129,9 @@ def sample_terminal(seed: int, horizon: float, start: int, stop: int) -> np.ndar
     return out
 
 
-def sample_block(grid: TimeGrid, seed: int, start: int, stop: int) -> np.ndarray:
+def sample_block(
+    grid: TimeGrid, seed: int, start: int, stop: int, out: np.ndarray | None = None
+) -> np.ndarray:
     """Brownian values of paths start..stop-1, one row per path index.
 
     Row k is bit-identical to ``generate_path(grid, seed, start + k).values``.
@@ -137,10 +139,16 @@ def sample_block(grid: TimeGrid, seed: int, start: int, stop: int) -> np.ndarray
     key to ``(seed, index)``, its counter and its buffer, which restarts the
     stream exactly as a fresh generator would. The running sum is a
     sequential accumulation along each row (``np.sum`` would sum pairwise),
-    so B_T matches the one-row case bit for bit.
+    so B_T matches the one-row case bit for bit. ``out``, of shape
+    ``(stop - start, steps + 1)`` with C-contiguous rows, receives the values
+    and is returned; whatever it held is overwritten.
     """
     _check_range(seed, start, stop)
-    values = np.zeros((stop - start, grid.steps + 1))
+    shape = (stop - start, grid.steps + 1)
+    values = np.empty(shape) if out is None else out
+    if values.shape != shape:
+        raise ValueError(f"out must have shape {shape}, got {values.shape}")
+    values[:, 0] = 0.0
     if stop == start:
         return values
     bit_generator = np.random.Philox(key=np.array([seed, start], dtype=np.uint64))

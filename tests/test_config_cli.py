@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import os
 import re
@@ -586,6 +587,93 @@ SWEEP_DIGESTS = {
 def test_sweep_bytes_match_recorded_digests(tmp_path, capsys):
     argv = ["ordering-sweep", "--sets", "300", "--seed", "7"]
     assert _output_digests(tmp_path, capsys, "sweep", argv) == SWEEP_DIGESTS
+
+
+# (exit code, sha256 of the CSV) at --seed 7 of ladders whose paths span several
+# blocks (a block holds at most 32768 path values), per worker count; recorded
+# like CSV_DIGESTS, before the ladders reused one workspace per chunk, so a stale
+# row left over from a longer block would show. 16385 nodes give one row per
+# block; 2049 nodes give 15, so 37 paths make blocks of 15, 15 and 7 and 333
+# make 22 blocks of 15 and a last block of 3.
+MULTI_BLOCK_DIGESTS = {
+    ("converge-rows-1", "1"):
+        (1, "e1ce08a87eb845cde89a378c4ce81c5d59602e3ca77789ee0682b7869939e5dc"),
+    ("converge-rows-1", "2"):
+        (1, "bddf59807e0d1dc28c018d6ecd8a70ce32d5517686ab3e53d393e3e8e5b3f28e"),
+    ("converge-rows-15", "1"):
+        (0, "0269c985b3171d7344ed15bf921bf59c987aa4dbb1d33466d19480bbd173c294"),
+    ("converge-rows-15", "2"):
+        (0, "4fe7a1cdaa8e8f5f4d7c28e5f3fddb52bc82e1b5b7fc8a79e64924eeeaa6df04"),
+    ("conjecture-rows-15", "1"):
+        (0, "877b2950b0a65a9951516845312db0e9c261bbb3dd72404007dc621e06b1d035"),
+    ("conjecture-rows-15", "2"):
+        (0, "433c97e7aa5f130c2907dd008ff0b884fb152ed218e6e3158634353a0e11c5e5"),
+}
+
+
+def test_multi_block_ladder_bytes_match_recorded_digests(tmp_path, capsys):
+    cases = {
+        "converge-rows-1": ["converge", "--paths", "3", "--n-list", "4096,8192,16384"],
+        "converge-rows-15": ["converge", "--paths", "37", "--n-list", "256,512,1024,2048"],
+        "conjecture-rows-15": ["conjecture", "--paths", "333", "--n-list", "16,64,2048"],
+    }
+    digests = {}
+    for name, argv in cases.items():
+        for workers in ("1", "2"):
+            out = tmp_path / f"{name}-{workers}.csv"
+            rc = main(argv + ["--seed", "7", "--workers", workers, "--csv", str(out)])
+            digests[name, workers] = (rc, _sha256(out.read_bytes()))
+    capsys.readouterr()
+    assert digests == MULTI_BLOCK_DIGESTS
+
+
+# the benchmark's ladder workload: its config, then converge and conjecture as it runs them
+_LADDER_ROUND = r"""
+import contextlib, io, json, resource, sys
+from pathlib import Path
+from insidermc.cli import main
+
+tmp = Path(sys.argv[1])
+config = tmp / "ladder.ini"
+config.write_text(
+    "[market]\nwealth = 1.0\nrho = 0.02\nmu = 0.05\nsigma = 0.2\nhorizon = 1.0\n"
+    "\n[strategy]\nkind = partial-trust\n"
+)
+runs = (
+    ["converge", "--paths", "200"],
+    ["conjecture", "--paths", "250", "--n-list", "256,1024,4096"],
+)
+faults = []
+for _ in range(2):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    with contextlib.redirect_stdout(io.StringIO()):
+        for argv in runs:
+            args = argv + ["--config", str(config), "--seed", "1", "--csv", str(tmp / "out.csv")]
+            assert main(args) == 0, args
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(json.dumps({"faults": faults, "scipy": "scipy" in sys.modules}))
+"""
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux") or importlib.util.find_spec("resource") is None,
+    reason="minor page faults are read from resource.getrusage on Linux",
+)
+def test_a_repeated_ladder_round_faults_in_no_working_set(tmp_path):
+    # Freed node-sized temporaries can be trimmed from the heap and faulted back
+    # in on every block; the ladders' chunks reuse one workspace instead. About
+    # 700 faults per round remain, against about 42500 when each block allocated
+    # its own arrays. No scipy is loaded, since its import moves malloc's trim
+    # threshold and would hide the faults.
+    env = os.environ | {"PYTHONPATH": str(Path(insidermc.__file__).parents[1])}
+    run = subprocess.run(
+        [sys.executable, "-c", _LADDER_ROUND, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    report = json.loads(run.stdout)
+    assert not report["scipy"]
+    assert report["faults"][1] < 5000, report
 
 
 @pytest.mark.parametrize(

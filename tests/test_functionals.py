@@ -223,3 +223,48 @@ def test_monotone_outputs_nondecreasing_on_increasing_inputs():
         ys = np.asarray(c.evaluate(xs), dtype=float)
         assert np.all(np.diff(ys) >= 0.0)
         assert ys[-1] > ys[0]
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+# -0.0, +0.0 and the threshold itself, next to values on either side of it
+EDGE_POINTS = np.array(
+    [-0.0, 0.0, 0.25, np.nextafter(0.25, 0.0), np.nextafter(0.25, 1.0), -3.5, 7.0]
+)
+
+
+@pytest.mark.parametrize(
+    "c, formula",
+    [
+        (Affine(0.3, -1.7), lambda x: 0.3 + -1.7 * x),
+        (Affine(-0.0, 2.0), lambda x: -0.0 + 2.0 * x),
+        (Indicator(1.5, 0.25), lambda x: np.where(np.greater(x, 0.25), 1.5, 0.0)),
+        (Indicator(2.0, -0.0), lambda x: np.where(np.greater(x, -0.0), 2.0, 0.0)),
+    ],
+    ids=["affine", "affine-zero-intercept", "indicator", "indicator-at-zero"],
+)
+def test_evaluate_into_a_dirty_buffer_equals_a_fresh_evaluation(c, formula):
+    x = np.tile(EDGE_POINTS, (3, 1))
+    out = np.full(x.shape, np.nan)
+    assert c.evaluate(x, out=out) is out
+    assert _same_bits(out, c.evaluate(x))
+    assert _same_bits(out, formula(x))
+    # a column argument broadcast across a row of the output, as a frozen C(B_T) is
+    column = EDGE_POINTS[:, None]
+    wide = np.full((EDGE_POINTS.size, 4), np.nan)
+    c.evaluate(column, out=wide)
+    assert _same_bits(wide, np.broadcast_to(c.evaluate(column), wide.shape))
+    for v in EDGE_POINTS:
+        scalar = c.evaluate(float(v))
+        assert type(scalar) is float and _same_bits(scalar, formula(float(v)))
+
+
+def test_evaluate_broadcasts_column_coefficients():
+    c = Affine(np.array([[1.0], [2.0]]), np.array([[0.5], [-1.0]]))
+    x = np.array([-0.0, 0.25, 3.0])
+    assert _same_bits(c.evaluate(x), c.a + c.b * x)
+    out = np.full((2, 3), np.nan)
+    assert _same_bits(c.evaluate(x, out=out), c.a + c.b * x)

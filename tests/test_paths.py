@@ -152,3 +152,16 @@ def test_coarsen_restricts_nodes_and_keeps_terminal():
     assert coarse.terminal == fine.terminal
     with pytest.raises(ValueError):
         coarsen(fine, 5)
+
+
+def test_sample_block_into_a_dirty_buffer_equals_a_fresh_draw():
+    grid = TimeGrid(1.3, 64)
+    fresh = sample_block(grid, 17, 5, 12)
+    buffer = np.full((7, 65), np.nan)
+    assert sample_block(grid, 17, 5, 12, out=buffer) is buffer
+    assert np.array_equal(buffer, fresh)
+    # a leading slice of a larger buffer, as a ladder's last block uses it
+    larger = np.full((9, 65), np.nan)
+    assert np.array_equal(sample_block(grid, 17, 8, 12, out=larger[:4]), fresh[3:])
+    with pytest.raises(ValueError, match="out must have shape"):
+        sample_block(grid, 17, 5, 12, out=larger)

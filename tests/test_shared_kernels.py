@@ -5,7 +5,9 @@ for several schemes; ``_one_scheme_reference`` is the one-scheme kernel it
 replaced, written out, which built them per scheme and filled every stack
 level's ratios before dividing. ``ak_residuals`` builds the residual's
 shared arguments once for several functionals; one call per functional is
-its reference. Each comparison is bit for bit.
+its reference. A kernel that reuses a workspace left dirty by a larger call
+must return what a call with no workspace returns. Each comparison is bit
+for bit.
 """
 from dataclasses import dataclass
 
@@ -25,6 +27,7 @@ from insidermc import (
 )
 from insidermc.integrators import (
     _MAX_CORRECTION_LEVELS,
+    Workspace,
     _correction_stack,
     ak_residuals,
     scheme_stack,
@@ -51,8 +54,8 @@ class _Exponential(TerminalFunctional):
     scale: float
     rate: float
 
-    def evaluate(self, x):
-        return self.scale * np.exp(self.rate * np.asarray(x, dtype=float))
+    def evaluate(self, x, out=None):
+        return np.multiply(self.scale, np.exp(self.rate * np.asarray(x, dtype=float)), out=out)
 
     def derivative(self):
         return _Exponential(self.scale * self.rate, self.rate)
@@ -152,3 +155,52 @@ def test_multi_functional_residuals_equal_one_call_per_functional(params, steps)
             (single,) = ak_residuals([c], params, grid, w, t)
             assert residual.shape == (w.shape[0],)
             assert _same_bits(residual, single)
+
+
+def _coarse_short(params, w, factor, rows):
+    """The first ``rows`` paths of block ``w`` on the grid ``factor`` times coarser."""
+    return TimeGrid(params.horizon, (w.shape[1] - 1) // factor), w[:rows, ::factor]
+
+
+@pytest.mark.parametrize("params", [BASELINE, ODD], ids=["T=1", "T=1.3"])
+def test_scheme_wealths_on_a_reused_workspace_equal_a_fresh_call(params):
+    grid, w = _block(params, 256)
+    cases = [(c, interp) for c in _functionals(params).values() for interp in (RV, HS)]
+    stacks = [scheme_stack(c, interp) for c, interp in cases]
+    work = Workspace(w.size)
+    # the second call reads a shorter block at a coarser level, over what the first left
+    for g, block in ((grid, w), _coarse_short(params, w, 4, w.shape[0] - 7)):
+        starts = scheme_starts(stacks, block[:, -1:])
+        reused = scheme_wealths(params, g, block, starts, work)
+        fresh = scheme_wealths(params, g, block, starts)
+        assert len(reused) == len(cases)
+        for a, b in zip(reused, fresh):
+            assert np.isfinite(b).all()
+            assert _same_bits(a, b)
+
+
+@pytest.mark.parametrize("params", [BASELINE, ODD], ids=["T=1", "T=1.3"])
+def test_ak_residuals_on_a_reused_workspace_equal_a_fresh_call(params):
+    grid, w = _block(params, 256)
+    functionals = [
+        stock_functional(FullInformation(), params), stock_functional(PartialTrust(), params)
+    ]
+    work = Workspace(w.size)
+    for g, block in ((grid, w), _coarse_short(params, w, 4, w.shape[0] - 7)):
+        for t in (None, g.nodes[g.steps // 2]):
+            reused = ak_residuals(functionals, params, g, block, t, work)
+            fresh = ak_residuals(functionals, params, g, block, t)
+            for a, b in zip(reused, fresh):
+                assert _same_bits(a, b)
+
+
+def test_workspace_hands_out_contiguous_prefixes_and_refuses_overflow():
+    work = Workspace(12)
+    a = work.take("a", (3, 4))
+    a[...] = np.arange(12.0).reshape(3, 4)
+    b = work.take("a", (2, 3))
+    assert b.flags.c_contiguous and np.shares_memory(a, b)
+    assert np.array_equal(b.ravel(), np.arange(6.0))
+    assert not np.shares_memory(a, work.take("b", (12,)))
+    with pytest.raises(ValueError, match="13 values exceed"):
+        work.take("a", (13,))
