@@ -33,8 +33,8 @@ class TerminalFunctional:
 
     def evaluate(self, x: ArrayLike, out: np.ndarray | None = None) -> ArrayLike:
         """C(x), written into ``out`` when given (of the broadcast shape of x
-        and the coefficients) and returned; without ``out`` a new array, or a
-        float for scalar input."""
+        and the coefficients, possibly x itself) and returned; without ``out``
+        a new array, or a float for scalar input."""
         raise NotImplementedError
 
     def __call__(self, x: ArrayLike) -> ArrayLike:
@@ -98,10 +98,11 @@ class Indicator(TerminalFunctional):
 
     def evaluate(self, x: ArrayLike, out: np.ndarray | None = None) -> ArrayLike:
         _require_finite(x)
+        on = np.greater(x, self.threshold)
         if out is None:
             out = np.empty(np.broadcast(x, self.scale, self.threshold).shape)
         out.fill(0.0)
-        np.copyto(out, self.scale, where=np.greater(x, self.threshold))
+        np.copyto(out, self.scale, where=on)
         return out if out.ndim else float(out)
 
     def translate(self, s: float) -> "Indicator":
@@ -128,7 +129,11 @@ class Smooth(TerminalFunctional):
 
     def evaluate(self, x: ArrayLike, out: np.ndarray | None = None) -> ArrayLike:
         _require_finite(x)
-        return np.multiply(self.scale, self.fn(np.asarray(x, dtype=float) - self.shift), out=out)
+        if out is None:
+            return np.multiply(self.scale, self.fn(np.asarray(x, dtype=float) - self.shift))
+        # x - shift goes through out, so only fn's own arrays are allocated
+        np.subtract(x, self.shift, out=out)
+        return np.multiply(self.scale, self.fn(out), out=out)
 
     def translate(self, s: float) -> "Smooth":
         if not math.isfinite(s):
@@ -163,19 +168,20 @@ class MonotoneSmooth(Smooth):
                 raise MonotonicityError("evaluator is constant on the probe grid")
 
 
-def _logistic_deriv(x: ArrayLike) -> ArrayLike:
-    from scipy.special import expit
+def _expit(x: ArrayLike) -> ArrayLike:
+    """The logistic sigmoid 1 / (1 + exp(-x)); exp overflows to inf, which gives 0."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
 
-    p = expit(x)
+
+def _logistic_deriv(x: ArrayLike) -> ArrayLike:
+    p = _expit(x)
     return p * (1.0 - p)
 
 
 def logistic(scale: float = 1.0) -> MonotoneSmooth:
     """Bounded increasing map x -> scale / (1 + exp(-x))."""
-    # imported here, not at module scope, so that `import insidermc` loads no scipy
-    from scipy.special import expit
-
-    return MonotoneSmooth(scale=scale, fn=expit, dfn=_logistic_deriv)
+    return MonotoneSmooth(scale=scale, fn=_expit, dfn=_logistic_deriv)
 
 
 def _atan01(x: ArrayLike) -> ArrayLike:

@@ -361,12 +361,17 @@ def _flip_chunk(args) -> tuple[np.ndarray, int]:
     b_t = sample_terminal(seed, grid.horizon, start, stop)[:, None]
     flip_times = []
     rv_flips = 0
-    # first_flip reads O(rows) states, so chunks are sized by terminal values alone
-    for lo in range(0, stop - start, _BLOCK_VALUES):
-        chunk = b_t[lo : lo + _BLOCK_VALUES]
+    # first_flip reads O(rows) states, so chunks are sized by terminal values
+    # alone. Half a block, with each leg's arrays dropped before the next leg
+    # runs, keeps the memory a chunk frees below malloc's trim threshold, so a
+    # repeated round reuses the heap instead of faulting it back in
+    step = _BLOCK_VALUES // 2
+    for lo in range(0, stop - start, step):
+        chunk = b_t[lo : lo + step]
         flipped, times = first_flip(c, params, nodes, chunk, Interpretation.AYED_KUO)
         flip_times.append(times[flipped])
-        rv_flipped, _ = first_flip(c, params, nodes, chunk, Interpretation.FORWARD)
+        del flipped, times
+        rv_flipped = first_flip(c, params, nodes, chunk, Interpretation.FORWARD)[0]
         rv_flips += int(np.count_nonzero(rv_flipped))
     return np.concatenate(flip_times), rv_flips
 

@@ -408,7 +408,8 @@ def first_flip(
     # state(lo) is on and state(hi) is off on every flipped row
     lo = np.zeros(rows.size, dtype=np.intp)
     hi = np.full(rows.size, nodes.size - 1)
-    for _ in range((nodes.size - 2).bit_length()):
+    # with no flipped row (the forward leg never has one) there is nothing to bisect
+    for _ in range((nodes.size - 2).bit_length() if rows.size else 0):
         mid = (lo + hi) >> 1
         on = state(y, nodes[mid])
         np.copyto(lo, mid, where=on)

@@ -114,7 +114,8 @@ def sample_terminal(seed: int, horizon: float, start: int, stop: int) -> np.ndar
     Path index ``i`` reads element ``i mod _BLOCK_VALUES`` of
     ``standard_normal`` from the Philox key ``(seed, i // _BLOCK_VALUES)``.
     A range that starts inside a key block draws that block's prefix and
-    drops it, so every worker layout reads the same values.
+    drops it, so every worker layout reads the same values; the rest is
+    drawn straight into the output.
     """
     _check_range(seed, start, stop)
     out = np.empty(stop - start)
@@ -123,7 +124,8 @@ def sample_terminal(seed: int, horizon: float, start: int, stop: int) -> np.ndar
         block, offset = divmod(lo, _BLOCK_VALUES)
         hi = min(stop, (block + 1) * _BLOCK_VALUES)
         rng = np.random.Generator(np.random.Philox(key=np.array([seed, block], dtype=np.uint64)))
-        out[lo - start : hi - start] = rng.standard_normal(offset + hi - lo)[offset:]
+        rng.standard_normal(offset)  # the prefix before path lo, dropped
+        rng.standard_normal(out=out[lo - start : hi - start])
         lo = hi
     out *= math.sqrt(horizon)
     return out

@@ -286,6 +286,25 @@ def test_chunk_sums_equal_one_dot_per_row(nodes):
         assert analytics._row_dots(values[:rows], w).tolist() == want[:rows], rows
 
 
+@pytest.mark.parametrize("nodes", [256, 1024])
+def test_node_sums_keep_the_bits_of_the_plain_argument(nodes):
+    # the kernel builds root * x + drift - shift in one reused buffer; over
+    # several row chunks and a short last one, each sum keeps the bits of the
+    # expression written out, row by row
+    x, w = analytics._hermgauss(nodes)
+    sets = _sweep_sets(3, 150)
+    shifts = [p.sigma * p.horizon if i % 2 else 0.0 for i, p in enumerate(sets)]
+    columns = np.array([
+        [math.sqrt(2.0 * p.horizon) for p in sets], [p.sigma * p.horizon for p in sets], shifts,
+    ])[:, :, None]
+    got = analytics._node_sums(arctangent(_column(p.wealth for p in sets)), columns, nodes)
+    want = [
+        float(w @ arctangent(p.wealth).evaluate(root * x + drift - shift))
+        for p, (root, drift, shift) in zip(sets, columns.transpose(1, 0, 2))
+    ]
+    assert got.tolist() == want
+
+
 def test_monotone_probe_block_raises_the_one_set_message():
     # the first failing row decides the message: a decreasing one, then a constant one
     cases = [([1.0, 2.0, -1.0, 1.0, 0.0, 1.0], -1.0), ([1.0, 0.0, -1.0, 1.0, 1.0, 1.0], 0.0)]

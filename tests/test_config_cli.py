@@ -404,7 +404,7 @@ CSV_DIGESTS = {
     "converge": "f3dd54cbe8c970a27ee7793b6a5a9f2c53ceecbbca765196c31db02e13362fb1",
     "conjecture": "28ab6e695c7a31e00e24ce8a4fc90051c84ef8560187361f0909089f10c3e51c",
     "jump": "db4d45be3129ce5b71469e1e15b2e071cce9696608a2eb35c319b67a1b414c84",
-    "ordering-sweep": "32030e2dc4d1bffbb10eec11ae7a41c405d99c4dc91ebc8978711daa5e85dfa4",
+    "ordering-sweep": "e1d33920f7a526b391389bba3d478d63260b616f1beb92d6d3bc583728761ccb",
     "converge-honest": "34c83e4460d05685d9ad588c332d43d9458a0a146778c0f44c563cb73ae90a37",
 }
 DUMPS_DIGESTS = {
@@ -508,7 +508,7 @@ JSON_DIGESTS = {
     "converge": "41bb8fa6f6f56c945647f9c811c9d832645dda61e32ea1939fde56b6edc6134a",
     "conjecture": "0048fff6d3b8b9471b67a15f5f5d97919c237ba3df4ddbae661d9c30cead0156",
     "jump": "dcbf2571a454ca6c0dfd90f940fd2e15e6ea63b0d9cf709411a19937f994aef6",
-    "ordering-sweep": "960b44a9fca5c8cbf6ea2b07d073c80bdfe0cb28f1c056ab418f84e409bc488c",
+    "ordering-sweep": "1519afe6ff785a61e32487fbbc431a4eae7fefb2e67bf1b95f53b72a96cef52c",
     "converge-honest": "6740003693f2695feae715abdaf59dcc9f0f9f73403ceaeab5cf78f9aad3ab98",
 }
 STDOUT_DIGESTS = {
@@ -578,9 +578,9 @@ def test_successive_main_calls_share_no_parser_state(tmp_path, capsys):
 # CSV_DIGESTS; sets 81 and 258 need 1024 nodes (arctangent, forward leg) where
 # every other set stops at 256 or 512
 SWEEP_DIGESTS = {
-    "json": "76863e925d47d6fc606b29ce9cb30153039ce78df95037e1b739c602d6a5af44",
+    "json": "09f246a92d1d49afe7cade3c1188562476c1bcdf632eb3a615da7fae86fabde6",
     "stdout": "f943779033b977b4dec46de7cb02ead91dd1f3c74c0ad48d2ec2fbbeab1bf740",
-    "csv": "26f1036039e68de471862ffdad523e76ae7f7e7ba9678aad4469ccba675e9bbf",
+    "csv": "91f4eb304dda0f238adecb7cbc45433b4ae8a829d5451f43c51c2f1195798837",
 }
 
 
@@ -627,24 +627,22 @@ def test_multi_block_ladder_bytes_match_recorded_digests(tmp_path, capsys):
     assert digests == MULTI_BLOCK_DIGESTS
 
 
-# the benchmark's ladder workload: its config, then converge and conjecture as it runs them
-_LADDER_ROUND = r"""
+# rounds of CLI calls as the benchmark's workloads run them, in one fresh
+# interpreter, on the ladder's config (the default market); prints the minor
+# page faults of each round
+_REPEATED_ROUNDS = r"""
 import contextlib, io, json, resource, sys
 from pathlib import Path
 from insidermc.cli import main
 
-tmp = Path(sys.argv[1])
+tmp, runs, rounds = Path(sys.argv[1]), json.loads(sys.argv[2]), int(sys.argv[3])
 config = tmp / "ladder.ini"
 config.write_text(
     "[market]\nwealth = 1.0\nrho = 0.02\nmu = 0.05\nsigma = 0.2\nhorizon = 1.0\n"
     "\n[strategy]\nkind = partial-trust\n"
 )
-runs = (
-    ["converge", "--paths", "200"],
-    ["conjecture", "--paths", "250", "--n-list", "256,1024,4096"],
-)
 faults = []
-for _ in range(2):
+for _ in range(rounds):
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     with contextlib.redirect_stdout(io.StringIO()):
         for argv in runs:
@@ -655,25 +653,55 @@ print(json.dumps({"faults": faults, "scipy": "scipy" in sys.modules}))
 """
 
 
-@pytest.mark.skipif(
-    not sys.platform.startswith("linux") or importlib.util.find_spec("resource") is None,
-    reason="minor page faults are read from resource.getrusage on Linux",
-)
-def test_a_repeated_ladder_round_faults_in_no_working_set(tmp_path):
-    # Freed node-sized temporaries can be trimmed from the heap and faulted back
-    # in on every block; the ladders' chunks reuse one workspace instead. About
-    # 700 faults per round remain, against about 42500 when each block allocated
-    # its own arrays. No scipy is loaded, since its import moves malloc's trim
-    # threshold and would hide the faults.
+def _faults_per_round(tmp_path, runs: list[list[str]], rounds: int) -> list[int]:
+    """Minor page faults of each of ``rounds`` rounds of ``runs``, in a fresh interpreter."""
     env = os.environ | {"PYTHONPATH": str(Path(insidermc.__file__).parents[1])}
     run = subprocess.run(
-        [sys.executable, "-c", _LADDER_ROUND, str(tmp_path)],
+        [sys.executable, "-c", _REPEATED_ROUNDS, str(tmp_path), json.dumps(runs), str(rounds)],
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert run.returncode == 0, run.stderr
     report = json.loads(run.stdout)
+    # scipy's import moves malloc's trim threshold and would hide the faults
     assert not report["scipy"]
-    assert report["faults"][1] < 5000, report
+    return report["faults"]
+
+
+_ON_LINUX = pytest.mark.skipif(
+    not sys.platform.startswith("linux") or importlib.util.find_spec("resource") is None,
+    reason="minor page faults are read from resource.getrusage on Linux",
+)
+
+
+@_ON_LINUX
+def test_a_repeated_ladder_round_faults_in_no_working_set(tmp_path):
+    # Freed node-sized temporaries can be trimmed from the heap and faulted back
+    # in on every block; the ladders' chunks reuse one workspace instead. About
+    # 700 faults per round remain, against about 42500 when each block allocated
+    # its own arrays. The round is the benchmark's: converge, then conjecture.
+    runs = [
+        ["converge", "--paths", "200"],
+        ["conjecture", "--paths", "250", "--n-list", "256,1024,4096"],
+    ]
+    faults = _faults_per_round(tmp_path, runs, rounds=2)
+    assert faults[1] < 5000, faults
+
+
+@_ON_LINUX
+@pytest.mark.parametrize(
+    "argv",
+    [["jump", "--paths", "25000", "--steps", "64"], ["ordering-sweep", "--sets", "300"]],
+    ids=["jump", "ordering-sweep"],
+)
+def test_a_repeated_round_faults_in_no_working_set(tmp_path, argv):
+    # A round whose freed arrays leave more free memory at the top of the heap
+    # than malloc keeps has it trimmed and faults it back in on every round:
+    # about 120 faults per jump round when it held two path-sized arrays at
+    # once, and about 1000 per sweep round when the oracle evaluated each
+    # chunk into a second array. The second round may still grow the heap, so
+    # the third and fourth are checked.
+    faults = _faults_per_round(tmp_path, [argv], rounds=4)
+    assert max(faults[2:]) < 30, faults
 
 
 @pytest.mark.parametrize(

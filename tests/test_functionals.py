@@ -252,6 +252,10 @@ def test_evaluate_into_a_dirty_buffer_equals_a_fresh_evaluation(c, formula):
     assert c.evaluate(x, out=out) is out
     assert _same_bits(out, c.evaluate(x))
     assert _same_bits(out, formula(x))
+    # the argument itself as the output
+    y = x.copy()
+    assert c.evaluate(y, out=y) is y
+    assert _same_bits(y, formula(x))
     # a column argument broadcast across a row of the output, as a frozen C(B_T) is
     column = EDGE_POINTS[:, None]
     wide = np.full((EDGE_POINTS.size, 4), np.nan)
@@ -260,6 +264,15 @@ def test_evaluate_into_a_dirty_buffer_equals_a_fresh_evaluation(c, formula):
     for v in EDGE_POINTS:
         scalar = c.evaluate(float(v))
         assert type(scalar) is float and _same_bits(scalar, formula(float(v)))
+
+
+@pytest.mark.parametrize("family", [logistic, arctangent])
+def test_smooth_evaluates_into_its_argument(family):
+    c = family(np.array([[1.0], [2.5]])).translate(0.3)
+    x = np.tile(np.linspace(-40.0, 40.0, 801), (2, 1))
+    y = x.copy()
+    assert c.evaluate(y, out=y) is y
+    assert _same_bits(y, c.evaluate(x))
 
 
 def test_evaluate_broadcasts_column_coefficients():

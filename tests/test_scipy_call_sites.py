@@ -1,15 +1,22 @@
-"""scipy is imported only where it is called, and each call site keeps its routine.
+"""No runtime module imports scipy; the routines that replaced it match it.
 
-``import insidermc`` loads numpy but no scipy: the Gauss-Hermite nodes, the
-normal CDF and the logistic family import ``scipy.special`` on first use, so
-``converge`` and ``conjecture`` never load it. The floats must not move, so
-the lazy call sites are pinned bit for bit against the scipy routines they
-call: ``math.erfc`` and a numpy ``1 / (1 + exp(-x))`` differ from them in
-the last bits, and the latter changes the pinned output digests.
+``import insidermc`` and every subcommand run on numpy and the standard
+library alone. scipy remains a test-only dependency, used here to check the
+three routines it used to provide, each within a stated tolerance (they
+differ from scipy in the last bits, an intended change of output):
+
+* the logistic family's ``functionals._expit``, numpy's 1 / (1 + exp(-x)),
+  against ``scipy.special.expit``;
+* ``analytics.norm_cdf``, on ``math.erfc``, against ``scipy.special.erfc``;
+* ``analytics._hermgauss``, Newton's method on the Hermite recurrence,
+  against ``scipy.special.roots_hermite``.
+
+The Gauss-Hermite rule is also checked for exactness without scipy.
 """
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -21,6 +28,7 @@ from scipy.special import erfc, expit, roots_hermite
 import insidermc
 from insidermc import analytics, logistic
 from insidermc.analytics import norm_cdf
+from insidermc.functionals import _expit
 
 
 def _run_in_fresh_process(argvs: list[list[str]]) -> set[str]:
@@ -40,20 +48,37 @@ def _run_in_fresh_process(argvs: list[list[str]]) -> set[str]:
     return set(json.loads(done.stdout.splitlines()[-1]))
 
 
+def _scipy_modules(modules: set[str]) -> list[str]:
+    return [m for m in modules if m == "scipy" or m.startswith("scipy.")]
+
+
 def test_ladders_load_neither_scipy_nor_a_process_pool():
     modules = _run_in_fresh_process([
         ["converge", "--paths", "100", "--n-list", "4,8,16", "--seed", "1"],
         ["conjecture", "--paths", "100", "--n-list", "4,8", "--seed", "1"],
     ])
     assert "insidermc.cli" in modules
-    assert not [m for m in modules if m == "scipy" or m.startswith("scipy.")]
+    assert not _scipy_modules(modules)
     # the pool is imported only when more than one worker runs
     assert "concurrent.futures" not in modules
 
 
-def test_expect_loads_scipy_special_on_first_use():
-    modules = _run_in_fresh_process([["expect", "--seed", "1"]])
-    assert "scipy.special" in modules
+def test_no_subcommand_loads_scipy():
+    modules = _run_in_fresh_process([
+        ["expect", "--seed", "1"],
+        ["expect", "--mc", "--paths", "1000", "--seed", "1"],
+        ["jump", "--paths", "2000", "--steps", "16", "--seed", "1"],
+        ["ordering-sweep", "--sets", "20", "--seed", "1"],
+        ["converge", "--paths", "50", "--n-list", "4,8,16", "--seed", "1"],
+        ["conjecture", "--paths", "100", "--n-list", "4,8", "--seed", "1"],
+    ])
+    assert not _scipy_modules(modules)
+
+
+def test_no_module_imports_scipy():
+    package = Path(insidermc.__file__).parent
+    for source in package.glob("*.py"):
+        assert not re.search(r"^\s*(from|import)\s+scipy\b", source.read_text(), re.M), source
 
 
 X = np.concatenate([
@@ -63,28 +88,53 @@ X = np.concatenate([
 ])
 
 
-def test_logistic_is_scipy_expit_bit_for_bit():
+def test_logistic_matches_scipy_expit():
     c = logistic(2.0)
-    assert c.fn is expit
-    assert np.array_equal(c.evaluate(X), 2.0 * expit(X))
+    assert c.fn is _expit
+    # exp(745) overflows to inf without a warning, and the sigmoid reads 0
+    assert _expit(-745.0) == 0.0
+    np.testing.assert_allclose(_expit(X), expit(X), rtol=2e-15, atol=0.0)
+    assert np.array_equal(c.evaluate(X), 2.0 * _expit(X))
     scale = np.linspace(0.5, 3.0, X.size)
-    assert np.array_equal(logistic(scale).evaluate(X), scale * expit(X))
+    assert np.array_equal(logistic(scale).evaluate(X), scale * _expit(X))
 
 
 def test_logistic_derivative_is_p_times_one_minus_p():
-    p = expit(X)
+    p = _expit(X)
     assert np.array_equal(logistic(2.0).derivative().evaluate(X), 2.0 * (p * (1.0 - p)))
     assert np.array_equal(logistic(1.0).derivative().evaluate(X), 1.0 * (p * (1.0 - p)))
 
 
-def test_norm_cdf_is_scipy_erfc_bit_for_bit():
+def test_norm_cdf_matches_scipy_erfc():
     got = np.array([norm_cdf(float(x)) for x in X])
-    assert np.array_equal(got, 0.5 * erfc(-X / math.sqrt(2.0)))
+    want = 0.5 * erfc(-X / math.sqrt(2.0))
+    # below x = -37 both fall into subnormals, where math.erfc keeps digits scipy rounds to 0
+    normal = want >= 1e-300
+    np.testing.assert_allclose(got[normal], want[normal], rtol=1e-13, atol=0.0)
+    assert np.all(got[~normal] < 1e-300)
 
 
 @pytest.mark.parametrize("n", [256, 512, 1024, 2048, 4096])
 def test_hermite_nodes_are_scipy_roots_hermite(n):
     x, w = analytics._hermgauss(n)
     want_x, want_w = roots_hermite(n)
-    assert np.array_equal(x, want_x)
-    assert np.array_equal(w, want_w)
+    # absolute below 1, relative above
+    assert np.all(np.abs(x - want_x) <= 1e-13 * np.maximum(1.0, np.abs(want_x)))
+    # the outer weights underflow in both; compare where scipy's is a normal float
+    normal = want_w >= 1e-300
+    np.testing.assert_allclose(w[normal], want_w[normal], rtol=1e-10, atol=0.0)
+    assert np.all(w[~normal] < 1e-299)
+
+
+@pytest.mark.parametrize("n", [256, 512, 1024, 2048, 4096])
+def test_hermite_rule_is_exact(n):
+    x, w = analytics._hermgauss(n)
+    assert x.shape == w.shape == (n,)
+    assert np.all(np.diff(x) > 0.0)
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    assert np.all(np.isfinite(w)) and np.all(w >= 0.0)
+    root_pi = math.sqrt(math.pi)
+    assert math.isclose(np.sum(w), root_pi, rel_tol=1e-13)
+    assert math.isclose(w @ np.square(x), root_pi / 2.0, rel_tol=1e-13)
+    # the integral of e^{5x} e^{-x^2} is sqrt(pi) e^{25/4}
+    assert math.isclose(w @ np.exp(5.0 * x), root_pi * math.exp(6.25), rel_tol=1e-13)
