@@ -131,9 +131,11 @@ class Smooth(TerminalFunctional):
         _require_finite(x)
         if out is None:
             return np.multiply(self.scale, self.fn(np.asarray(x, dtype=float) - self.shift))
-        # x - shift goes through out, so only fn's own arrays are allocated
+        # x - shift goes through out; the maps in _WRITES_OUT then work in
+        # out too, and any other fn allocates its own arrays
         np.subtract(x, self.shift, out=out)
-        return np.multiply(self.scale, self.fn(out), out=out)
+        value = self.fn(out, out=out) if self.fn in _WRITES_OUT else self.fn(out)
+        return np.multiply(self.scale, value, out=out)
 
     def translate(self, s: float) -> "Smooth":
         if not math.isfinite(s):
@@ -158,8 +160,11 @@ class MonotoneSmooth(Smooth):
         """
         span = 8.0 * np.sqrt(horizon)
         xs = np.linspace(-span, span, points, axis=-1)
-        ys = np.asarray(self.evaluate(xs), dtype=float)
-        decreases = np.any(np.diff(ys) < 0.0, axis=-1).ravel()
+        # the probe grid takes the values when it has the broadcast shape
+        fits = np.broadcast_shapes(xs.shape, np.shape(self.scale)) == xs.shape
+        ys = np.asarray(self.evaluate(xs, out=xs if fits else None), dtype=float)
+        # y[i+1] < y[i] is y[i+1] - y[i] < 0 for floats, without a difference array
+        decreases = np.any(ys[..., 1:] < ys[..., :-1], axis=-1).ravel()
         grows = (ys[..., -1] > ys[..., 0]).ravel()
         for down, up in zip(decreases, grows):
             if down:
@@ -168,10 +173,17 @@ class MonotoneSmooth(Smooth):
                 raise MonotonicityError("evaluator is constant on the probe grid")
 
 
-def _expit(x: ArrayLike) -> ArrayLike:
-    """The logistic sigmoid 1 / (1 + exp(-x)); exp overflows to inf, which gives 0."""
+def _expit(x: ArrayLike, out: np.ndarray | None = None) -> ArrayLike:
+    """The logistic sigmoid 1 / (1 + exp(-x)); exp overflows to inf, which gives 0.
+
+    With ``out`` the same operations run in ``out`` (which may be x), bit for bit.
+    """
     with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-x))
+        if out is None:
+            return 1.0 / (1.0 + np.exp(-x))
+        np.exp(np.negative(x, out=out), out=out)
+    out += 1.0
+    return np.divide(1.0, out, out=out)
 
 
 def _logistic_deriv(x: ArrayLike) -> ArrayLike:
@@ -184,12 +196,24 @@ def logistic(scale: float = 1.0) -> MonotoneSmooth:
     return MonotoneSmooth(scale=scale, fn=_expit, dfn=_logistic_deriv)
 
 
-def _atan01(x: ArrayLike) -> ArrayLike:
-    return 0.5 + np.arctan(x) / np.pi
+def _atan01(x: ArrayLike, out: np.ndarray | None = None) -> ArrayLike:
+    if out is None:
+        return 0.5 + np.arctan(x) / np.pi
+    np.arctan(x, out=out)
+    out /= np.pi
+    out += 0.5
+    return out
 
 
 def _atan01_deriv(x: ArrayLike) -> ArrayLike:
     return 1.0 / (np.pi * (1.0 + np.square(x)))
+
+
+# The maps that take ``out``: Smooth.evaluate runs them in its output array.
+# Chunk-sized temporaries freed on every chunk would otherwise leave enough
+# free memory at the top of the heap for malloc to trim it and fault it back
+# in on the next chunk.
+_WRITES_OUT = (_expit, _atan01)
 
 
 def arctangent(scale: float = 1.0) -> MonotoneSmooth:
