@@ -118,24 +118,24 @@ class Indicator(TerminalFunctional):
 class Smooth(TerminalFunctional):
     """x -> scale * fn(x - shift) for a smooth scalar map fn.
 
-    ``dfn`` is the analytic derivative of ``fn`` when available; both must
-    accept numpy arrays.
+    ``dfn`` is the analytic derivative of ``fn`` when available. Both take a
+    float array of x - shift that is scratch space: they may write their
+    values into it and return it, or return a new array.
     """
 
     scale: float
-    fn: Callable[[ArrayLike], ArrayLike]
-    dfn: Callable[[ArrayLike], ArrayLike] | None = None
+    fn: Callable[[np.ndarray], ArrayLike]
+    dfn: Callable[[np.ndarray], ArrayLike] | None = None
     shift: float = 0.0
 
     def evaluate(self, x: ArrayLike, out: np.ndarray | None = None) -> ArrayLike:
         _require_finite(x)
         if out is None:
-            return np.multiply(self.scale, self.fn(np.asarray(x, dtype=float) - self.shift))
-        # x - shift goes through out; the maps in _WRITES_OUT then work in
-        # out too, and any other fn allocates its own arrays
+            out = np.empty(np.broadcast(x, self.scale, self.shift).shape)
+        # x - shift goes through out, which fn may then work in
         np.subtract(x, self.shift, out=out)
-        value = self.fn(out, out=out) if self.fn in _WRITES_OUT else self.fn(out)
-        return np.multiply(self.scale, value, out=out)
+        np.multiply(self.scale, self.fn(out), out=out)
+        return out if out.ndim else float(out)
 
     def translate(self, s: float) -> "Smooth":
         if not math.isfinite(s):
@@ -160,9 +160,7 @@ class MonotoneSmooth(Smooth):
         """
         span = 8.0 * np.sqrt(horizon)
         xs = np.linspace(-span, span, points, axis=-1)
-        # the probe grid takes the values when it has the broadcast shape
-        fits = np.broadcast_shapes(xs.shape, np.shape(self.scale)) == xs.shape
-        ys = np.asarray(self.evaluate(xs, out=xs if fits else None), dtype=float)
+        ys = self.evaluate(xs)
         # y[i+1] < y[i] is y[i+1] - y[i] < 0 for floats, without a difference array
         decreases = np.any(ys[..., 1:] < ys[..., :-1], axis=-1).ravel()
         grows = (ys[..., -1] > ys[..., 0]).ravel()
@@ -173,21 +171,18 @@ class MonotoneSmooth(Smooth):
                 raise MonotonicityError("evaluator is constant on the probe grid")
 
 
-def _expit(x: ArrayLike, out: np.ndarray | None = None) -> ArrayLike:
-    """The logistic sigmoid 1 / (1 + exp(-x)); exp overflows to inf, which gives 0.
-
-    With ``out`` the same operations run in ``out`` (which may be x), bit for bit.
-    """
+def _expit(z: np.ndarray) -> np.ndarray:
+    """The logistic sigmoid 1 / (1 + exp(-z)), written into z; exp overflows to
+    inf, which gives 0."""
+    np.negative(z, out=z)
     with np.errstate(over="ignore"):
-        if out is None:
-            return 1.0 / (1.0 + np.exp(-x))
-        np.exp(np.negative(x, out=out), out=out)
-    out += 1.0
-    return np.divide(1.0, out, out=out)
+        np.exp(z, out=z)
+    z += 1.0
+    return np.divide(1.0, z, out=z)
 
 
-def _logistic_deriv(x: ArrayLike) -> ArrayLike:
-    p = _expit(x)
+def _logistic_deriv(z: np.ndarray) -> np.ndarray:
+    p = _expit(z)
     return p * (1.0 - p)
 
 
@@ -196,24 +191,16 @@ def logistic(scale: float = 1.0) -> MonotoneSmooth:
     return MonotoneSmooth(scale=scale, fn=_expit, dfn=_logistic_deriv)
 
 
-def _atan01(x: ArrayLike, out: np.ndarray | None = None) -> ArrayLike:
-    if out is None:
-        return 0.5 + np.arctan(x) / np.pi
-    np.arctan(x, out=out)
-    out /= np.pi
-    out += 0.5
-    return out
+def _atan01(z: np.ndarray) -> np.ndarray:
+    """1/2 + arctan(z)/pi, written into z."""
+    np.arctan(z, out=z)
+    z /= np.pi
+    z += 0.5
+    return z
 
 
-def _atan01_deriv(x: ArrayLike) -> ArrayLike:
-    return 1.0 / (np.pi * (1.0 + np.square(x)))
-
-
-# The maps that take ``out``: Smooth.evaluate runs them in its output array.
-# Chunk-sized temporaries freed on every chunk would otherwise leave enough
-# free memory at the top of the heap for malloc to trim it and fault it back
-# in on the next chunk.
-_WRITES_OUT = (_expit, _atan01)
+def _atan01_deriv(z: np.ndarray) -> np.ndarray:
+    return 1.0 / (np.pi * (1.0 + np.square(z)))
 
 
 def arctangent(scale: float = 1.0) -> MonotoneSmooth:

@@ -689,21 +689,26 @@ def test_a_repeated_ladder_round_faults_in_no_working_set(tmp_path):
 
 @_ON_LINUX
 @pytest.mark.parametrize(
-    "argv",
-    [["jump", "--paths", "25000", "--steps", "64"], ["ordering-sweep", "--sets", "300"]],
+    "argv, bound",
+    [
+        (["jump", "--paths", "25000", "--steps", "64"], 30),
+        (["ordering-sweep", "--sets", "300"], 80),
+    ],
     ids=["jump", "ordering-sweep"],
 )
-def test_a_repeated_round_faults_in_no_working_set(tmp_path, argv):
+def test_a_repeated_round_faults_in_no_working_set(tmp_path, argv, bound):
     # A round whose freed arrays leave more free memory at the top of the heap
     # than malloc keeps has it trimmed and faults it back in on every round:
     # about 120 faults per jump round when it held two path-sized arrays at
-    # once, about 1000 per sweep round when the oracle evaluated each chunk
-    # into a second array, and 100 to 4200 per sweep round, depending on the
-    # heap's layout, while the logistic and arctangent maps and the
-    # monotonicity probe allocated chunk-sized temporaries. The second round
-    # may still grow the heap, so the third and fourth are checked.
+    # once, and 100 to 4200 per sweep round, depending on the heap's layout,
+    # while the oracle, the logistic and arctangent maps and the monotonicity
+    # probe allocated chunk-sized temporaries. With glibc 2.36 and numpy 2.4.6
+    # a round faulted at most 3 (jump) and 8 (sweep) pages over 48 layouts
+    # (install directories named with 1 to 16 characters, three environment
+    # sizes); the sweep's bound leaves room for other heap layouts. The second
+    # round may still grow the heap, so the third and fourth are checked.
     faults = _faults_per_round(tmp_path, [argv], rounds=4)
-    assert max(faults[2:]) < 30, faults
+    assert max(faults[2:]) < bound, faults
 
 
 @pytest.mark.parametrize(

@@ -275,6 +275,26 @@ def test_smooth_evaluates_into_its_argument(family):
     assert _same_bits(y, c.evaluate(x))
 
 
+@pytest.mark.parametrize(
+    "family, formula",
+    [
+        (logistic, lambda z: 1.0 / (1.0 + np.exp(-z))),
+        (arctangent, lambda z: 0.5 + np.arctan(z) / np.pi),
+    ],
+)
+def test_smooth_keeps_its_formula_and_the_callers_argument(family, formula):
+    c = family(2.5).translate(0.3)
+    x = np.concatenate([np.linspace(-800.0, 800.0, 1601), EDGE_POINTS])
+    kept = x.copy()
+    with np.errstate(over="ignore"):
+        want = np.multiply(2.5, formula(x - 0.3))
+    assert _same_bits(c.evaluate(x), want)
+    # the map works in evaluate's own buffer, not in the caller's array
+    assert _same_bits(x, kept)
+    scalar = c.evaluate(float(x[5]))
+    assert type(scalar) is float and _same_bits(scalar, want[5])
+
+
 def test_evaluate_broadcasts_column_coefficients():
     c = Affine(np.array([[1.0], [2.0]]), np.array([[0.5], [-1.0]]))
     x = np.array([-0.0, 0.25, 3.0])

@@ -5,8 +5,8 @@ library alone. scipy remains a test-only dependency, used here to check the
 three routines it used to provide, each within a stated tolerance (they
 differ from scipy in the last bits, an intended change of output):
 
-* the logistic family's ``functionals._expit``, numpy's 1 / (1 + exp(-x)),
-  against ``scipy.special.expit``;
+* the logistic family's ``functionals._expit``, numpy's 1 / (1 + exp(-x))
+  written into its argument, against ``scipy.special.expit``;
 * ``analytics.norm_cdf``, on ``math.erfc``, against ``scipy.special.erfc``;
 * ``analytics._hermgauss``, Newton's method on the Hermite recurrence,
   against ``scipy.special.roots_hermite``.
@@ -88,19 +88,24 @@ X = np.concatenate([
 ])
 
 
+def _sigmoid(x) -> np.ndarray:
+    """``_expit`` on a copy of x, since it writes into its argument."""
+    return _expit(np.array(x, dtype=float))
+
+
 def test_logistic_matches_scipy_expit():
     c = logistic(2.0)
     assert c.fn is _expit
     # exp(745) overflows to inf without a warning, and the sigmoid reads 0
-    assert _expit(-745.0) == 0.0
-    np.testing.assert_allclose(_expit(X), expit(X), rtol=2e-15, atol=0.0)
-    assert np.array_equal(c.evaluate(X), 2.0 * _expit(X))
+    assert _sigmoid(-745.0) == 0.0
+    np.testing.assert_allclose(_sigmoid(X), expit(X), rtol=2e-15, atol=0.0)
+    assert np.array_equal(c.evaluate(X), 2.0 * _sigmoid(X))
     scale = np.linspace(0.5, 3.0, X.size)
-    assert np.array_equal(logistic(scale).evaluate(X), scale * _expit(X))
+    assert np.array_equal(logistic(scale).evaluate(X), scale * _sigmoid(X))
 
 
 def test_logistic_derivative_is_p_times_one_minus_p():
-    p = _expit(X)
+    p = _sigmoid(X)
     assert np.array_equal(logistic(2.0).derivative().evaluate(X), 2.0 * (p * (1.0 - p)))
     assert np.array_equal(logistic(1.0).derivative().evaluate(X), 1.0 * (p * (1.0 - p)))
 
