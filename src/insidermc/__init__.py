@@ -59,6 +59,7 @@ from .market import (
     PartialTrust,
     Strategy,
     initial_allocation,
+    random_param_sets,
     random_params,
     stock_functional,
     threshold,

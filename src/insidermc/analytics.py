@@ -7,6 +7,12 @@ A = sigma^2 / (4 (mu - rho)):
 * partial-trust, anticipating:  M (A e^{rho T} + (1 - A) e^{mu T})
 * partial-trust, forward:       M (A e^{rho T} + (1 + A) e^{mu T})
 
+``closed_form_table`` evaluates the last three (the honest one at the
+all-stock split) from one A, e^{rho T} and e^{mu T}; ``expected_insider``,
+``expected_honest_max`` and ``verify_ordering`` read their values from it,
+and ``OrderingVerdict.of`` gives the chain verdicts of one set or, on
+arrays, of a block.
+
 The quadrature oracle never touches that algebra: it integrates the
 translated functional numerically against the Gaussian terminal law. It
 works on a block of parameter sets at once (``quadrature_expectations``):
@@ -17,7 +23,8 @@ included. Only the sets still doubling are evaluated, in row chunks of at
 most ``_CHUNK_VALUES`` values, so the kernel bounds its own memory for any
 block size, and each chunk's node sums take one stacked matmul.
 ``ordering_monotone_block`` likewise probes a block of horizons for
-monotonicity in row chunks and takes both stock legs in one kernel call.
+monotonicity in row chunks, each chunk's grid a row-major buffer it is
+evaluated in, and takes both stock legs in one kernel call.
 """
 from __future__ import annotations
 
@@ -70,19 +77,18 @@ def expected_honest(params: MarketParams, bond0: float, stock0: float) -> float:
 
 
 def expected_honest_max(params: MarketParams) -> float:
-    """Maximal honest expectation, attained by the all-stock split."""
-    return expected_honest(params, 0.0, params.wealth)
+    """Maximal honest expectation, attained by the all-stock split; read from
+    ``closed_form_table``."""
+    return closed_form_table(params).honest
 
 
 def expected_insider(params: MarketParams, interp: Interpretation) -> float:
-    """Closed-form expected terminal wealth of the partial-trust insider."""
+    """Closed-form expected terminal wealth of the partial-trust insider; read from
+    ``closed_form_table``."""
     if interp is Interpretation.ITO:
         raise ValueError("the insider initial condition is not Ito-integrable")
-    a = params.sigma**2 / (4.0 * (params.mu - params.rho))
-    t = params.horizon
-    bond = a * math.exp(params.rho * t)
-    tilt = -a if interp in ANTICIPATING else a
-    return params.wealth * (bond + (1.0 + tilt) * math.exp(params.mu * t))
+    table = closed_form_table(params)
+    return table.ak if interp in ANTICIPATING else table.rv
 
 
 def _hermite_step(x: np.ndarray, n: int, logs: np.ndarray | None = None) -> np.ndarray:
@@ -265,7 +271,11 @@ def insider_bond_leg(params: MarketParams) -> float:
 
 @dataclass(frozen=True)
 class OrderingVerdict:
-    """The four expected wealths and the chain verdicts between them."""
+    """The four expected wealths and the chain verdicts between them.
+
+    Each field is a float or a bool, or, for a block of sets, an array of
+    them with one entry per set (see ``of``).
+    """
 
     honest: float
     hs: float
@@ -275,26 +285,20 @@ class OrderingVerdict:
     ak_below_honest: bool
     honest_below_rv: bool
 
+    @classmethod
+    def of(cls, honest, hs, ak, rv) -> "OrderingVerdict":
+        """The chain verdicts of four expected wealths, floats or arrays alike."""
+        return cls(honest, hs, ak, rv, hs == ak, ak < honest, honest < rv)
+
     @property
     def all_hold(self) -> bool:
-        return self.hs_equals_ak and self.ak_below_honest and self.honest_below_rv
+        return self.hs_equals_ak & self.ak_below_honest & self.honest_below_rv
 
 
 def verify_ordering(params: MarketParams) -> OrderingVerdict:
-    """Evaluate the expectation chain HS = AK < honest < forward."""
-    honest = expected_honest_max(params)
-    hs = expected_insider(params, Interpretation.HITSUDA_SKOROKHOD)
-    ak = expected_insider(params, Interpretation.AYED_KUO)
-    rv = expected_insider(params, Interpretation.FORWARD)
-    return OrderingVerdict(
-        honest=honest,
-        hs=hs,
-        ak=ak,
-        rv=rv,
-        hs_equals_ak=hs == ak,
-        ak_below_honest=ak < honest,
-        honest_below_rv=honest < rv,
-    )
+    """Evaluate the expectation chain HS = AK < honest < forward on the closed forms."""
+    table = closed_form_table(params)
+    return OrderingVerdict.of(table.honest, table.hs, table.ak, table.rv)
 
 
 def ordering_monotone_block(
@@ -359,13 +363,20 @@ class WealthTable:
 
 
 def closed_form_table(params: MarketParams) -> WealthTable:
+    """The four expected wealths in closed form (see the module docstring), with
+    A, e^{rho T} and e^{mu T} computed once; HS and AK share one value."""
+    a = params.sigma**2 / (4.0 * (params.mu - params.rho))
+    t = params.horizon
+    bond = a * math.exp(params.rho * t)
+    growth = math.exp(params.mu * t)
+    anticipating = params.wealth * (bond + (1.0 - a) * growth)
     return WealthTable(
         params=params,
         method="closed-form",
-        honest=expected_honest_max(params),
-        hs=expected_insider(params, Interpretation.HITSUDA_SKOROKHOD),
-        ak=expected_insider(params, Interpretation.AYED_KUO),
-        rv=expected_insider(params, Interpretation.FORWARD),
+        honest=params.wealth * growth,
+        hs=anticipating,
+        ak=anticipating,
+        rv=params.wealth * (bond + (1.0 + a) * growth),
     )
 
 

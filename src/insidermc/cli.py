@@ -45,7 +45,7 @@ from .harness import (
     estimate_expectations,
 )
 from .integrators import Interpretation
-from .market import Honest, PartialTrust, random_params, stock_functional
+from .market import Honest, PartialTrust, random_param_sets, stock_functional
 from .paths import _BLOCK_VALUES, TimeGrid
 
 ENV_SEED = "INSIDERMC_SEED"
@@ -240,6 +240,19 @@ def cmd_conjecture(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     return 0
 
 
+def _fold(pick, current: float, values: np.ndarray) -> float:
+    """``pick(current, *values)`` for ``pick`` max or min, without a per-value loop.
+
+    As in that fold, a NaN value is skipped (``np.maximum`` would propagate
+    it), and of equal values, zeros of either sign included, the first is kept.
+    """
+    better = values[values > current] if pick is max else values[values < current]
+    if not better.size:
+        return current
+    best = better.max() if pick is max else better.min()
+    return float(better[np.argmax(better == best)])
+
+
 def cmd_ordering_sweep(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     if args.sets < 1:
         raise ConfigError(f"--sets must be at least 1, got {args.sets}")
@@ -250,27 +263,32 @@ def cmd_ordering_sweep(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     # the kernels bound each evaluation; a block bounds the per-set state held at once
     block = _BLOCK_VALUES // analytics._QUAD_START
     for lo in range(0, args.sets, block):
-        sets = [random_params(rng) for _ in range(min(block, args.sets - lo))]
+        sets = random_param_sets(rng, min(block, args.sets - lo))
         # one coefficient per set, as columns against the node axis
         stocks = [stock_functional(PartialTrust(), params) for params in sets]
-        wealth = np.array([[params.wealth] for params in sets])
+        wealth = np.array([params.wealth for params in sets])
         families = {
-            "logistic": logistic(wealth),
-            "arctangent": arctangent(wealth),
+            "logistic": logistic(wealth[:, None]),
+            "arctangent": arctangent(wealth[:, None]),
             "affine": Affine(np.array([[c.a] for c in stocks]), np.array([[c.b] for c in stocks])),
         }
-        legs = {name: analytics.ordering_monotone_block(c, sets) for name, c in families.items()}
-        for i, params in enumerate(sets):
-            verdict = analytics.verify_ordering(params)
-            if not verdict.all_hold:
-                chain_failures += 1
-            # the insider bond leg plus the affine legs are quadrature_table's HS and RV
-            bond = analytics.insider_bond_leg(params)
-            hs, rv = (bond + leg[i] for leg in legs["affine"])
-            gap = max(abs(verdict.hs - hs), abs(verdict.rv - rv)) / params.wealth
-            quad_gap = max(quad_gap, gap)
-            for name, (e_ak, e_rv) in legs.items():
-                margins[name] = min(margins[name], (e_rv[i] - e_ak[i]) / params.wealth)
+        legs = {
+            name: np.array(analytics.ordering_monotone_block(c, sets))
+            for name, c in families.items()
+        }
+        closed = map(analytics.closed_form_table, sets)
+        verdict = analytics.OrderingVerdict.of(
+            *np.array([(t.honest, t.hs, t.ak, t.rv) for t in closed]).T
+        )
+        chain_failures += len(sets) - int(np.count_nonzero(verdict.all_hold))
+        # the insider bond leg plus the affine legs are quadrature_table's HS and RV
+        bond = np.array([analytics.insider_bond_leg(params) for params in sets])
+        hs, rv = bond + legs["affine"]
+        off_hs, off_rv = np.abs(verdict.hs - hs), np.abs(verdict.rv - rv)
+        # max(off_hs, off_rv) per set: off_rv only where it compares greater, as in max
+        quad_gap = _fold(max, quad_gap, np.where(off_rv > off_hs, off_rv, off_hs) / wealth)
+        for name, (e_ak, e_rv) in legs.items():
+            margins[name] = _fold(min, margins[name], (e_rv - e_ak) / wealth)
     print(f"sets: {args.sets}; chain failures: {chain_failures}; "
           f"max closed-vs-quadrature gap: {quad_gap:.3e}")
     for name, margin in margins.items():

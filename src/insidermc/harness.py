@@ -241,37 +241,62 @@ class ConvergenceTable:
     seed: int
 
 
+def _exact_references(c, params, targets, b_t, node, bounds) -> dict:
+    """The exact terminal wealth at ``b_t`` of each target, one call per target.
+
+    If a value is non-finite, raises for the first block of ``bounds`` (row
+    ranges of ``b_t``) that holds one, and within it the first target, with
+    that block's count: the message a check after each block would give.
+    """
+    exact = {}
+    for target in dict.fromkeys(targets):
+        with np.errstate(over="ignore", invalid="ignore"):
+            (exact[target],) = exact_wealths([c], params, node, b_t, target)
+    if any(_non_finite(values) for values in exact.values()):
+        for lo, hi in bounds:
+            for values in exact.values():
+                _check_finite(_non_finite(values[lo:hi]), "exact wealth")
+    return exact
+
+
 def _convergence_chunk(args) -> np.ndarray:
-    """Absolute terminal errors of paths start..stop-1, shaped (path, scheme, level)."""
+    """Absolute terminal errors of paths start..stop-1, shaped (path, scheme, level).
+
+    The scheme values are written block by block; the exact references depend
+    on B_T alone and are evaluated once for the chunk, after the blocks.
+    """
     c, stacks, targets, params, n_list, seed, start, stop = args
     n_max = n_list[-1]
     fine_grid = TimeGrid(params.horizon, n_max)
     grids = [TimeGrid(params.horizon, n) for n in n_list]
     errors = np.empty((stop - start, len(stacks), len(n_list)))
+    b_t = np.empty((stop - start, 1))
+    bounds = []
     for lo, hi, w, work in _ladder_blocks(fine_grid, seed, start, stop):
-        b_t = w[:, -1:]
-        exact = {}
-        for target in dict.fromkeys(targets):
-            with np.errstate(over="ignore", invalid="ignore"):
-                (exact[target],) = exact_wealths([c], params, fine_grid.nodes[-1:], b_t, target)
-            _check_finite(_non_finite(exact[target]), "exact wealth")
+        rows = slice(lo - start, hi - start)
+        bounds.append((rows.start, rows.stop))
+        b_t[rows] = w[:, -1:]
         with np.errstate(over="ignore", invalid="ignore"):
             # every level of the block shares B_T, so the start values too
-            starts = scheme_starts(stacks, b_t)
-        approx = np.empty((hi - lo, len(stacks), len(n_list)))
+            starts = scheme_starts(stacks, b_t[rows])
         bad = np.zeros((len(stacks), len(n_list)), dtype=int)
         for j, g in enumerate(grids):
             with np.errstate(over="ignore", invalid="ignore"):
                 wealths = scheme_wealths(params, g, w[:, :: n_max // g.steps], starts, work)
             for i, samples in enumerate(wealths):
                 bad[i, j] = _non_finite(samples)
-                approx[:, i, j] = samples[:, -1]
-        # the first failure in (scheme, level) order, as when each scheme ran its own ladder
-        for count in bad.flat:
-            _check_finite(int(count), "scheme wealth")
-        for i, target in enumerate(targets):
-            errors[lo - start : hi - start, i] = np.abs(approx[:, i] - exact[target])
-    return errors
+                errors[rows, i, j] = samples[:, -1]
+        if bad.any():
+            # a non-finite exact wealth in this block or an earlier one is reported
+            # first, then the first scheme failure in (scheme, level) order, as
+            # when each scheme ran its own ladder
+            _exact_references(c, params, targets, b_t[: rows.stop], fine_grid.nodes[-1:], bounds)
+            for count in bad.flat:
+                _check_finite(int(count), "scheme wealth")
+    exact = _exact_references(c, params, targets, b_t, fine_grid.nodes[-1:], bounds)
+    for i, target in enumerate(targets):
+        errors[:, i] -= exact[target]
+    return np.abs(errors, out=errors)
 
 
 def convergence_studies(

@@ -136,15 +136,33 @@ def total_wealth(
     return wealth_at(strategy, params, path.grid.nodes, path.values, interp)
 
 
-def random_params(rng: np.random.Generator, wealth: float = 1.0) -> MarketParams:
-    """Draw one valid parameter set from the benchmark sweep ranges.
+def random_param_sets(
+    rng: np.random.Generator, n: int, wealth: float = 1.0
+) -> list[MarketParams]:
+    """Draw ``n`` valid parameter sets from the benchmark sweep ranges in one generator call.
 
     rho, mu in [0.001, 0.2] with mu - rho >= 1e-3 (keeps sigma^2/(4(mu-rho))
     bounded so closed forms and quadrature stay comparable in float64),
-    sigma in [0.01, 3], horizon in [0.1, 5].
+    sigma in [0.01, 3], horizon in [0.1, 5]. Row i of one ``rng.random((n, 4))``
+    gives set i its (rho, mu, sigma, horizon), each as ``low + (high - low) * u``,
+    the formula of ``Generator.uniform``, with mu's range per row. The sets, and
+    the generator's state after them, are bit for bit those of one
+    ``rng.uniform(low, high)`` call per value, set after set.
     """
-    rho = rng.uniform(0.001, 0.199)
-    mu = rng.uniform(rho + 1e-3, 0.2)
-    sigma = rng.uniform(0.01, 3.0)
-    horizon = rng.uniform(0.1, 5.0)
-    return MarketParams(wealth=wealth, rho=rho, mu=mu, sigma=sigma, horizon=horizon)
+    u = rng.random((n, 4))
+    rho = 0.001 + (0.199 - 0.001) * u[:, 0]
+    low = rho + 1e-3
+    mu = low + (0.2 - low) * u[:, 1]
+    sigma = 0.01 + (3.0 - 0.01) * u[:, 2]
+    horizon = 0.1 + (5.0 - 0.1) * u[:, 3]
+    return [
+        MarketParams(wealth=wealth, rho=r, mu=m, sigma=s, horizon=t)
+        for r, m, s, t in zip(rho.tolist(), mu.tolist(), sigma.tolist(), horizon.tolist())
+    ]
+
+
+def random_params(rng: np.random.Generator, wealth: float = 1.0) -> MarketParams:
+    """Draw one valid parameter set from the benchmark sweep ranges: the one-set
+    case of ``random_param_sets``, which gives the ranges."""
+    (params,) = random_param_sets(rng, 1, wealth)
+    return params

@@ -1,6 +1,7 @@
 import hashlib
 import importlib.util
 import json
+import math
 import os
 import re
 import subprocess
@@ -9,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import insidermc
 from insidermc import Honest, Interpretation, PartialTrust, jump_probability
@@ -748,3 +751,23 @@ def test_csv_cells_refuse_numpy_scalars():
     assert [_cell(v) for v in (None, "a", 3, 0.1, True)] == ["", "a", "3", "0.1", "True"]
     with pytest.raises(TypeError):
         _cell(np.float64(0.1))
+
+
+# zeros of both signs, NaN and infinities, often repeated, so that ties and skips occur
+_FOLD_VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, math.nan, math.inf, -math.inf])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    pick=st.sampled_from([max, min]),
+    start=st.sampled_from([0.0, -0.0, math.inf, -math.inf, 1.0, math.nan]),
+    values=st.lists(st.one_of(_FOLD_VALUES, st.floats()), max_size=40),
+)
+def test_sweep_fold_is_the_per_value_fold(pick, start, values):
+    expected = start
+    for value in values:
+        expected = pick(expected, value)
+    folded = cli._fold(pick, start, np.array(values, dtype=float))
+    assert type(folded) is float
+    # the same bits: NaN stays NaN and a zero keeps its sign
+    assert np.array(folded).tobytes() == np.array(expected).tobytes()

@@ -83,6 +83,28 @@ def test_non_finite_scheme_wealth_in_a_ladder_is_a_numerical_failure(interp):
         assert str(failure.value) == f"{what} values are non-finite"
 
 
+# 4097-node paths come 7 to a block, so 40 paths make 6 blocks. Where exact and
+# scheme values overflow in different blocks, the first block holding either is
+# named; within a block the exact wealth comes first, each target in turn, and
+# the count is that block's
+@pytest.mark.parametrize("horizon,interps,seed,what", [
+    # exact values of both targets fail in block 0
+    (1.0, (RV, HS), 1, "3 exact wealth"),
+    # the scheme fails in block 0, the exact wealth first in block 1 (path 7)
+    (1.0, (HS,), 2, "18 scheme wealth"),
+    # block 0 holds one of the three non-finite exact values (paths 5, 18, 24)
+    (5.0, (RV, HS), 1, "1 exact wealth"),
+    # paths 23 and 26, both in block 3
+    (1.0, (RV,), 2, "2 exact wealth"),
+])
+def test_a_ladder_names_the_first_failing_block(horizon, interps, seed, what):
+    params = MarketParams(wealth=1e307, rho=0.02, mu=0.05, sigma=0.5, horizon=horizon)
+    with pytest.raises(NumericalError) as failure:
+        with np.errstate(over="ignore"):
+            convergence_studies(PartialTrust(), params, interps, (4, 8, 4096), 40, seed)
+    assert str(failure.value) == f"{what} values are non-finite"
+
+
 def test_non_finite_residuals_are_a_numerical_failure():
     for wealth, sigma, message in (
         # the control fails on every level (23, 36, 73 values): the first level is named

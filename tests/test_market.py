@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from insidermc import (
     Affine,
@@ -14,6 +16,7 @@ from insidermc import (
     TimeGrid,
     generate_path,
     initial_allocation,
+    random_param_sets,
     random_params,
     stock_functional,
     threshold,
@@ -162,3 +165,27 @@ def test_random_params_stay_in_sweep_ranges():
         assert p.mu - p.rho >= 1e-3
         assert 0.01 <= p.sigma <= 3.0
         assert 0.1 <= p.horizon <= 5.0
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 300),
+    wealth=st.floats(1e-3, 1e6),
+)
+def test_a_block_draw_is_that_many_one_set_draws(seed, n, wealth):
+    block_rng, one_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    block = random_param_sets(block_rng, n, wealth)
+    # row by row, the sweep ranges drawn one rng.uniform call at a time, bit for bit
+    for p in block:
+        rho = one_rng.uniform(0.001, 0.199)
+        mu = one_rng.uniform(rho + 1e-3, 0.2)
+        sigma = one_rng.uniform(0.01, 3.0)
+        horizon = one_rng.uniform(0.1, 5.0)
+        assert p == MarketParams(wealth=wealth, rho=rho, mu=mu, sigma=sigma, horizon=horizon)
+    # n one-set draws give the same sets, and every generator then stands where
+    # the others do: the next draws match
+    rng = np.random.default_rng(seed)
+    assert [random_params(rng, wealth) for _ in range(n)] == block
+    after = [random_params(r, wealth) for r in (block_rng, one_rng, rng)]
+    assert after[0] == after[1] == after[2]
