@@ -44,13 +44,8 @@ from .harness import (
 from .integrators import (
     Interpretation,
     ak_integral,
-    ak_residual,
-    detect_indicator_flip,
-    euler_forward,
-    exact_solution,
     forward_integral,
     skorokhod_integral,
-    skorokhod_via_correction,
 )
 from .market import (
     FullInformation,
@@ -63,8 +58,7 @@ from .market import (
     random_params,
     stock_functional,
     threshold,
-    total_wealth,
 )
-from .paths import BrownianPath, TimeGrid, coarsen, generate_path, girsanov_shift
+from .paths import BrownianPath, TimeGrid, generate_path
 
 __version__ = "0.1.0"

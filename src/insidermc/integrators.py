@@ -20,11 +20,10 @@ kernels (``exact_wealths``, ``scheme_wealths``, ``ak_residuals``) over a
 trailing node axis. Each takes several functionals or schemes at once and
 builds what they share once: the growth factor and C's argument, the Euler
 factors g and their running product, and the residual's integrand
-arguments. A one-case caller passes a one-element sequence; the per-path
-functions are such one-row calls and return the sample array. Each kernel
-takes every node-sized array from a ``Workspace``; a caller that evaluates
-block after block passes one workspace to every call, and a call without
-one gets its own.
+arguments. A one-case caller passes a one-element sequence, and one path
+is a one-row block. Each kernel takes every node-sized array from a
+``Workspace``; a caller that evaluates block after block passes one
+workspace to every call, and a call without one gets its own.
 """
 from __future__ import annotations
 
@@ -139,24 +138,6 @@ def exact_wealths(
     return wealths
 
 
-def exact_solution(
-    c: TerminalFunctional,
-    params: "MarketParams",
-    path: BrownianPath,
-    interp: Interpretation,
-) -> np.ndarray:
-    """Closed-form per-path solution under the chosen interpretation (see ``exact_wealths``)."""
-    return exact_wealths([c], params, path.grid.nodes, path.values, interp)[0]
-
-
-def euler_forward(
-    c: TerminalFunctional, params: "MarketParams", path: BrownianPath
-) -> np.ndarray:
-    """Left-point Euler scheme for the forward equation, S_0 = C(B_T)."""
-    starts = scheme_starts([scheme_stack(c, Interpretation.FORWARD)], path.values[-1:])
-    return scheme_wealths(params, path.grid, path.values, starts)[0]
-
-
 def _riemann_sums(
     values: Callable,
     nodes: np.ndarray,
@@ -213,18 +194,6 @@ def skorokhod_integral(u: ProductIntegrand, path: BrownianPath, t: float) -> flo
     return forward_integral(u, path, t) - path.grid.dt * float(np.sum(trace))
 
 
-def ak_residual(
-    c: TerminalFunctional, params: "MarketParams", path: BrownianPath, t: float | None = None
-) -> float:
-    """Defect of the anticipating exact solution in the mixed-endpoint integral form.
-
-    R = S(t) - S(0) - mu * sum S(t_{i-1}) dt - sigma * (mixed-endpoint sum of S).
-    For smooth C the residual vanishes with the mesh; for indicator C its
-    behavior is the numerical evidence the open solution question turns on.
-    """
-    return float(ak_residuals([c], params, path.grid, path.values, t)[0])
-
-
 def ak_residuals(
     cs: Sequence[TerminalFunctional],
     params: "MarketParams",
@@ -233,8 +202,12 @@ def ak_residuals(
     t: float | None = None,
     work: Workspace | None = None,
 ) -> list[np.ndarray]:
-    """``ak_residual`` over [0, t] of each functional in ``cs``, for every path of ``w``.
+    """Defect of the anticipating exact solution in the mixed-endpoint integral form.
 
+    R = S(t) - S(0) - mu * sum S(t_{i-1}) dt - sigma * (mixed-endpoint sum of S)
+    over [0, t], for each functional in ``cs`` and every path of ``w``. For
+    smooth C the residual vanishes with the mesh; for indicator C its
+    behavior is the numerical evidence the open solution question turns on.
     The functionals share what does not depend on them: E(t), read both by
     the exact solution and, at the left nodes, by the integrand
     Phi(s, x, y) = C(y + x - sigma s) E(s); the exact solution's argument
@@ -365,14 +338,6 @@ def scheme_wealths(
     return wealths
 
 
-def skorokhod_via_correction(
-    c: TerminalFunctional, params: "MarketParams", path: BrownianPath
-) -> np.ndarray:
-    """Forward Euler with the per-step Malliavin drift correction (see ``scheme_wealths``)."""
-    starts = scheme_starts([scheme_stack(c, Interpretation.HITSUDA_SKOROKHOD)], path.values[-1:])
-    return scheme_wealths(params, path.grid, path.values, starts)[0]
-
-
 def first_flip(
     c: Indicator,
     params: "MarketParams",
@@ -417,19 +382,3 @@ def first_flip(
     times = np.full(x.shape, np.nan)
     times.reshape(-1)[rows] = 0.5 * (nodes[lo] + nodes[lo + 1])
     return flipped, times
-
-
-def detect_indicator_flip(
-    c: Indicator,
-    params: "MarketParams",
-    path: BrownianPath,
-    interp: Interpretation = Interpretation.AYED_KUO,
-) -> tuple[bool, float | None]:
-    """Locate the on/off flip of the indicator leg along the grid.
-
-    Returns (flipped, estimated flip time); the estimate is the midpoint of
-    the bracketing interval. The flip is a functional-form event, so the
-    detector looks at the indicator factor rather than the wealth samples.
-    """
-    flipped, t = first_flip(c, params, path.grid.nodes, path.values[-1:], interp)
-    return (True, float(t)) if flipped else (False, None)

@@ -20,7 +20,6 @@ import numpy as np
 
 from .functionals import Affine, ArrayLike, Indicator, TerminalFunctional
 from .integrators import Interpretation, exact_wealths
-from .paths import BrownianPath
 
 
 @dataclass(frozen=True)
@@ -124,16 +123,6 @@ def wealth_at(
     (stock,) = exact_wealths([stock_functional(strategy, params)], params, nodes, w, interp)
     _, bond0 = initial_allocation(strategy, params, w[..., -1:])
     return stock + bond0 * np.exp(params.rho * nodes)
-
-
-def total_wealth(
-    strategy: Strategy,
-    params: MarketParams,
-    path: BrownianPath,
-    interp: Interpretation,
-) -> np.ndarray:
-    """Bond leg (rate rho) plus stock leg under the chosen noise interpretation."""
-    return wealth_at(strategy, params, path.grid.nodes, path.values, interp)
 
 
 def random_param_sets(

@@ -7,7 +7,9 @@ the same numbers bit for bit.
 * Whole paths (``sample_block``): path ``i`` on a grid is a pure function of
   ``(seed, i, grid)``; the pair ``(seed, i)`` keys its own Philox stream, so
   distinct indices give independent paths. ``generate_path`` is its one-row
-  case.
+  case, the sample the path-level integral primitives take; a coarser grid
+  level of a block is the strided view ``values[..., ::factor]``, which
+  shares B_T with the fine path.
 * Terminal values (``sample_terminal``): B_T of path ``i`` is element
   ``i mod _BLOCK_VALUES`` of the standard normals drawn from the Philox key
   ``(seed, i // _BLOCK_VALUES)``, times sqrt(T). It does not depend on any
@@ -19,7 +21,7 @@ key ``k``), so no estimator mixes them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -70,12 +72,10 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class BrownianPath:
-    """One discretized Brownian sample, W_0 = 0, plus its RNG provenance."""
+    """One discretized Brownian sample on ``grid``, W_0 = 0."""
 
     grid: TimeGrid
     values: np.ndarray
-    seed: int
-    path_index: int
 
     def __post_init__(self) -> None:
         if self.values.shape != (self.grid.steps + 1,):
@@ -174,41 +174,4 @@ def sample_block(
 def generate_path(grid: TimeGrid, seed: int, path_index: int = 0) -> BrownianPath:
     """Sample one Brownian path; increments are N(0, dt), W_0 = 0."""
     values = sample_block(grid, seed, path_index, path_index + 1)[0]
-    return BrownianPath(grid=grid, values=values, seed=seed, path_index=path_index)
-
-
-def girsanov_shift(
-    path: BrownianPath, rate: float, window: tuple[float, float]
-) -> BrownianPath:
-    """Deterministic path translation W(u) -> W(u) - rate * (min(u, t) - s)^+.
-
-    The window endpoints must be grid nodes; the terminal value maps
-    B_T -> B_T - rate * (t - s).
-    """
-    s, t = window
-    if s > t:
-        raise ValueError(f"window start {s} exceeds end {t}")
-    path.grid.index_of(s)
-    path.grid.index_of(t)
-    drift = rate * np.clip(np.minimum(path.grid.nodes, t) - s, 0.0, None)
-    return replace(path, values=path.values - drift)
-
-
-def coarsen(path: BrownianPath, factor: int) -> BrownianPath:
-    """Restrict a path to every factor-th node (grid refinement inverse).
-
-    The restriction of Brownian motion to a sub-grid is again Brownian on that
-    grid, so coarsened paths share B_T with their parent; this is what makes
-    common-path convergence studies across step counts meaningful.
-    """
-    if factor < 1:
-        raise ValueError(f"factor must be >= 1, got {factor}")
-    if path.grid.steps % factor:
-        raise ValueError(f"factor {factor} does not divide {path.grid.steps} steps")
-    grid = TimeGrid(path.grid.horizon, path.grid.steps // factor)
-    return BrownianPath(
-        grid=grid,
-        values=path.values[::factor].copy(),
-        seed=path.seed,
-        path_index=path.path_index,
-    )
+    return BrownianPath(grid=grid, values=values)

@@ -20,7 +20,6 @@ from insidermc import (
     convergence_studies,
     discontinuity_probe,
     estimate_expectations,
-    exact_solution,
     expected_honest_max,
     expected_insider,
     generate_path,
@@ -35,6 +34,7 @@ from insidermc import (
 from insidermc.analytics import insider_bond_leg
 from insidermc.functionals import IntegrandTerm, ProductIntegrand
 from insidermc.harness import DEFAULT_SEED
+from insidermc.integrators import exact_wealths
 
 BASELINE = MarketParams(wealth=1.0, rho=0.02, mu=0.05, sigma=0.2, horizon=1.0)
 DEBT = MarketParams(wealth=1.0, rho=0.04, mu=0.05, sigma=2.5, horizon=1.0)
@@ -117,8 +117,8 @@ def test_criterion_04_anticipating_solutions_identical():
             c = stock_functional(strategy, p)
             for k in range(5):
                 path = generate_path(grid, 104, int(rng.integers(100_000)))
-                a = exact_solution(c, p, path, AK)
-                h = exact_solution(c, p, path, HS)
+                a = exact_wealths([c], p, path.grid.nodes, path.values, AK)[0]
+                h = exact_wealths([c], p, path.grid.nodes, path.values, HS)[0]
                 assert np.array_equal(a, h)
                 count += 1
     grid = TimeGrid(1.0, 16)

@@ -1,16 +1,16 @@
 """The block-wise Monte Carlo engine against per-path reference loops.
 
 The whole-path references draw one path at a time with ``generate_path``,
-``coarsen`` it for the grid ladders and evaluate it with the per-path
-``euler_forward``, ``skorokhod_via_correction``, ``exact_solution`` and
-``ak_residual``. The expectation estimator and the flip probe read B_T
-alone, which the terminal stream draws directly; their references read each
-index's B_T from the stream contract written out in ``_contract_terminal``
-and evaluate it with the per-path ``total_wealth`` and
-``detect_indicator_flip``. The block engine must reproduce every reference
-bit for bit, for any worker count. The flip kernel ``first_flip`` bisects
-the node index; its reference is the node-by-node scan of every state,
-``_scan_first_flip``.
+restrict it to each level of the grid ladder by the strided view
+``values[::factor]``, and evaluate it as a one-row block with the kernels
+``scheme_wealths``, ``exact_wealths`` and ``ak_residuals``. The expectation
+estimator and the flip probe read B_T alone, which the terminal stream draws
+directly; their references read each index's B_T from the stream contract
+written out in ``_contract_terminal`` and evaluate ``wealth_at`` and
+``first_flip`` on it, one value at a time. The block engine must reproduce
+every reference bit for bit, for any worker count. The flip kernel
+``first_flip`` bisects the node index; its reference is the node-by-node
+scan of every state, ``_scan_first_flip``.
 """
 import math
 
@@ -26,24 +26,26 @@ from insidermc import (
     MarketParams,
     PartialTrust,
     TimeGrid,
-    ak_residual,
-    coarsen,
     conjecture_report,
     convergence_studies,
-    detect_indicator_flip,
     discontinuity_probe,
     estimate_expectations,
-    euler_forward,
-    exact_solution,
     generate_path,
     random_params,
-    skorokhod_via_correction,
     stock_functional,
-    total_wealth,
 )
 from insidermc.harness import _BLOCK_VALUES, _blocks
-from insidermc.integrators import ANTICIPATING, first_flip
-from insidermc.paths import BrownianPath, sample_block, sample_terminal
+from insidermc.integrators import (
+    ANTICIPATING,
+    ak_residuals,
+    exact_wealths,
+    first_flip,
+    scheme_stack,
+    scheme_starts,
+    scheme_wealths,
+)
+from insidermc.market import wealth_at
+from insidermc.paths import sample_block, sample_terminal
 
 BASELINE = MarketParams(wealth=1.0, rho=0.02, mu=0.05, sigma=0.2, horizon=1.0)
 WIDE = MarketParams(wealth=1.0, rho=0.02, mu=0.05, sigma=1.0, horizon=2.0)  # ~23 % flip
@@ -68,18 +70,14 @@ def _contract_terminal(seed, horizon, idx):
     return normals[-1] * math.sqrt(horizon)
 
 
-def _terminal_path(grid, seed, idx):
-    # the straight line from 0 to the contract's B_T: the exact terminal
-    # wealth and the flip detector read nothing but the last value
-    b_t = _contract_terminal(seed, grid.horizon, idx)
-    return BrownianPath(grid, grid.nodes / grid.horizon * b_t, seed, idx)
-
-
 def _reference_expectation(strategy, params, interp, n_paths, grid, seed):
+    # the exact terminal wealth reads nothing of the path but B_T
+    terminal_node = grid.nodes[-1:]
     values = np.array([
-        total_wealth(
-            strategy, params, _terminal_path(TimeGrid(grid.horizon, 1), seed, idx), interp
-        )[-1]
+        wealth_at(
+            strategy, params, terminal_node,
+            np.array([_contract_terminal(seed, grid.horizon, idx)]), interp,
+        )[0]
         for idx in range(n_paths)
     ])
     return float(np.mean(values)), float(np.std(values, ddof=1) / math.sqrt(n_paths))
@@ -92,10 +90,10 @@ SCHEME_CASES = (
 )
 
 
-def _reference_scheme(c, params, path, interp):
-    if interp is HS:
-        return skorokhod_via_correction(c, params, path)
-    return euler_forward(c, params, path)
+def _reference_scheme(c, params, grid, w, interp):
+    # Hitsuda-Skorokhod runs the corrected Euler scheme, forward and Ito plain Euler
+    starts = scheme_starts([scheme_stack(c, interp)], w[-1:])
+    return scheme_wealths(params, grid, w, starts)[0]
 
 
 def _reference_convergence(strategy, params, interp, n_list, n_paths, seed):
@@ -107,9 +105,9 @@ def _reference_convergence(strategy, params, interp, n_list, n_paths, seed):
     for idx in range(n_paths):
         fine = generate_path(fine_grid, seed, idx)
         for j, n in enumerate(n_list):
-            path = coarsen(fine, n_max // n)
-            approx = _reference_scheme(c, params, path, interp)[-1]
-            exact = exact_solution(c, params, path, exact_interp)[-1]
+            grid, w = TimeGrid(params.horizon, n), fine.values[:: n_max // n]
+            approx = _reference_scheme(c, params, grid, w, interp)[-1]
+            exact = exact_wealths([c], params, grid.nodes, w, exact_interp)[0][-1]
             totals[j] += abs(approx - exact)
     return [float(err) for err in totals / n_paths]
 
@@ -125,9 +123,9 @@ def _reference_residuals(params, n_paths, n_list, seed):
     for idx in range(n_paths):
         fine = generate_path(fine_grid, seed, idx)
         for j, n in enumerate(n_list):
-            path = coarsen(fine, n_max // n)
+            grid, w = TimeGrid(params.horizon, n), fine.values[:: n_max // n]
             for name, c in groups.items():
-                residuals[name][j, idx] = abs(ak_residual(c, params, path))
+                residuals[name][j, idx] = abs(float(ak_residuals([c], params, grid, w)[0]))
     return [
         (name, n, *(float(q) for q in np.quantile(residuals[name][j], (0.1, 0.25, 0.5, 0.75, 0.9))))
         for name in groups
@@ -144,11 +142,12 @@ def _reference_probe(params, n_paths, grid, seed):
     flip_times = []
     rv_flips = 0
     for idx in range(n_paths):
-        path = _terminal_path(grid, seed, idx)
-        flipped, t_est = detect_indicator_flip(c, params, path, AK)
+        # the flip reads nothing of the path but B_T
+        b_t = np.array([_contract_terminal(seed, grid.horizon, idx)])
+        flipped, t_est = first_flip(c, params, grid.nodes, b_t, AK)
         if flipped:
-            flip_times.append(t_est)
-        rv_flips += int(detect_indicator_flip(c, params, path, RV)[0])
+            flip_times.append(float(t_est))
+        rv_flips += int(first_flip(c, params, grid.nodes, b_t, RV)[0])
     mean_time = float(np.mean(flip_times)) if flip_times else None
     return len(flip_times), mean_time, rv_flips
 

@@ -5,7 +5,6 @@ import pytest
 
 from insidermc import (
     Affine,
-    BrownianPath,
     FullInformation,
     Indicator,
     IntegrandTerm,
@@ -16,19 +15,21 @@ from insidermc import (
     ProductIntegrand,
     TimeGrid,
     ak_integral,
-    ak_residual,
-    coarsen,
-    detect_indicator_flip,
-    euler_forward,
-    exact_solution,
     forward_integral,
     generate_path,
     logistic,
     random_params,
     skorokhod_integral,
-    skorokhod_via_correction,
     stock_functional,
     threshold,
+)
+from insidermc.integrators import (
+    ak_residuals,
+    exact_wealths,
+    first_flip,
+    scheme_stack,
+    scheme_starts,
+    scheme_wealths,
 )
 
 BASELINE = MarketParams(wealth=1.0, rho=0.02, mu=0.05, sigma=0.2, horizon=1.0)
@@ -36,6 +37,12 @@ AK = Interpretation.AYED_KUO
 HS = Interpretation.HITSUDA_SKOROKHOD
 RV = Interpretation.FORWARD
 ITO = Interpretation.ITO
+
+
+def _scheme(c, p, grid, w, interp):
+    # the scheme the interpretation runs, S_0 = C(B_T): plain Euler for forward,
+    # the corrected Euler scheme for Hitsuda-Skorokhod
+    return scheme_wealths(p, grid, w, scheme_starts([scheme_stack(c, interp)], w[-1:]))[0]
 
 
 def _terminal_as_integrand(s, x, y):
@@ -48,7 +55,8 @@ def test_deterministic_data_reduces_every_interpretation_to_gbm():
     c = Affine(2.5, 0.0)
     p = BASELINE
     reference = 2.5 * np.exp((p.mu - 0.5 * p.sigma**2) * path.grid.nodes + p.sigma * path.values)
-    processes = [exact_solution(c, p, path, interp) for interp in (ITO, RV, AK, HS)]
+    nodes, w = path.grid.nodes, path.values
+    processes = [exact_wealths([c], p, nodes, w, interp)[0] for interp in (ITO, RV, AK, HS)]
     for proc in processes:
         assert np.array_equal(proc, processes[0])
     assert np.allclose(processes[0], reference, rtol=1e-14)
@@ -57,7 +65,7 @@ def test_deterministic_data_reduces_every_interpretation_to_gbm():
 def test_exact_solution_rejects_ito_with_random_data():
     path = generate_path(TimeGrid(1.0, 8), 4, 0)
     with pytest.raises(ValueError):
-        exact_solution(Affine(1.0, 2.0), BASELINE, path, ITO)
+        exact_wealths([Affine(1.0, 2.0)], BASELINE, path.grid.nodes, path.values, ITO)
 
 
 def test_anticipating_terminal_bracket_has_triple_volatility_term():
@@ -66,7 +74,7 @@ def test_anticipating_terminal_bracket_has_triple_volatility_term():
     c = stock_functional(PartialTrust(), p)
     for idx in range(5):
         path = generate_path(TimeGrid(1.0, 16), 21, idx)
-        got = exact_solution(c, p, path, AK)[-1]
+        got = exact_wealths([c], p, path.grid.nodes, path.values, AK)[0][-1]
         b_t = path.terminal
         bracket = 1.0 + (p.sigma * b_t - 1.5 * p.sigma**2 * p.horizon) / (
             2.0 * (p.mu - p.rho) * p.horizon
@@ -79,7 +87,7 @@ def test_translation_consistency_of_exact_solution():
     p = BASELINE
     c = stock_functional(PartialTrust(), p)
     path = generate_path(TimeGrid(1.0, 16), 33, 2)
-    proc = exact_solution(c, p, path, AK)
+    proc = exact_wealths([c], p, path.grid.nodes, path.values, AK)[0]
     for i, t in enumerate(path.grid.nodes):
         via_translate = c.translate(p.sigma * t).evaluate(path.terminal) * math.exp(
             (p.mu - 0.5 * p.sigma**2) * t + p.sigma * path.values[i]
@@ -94,8 +102,8 @@ def test_hs_and_ak_exact_solutions_are_bitwise_identical():
         path = generate_path(TimeGrid(params.horizon, 64), 91, int(rng.integers(1000)))
         for c in (stock_functional(PartialTrust(), params),
                   stock_functional(FullInformation(), params)):
-            a = exact_solution(c, params, path, AK)
-            h = exact_solution(c, params, path, HS)
+            a = exact_wealths([c], params, path.grid.nodes, path.values, AK)[0]
+            h = exact_wealths([c], params, path.grid.nodes, path.values, HS)[0]
             assert np.array_equal(a, h)
 
 
@@ -105,8 +113,8 @@ def test_pathwise_domination_for_monotone_data():
     for c in (logistic(1.0), stock_functional(PartialTrust(), p)):
         for _ in range(10):
             path = generate_path(TimeGrid(1.0, 32), 17, int(rng.integers(1000)))
-            low = exact_solution(c, p, path, AK)
-            high = exact_solution(c, p, path, RV)
+            low = exact_wealths([c], p, path.grid.nodes, path.values, AK)[0]
+            high = exact_wealths([c], p, path.grid.nodes, path.values, RV)[0]
             assert np.all(low <= high)
             # strictly increasing data: strict gap at every positive time
             assert np.all(low[1:] < high[1:])
@@ -122,13 +130,12 @@ def test_indicator_solution_jumps_when_threshold_is_crossed():
     target = z + p.sigma * p.horizon / 2.0
     values = base.values + (target - base.terminal) * grid.nodes / p.horizon
     values[0] = 0.0
-    path = BrownianPath(grid=grid, values=values, seed=0, path_index=0)
     c = Indicator(p.wealth, z)
-    samples = exact_solution(c, p, path, AK)
+    samples = exact_wealths([c], p, grid.nodes, values, AK)[0]
     factor_on = samples > 0.0
     scan = np.nonzero(factor_on[:-1] & ~factor_on[1:])[0]
     assert scan.size == 1
-    flipped, t_est = detect_indicator_flip(c, p, path, AK)
+    flipped, t_est = first_flip(c, p, grid.nodes, values[-1:], AK)
     assert flipped
     # the flip solves B_T - sigma t = z, here t = T/2, up to half a grid cell
     assert abs(t_est - 0.5) <= grid.dt
@@ -142,9 +149,9 @@ def test_flip_detection_agrees_with_window_inequality():
         z = threshold(p)
         path = generate_path(TimeGrid(p.horizon, 32), 123, int(rng.integers(10_000)))
         c = Indicator(p.wealth, z)
-        flipped, _ = detect_indicator_flip(c, p, path, AK)
+        flipped, _ = first_flip(c, p, path.grid.nodes, path.values[-1:], AK)
         assert flipped == (z < path.terminal <= z + p.sigma * p.horizon)
-        rv_flipped, _ = detect_indicator_flip(c, p, path, RV)
+        rv_flipped, _ = first_flip(c, p, path.grid.nodes, path.values[-1:], RV)
         assert not rv_flipped
 
 
@@ -152,7 +159,7 @@ def test_euler_forward_matches_hand_rolled_recursion():
     p = BASELINE
     path = generate_path(TimeGrid(1.0, 4), 8, 0)
     c = Affine(0.5, 1.5)
-    got = euler_forward(c, p, path)
+    got = _scheme(c, p, path.grid, path.values, RV)
     s = c.evaluate(path.terminal)
     want = [s]
     for dw in path.increments:
@@ -169,11 +176,9 @@ def test_euler_forward_terminal_error_shrinks_with_mesh():
         total = 0.0
         for idx in range(50):
             fine = generate_path(TimeGrid(1.0, 4096), 3, idx)
-            path = coarsen(fine, 4096 // n)
-            total += abs(
-                euler_forward(c, p, path)[-1]
-                - exact_solution(c, p, path, RV)[-1]
-            )
+            grid, w = TimeGrid(1.0, n), fine.values[:: 4096 // n]
+            exact = exact_wealths([c], p, grid.nodes, w, RV)[0]
+            total += abs(_scheme(c, p, grid, w, RV)[-1] - exact[-1])
         errs.append(total / 50)
     assert errs[0] > errs[1] > errs[2]
 
@@ -237,15 +242,15 @@ def test_correction_scheme_reduces_to_euler_without_randomness():
     path = generate_path(TimeGrid(1.0, 64), 18, 0)
     c = Affine(3.0, 0.0)
     assert np.array_equal(
-        skorokhod_via_correction(c, p, path),
-        euler_forward(c, p, path),
+        _scheme(c, p, path.grid, path.values, HS),
+        _scheme(c, p, path.grid, path.values, RV),
     )
 
 
 def test_correction_scheme_rejects_indicator_data():
     path = generate_path(TimeGrid(1.0, 8), 18, 0)
     with pytest.raises(NonDifferentiableError):
-        skorokhod_via_correction(Indicator(1.0, 0.0), BASELINE, path)
+        _scheme(Indicator(1.0, 0.0), BASELINE, path.grid, path.values, HS)
 
 
 def test_correction_scheme_converges_to_anticipating_solution():
@@ -256,11 +261,9 @@ def test_correction_scheme_converges_to_anticipating_solution():
         total = 0.0
         for idx in range(50):
             fine = generate_path(TimeGrid(1.0, 4096), 19, idx)
-            path = coarsen(fine, 4096 // n)
-            total += abs(
-                skorokhod_via_correction(c, p, path)[-1]
-                - exact_solution(c, p, path, HS)[-1]
-            )
+            grid, w = TimeGrid(1.0, n), fine.values[:: 4096 // n]
+            exact = exact_wealths([c], p, grid.nodes, w, HS)[0]
+            total += abs(_scheme(c, p, grid, w, HS)[-1] - exact[-1])
         errs.append(total / 50)
     assert errs[0] > errs[1] > errs[2]
 
@@ -275,11 +278,9 @@ def test_correction_scheme_handles_smooth_family():
         total = 0.0
         for idx in range(25):
             fine = generate_path(TimeGrid(1.0, 4096), 23, idx)
-            path = coarsen(fine, 4096 // n)
-            total += abs(
-                skorokhod_via_correction(c, p, path)[-1]
-                - exact_solution(c, p, path, HS)[-1]
-            )
+            grid, w = TimeGrid(1.0, n), fine.values[:: 4096 // n]
+            exact = exact_wealths([c], p, grid.nodes, w, HS)[0]
+            total += abs(_scheme(c, p, grid, w, HS)[-1] - exact[-1])
         err.append(total / 25)
     assert err[-1] < err[0]
     assert err[-1] < 5e-3
@@ -296,7 +297,8 @@ def test_deterministic_residual_is_euler_sized():
         total = 0.0
         for idx in range(100):
             fine = generate_path(TimeGrid(1.0, ladder[-1]), 20, idx)
-            total += abs(ak_residual(c, p, coarsen(fine, ladder[-1] // n)))
+            w = fine.values[:: ladder[-1] // n]
+            total += abs(float(ak_residuals([c], p, TimeGrid(1.0, n), w)[0]))
         means.append(total / 100)
     assert means[0] > means[1] > means[2]
     assert means[-1] < 1e-3
@@ -313,7 +315,8 @@ def test_affine_residual_decays_at_half_order():
     for idx in range(n_paths):
         fine = generate_path(TimeGrid(1.0, ladder[-1]), 22, idx)
         for j, n in enumerate(ladder):
-            values[j, idx] = abs(ak_residual(c, p, coarsen(fine, ladder[-1] // n)))
+            w = fine.values[:: ladder[-1] // n]
+            values[j, idx] = abs(float(ak_residuals([c], p, TimeGrid(1.0, n), w)[0]))
     means = values.mean(axis=1)
     medians = np.median(values, axis=1)
     assert means[0] > means[1] > means[2]
@@ -326,5 +329,5 @@ def test_indicator_residual_reports_without_failing():
     p = BASELINE
     c = stock_functional(FullInformation(), p)
     path = generate_path(TimeGrid(1.0, 1024), 24, 0)
-    r = ak_residual(c, p, path)
+    r = float(ak_residuals([c], p, path.grid, path.values)[0])
     assert math.isfinite(r)

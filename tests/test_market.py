@@ -20,8 +20,8 @@ from insidermc import (
     random_params,
     stock_functional,
     threshold,
-    total_wealth,
 )
+from insidermc.market import wealth_at
 
 BASELINE = MarketParams(wealth=1.0, rho=0.02, mu=0.05, sigma=0.2, horizon=1.0)
 
@@ -123,14 +123,14 @@ def test_stock_functional_families():
 
 def test_total_wealth_bond_only_is_deterministic():
     path = generate_path(TimeGrid(1.0, 16), 2, 0)
-    wealth = total_wealth(Honest(1.0, 0.0), BASELINE, path, Interpretation.ITO)
+    wealth = wealth_at(Honest(1.0, 0.0), BASELINE, path.grid.nodes, path.values, Interpretation.ITO)
     expected = np.exp(BASELINE.rho * path.grid.nodes)
     assert np.allclose(wealth, expected, rtol=1e-14)
 
 
 def test_total_wealth_all_stock_matches_gbm():
     path = generate_path(TimeGrid(1.0, 16), 2, 1)
-    wealth = total_wealth(Honest(0.0, 1.0), BASELINE, path, Interpretation.ITO)
+    wealth = wealth_at(Honest(0.0, 1.0), BASELINE, path.grid.nodes, path.values, Interpretation.ITO)
     p = BASELINE
     expected = np.exp((p.mu - 0.5 * p.sigma**2) * path.grid.nodes + p.sigma * path.values)
     assert np.allclose(wealth, expected, rtol=1e-14)
@@ -146,14 +146,14 @@ def test_total_wealth_starts_at_total_wealth():
             (PartialTrust(), Interpretation.AYED_KUO),
             (FullInformation(), Interpretation.AYED_KUO),
         ):
-            wealth = total_wealth(strat, params, path, interp)
+            wealth = wealth_at(strat, params, path.grid.nodes, path.values, interp)
             assert math.isclose(wealth[0], params.wealth, rel_tol=1e-11)
 
 
 def test_total_wealth_rejects_ito_for_insiders():
     path = generate_path(TimeGrid(1.0, 8), 2, 0)
     with pytest.raises(ValueError):
-        total_wealth(PartialTrust(), BASELINE, path, Interpretation.ITO)
+        wealth_at(PartialTrust(), BASELINE, path.grid.nodes, path.values, Interpretation.ITO)
 
 
 def test_random_params_stay_in_sweep_ranges():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from insidermc import TimeGrid, coarsen, generate_path, girsanov_shift
+from insidermc import TimeGrid, generate_path
 from insidermc.paths import sample_block
 
 
@@ -88,70 +88,17 @@ def test_increment_normality_kolmogorov_smirnov():
     assert p > 0.01
 
 
-def test_girsanov_zero_window_is_identity():
-    path = generate_path(TimeGrid(1.0, 8), 3, 0)
-    shifted = girsanov_shift(path, 0.7, (0.5, 0.5))
-    assert np.array_equal(shifted.values, path.values)
-
-
-def test_girsanov_full_window_shifts_terminal():
-    sigma, t = 0.2, 0.75
-    path = generate_path(TimeGrid(1.0, 8), 3, 1)
-    shifted = girsanov_shift(path, sigma, (0.0, t))
-    # nodes past t carry the full drift sigma * t
-    late = path.grid.nodes >= t
-    assert np.allclose(shifted.values[late], path.values[late] - sigma * t)
-    assert math.isclose(shifted.terminal, path.terminal - sigma * t)
-    # nodes inside the window carry sigma * u
-    inside = ~late
-    assert np.allclose(
-        shifted.values[inside], path.values[inside] - sigma * path.grid.nodes[inside]
-    )
-
-
-def test_girsanov_inverse_restores_path():
-    path = generate_path(TimeGrid(2.0, 16), 11, 4)
-    back = girsanov_shift(girsanov_shift(path, 0.4, (0.25, 1.5)), -0.4, (0.25, 1.5))
-    assert np.allclose(back.values, path.values, atol=1e-15)
-
-
-def test_girsanov_disjoint_windows_compose_to_union():
-    path = generate_path(TimeGrid(2.0, 16), 11, 5)
-    two = girsanov_shift(girsanov_shift(path, 0.3, (0.0, 0.75)), 0.3, (0.75, 1.5))
-    union = girsanov_shift(path, 0.3, (0.0, 1.5))
-    assert np.allclose(two.values, union.values, atol=1e-15)
-
-
-def test_girsanov_rejects_bad_windows():
-    path = generate_path(TimeGrid(1.0, 8), 1, 0)
-    with pytest.raises(ValueError):
-        girsanov_shift(path, 0.1, (0.5, 0.25))
-    with pytest.raises(ValueError):
-        girsanov_shift(path, 0.1, (0.3, 0.5))  # 0.3 off grid
-
-
 def test_shifted_terminal_feeds_the_translated_initial_condition():
-    # evaluating data at the shifted path's terminal is the same as evaluating
-    # the translated data at the original terminal: the two routes to the
-    # anticipating solution factor agree
+    # evaluating data at the terminal value shifted by the Girsanov drift
+    # sigma * t is the same as evaluating the translated data at the original
+    # terminal: the two routes to the anticipating solution factor agree
     from insidermc import Indicator
 
     sigma = 0.25
     path = generate_path(TimeGrid(1.0, 8), 21, 3)
     c = Indicator(2.0, -0.05)
     for t in (0.125, 0.5, 1.0):
-        shifted = girsanov_shift(path, sigma, (0.0, t))
-        assert c.evaluate(shifted.terminal) == c.translate(sigma * t).evaluate(path.terminal)
-
-
-def test_coarsen_restricts_nodes_and_keeps_terminal():
-    fine = generate_path(TimeGrid(1.0, 64), 9, 2)
-    coarse = coarsen(fine, 8)
-    assert coarse.grid.steps == 8
-    assert np.array_equal(coarse.values, fine.values[::8])
-    assert coarse.terminal == fine.terminal
-    with pytest.raises(ValueError):
-        coarsen(fine, 5)
+        assert c.evaluate(path.terminal - sigma * t) == c.translate(sigma * t).evaluate(path.terminal)
 
 
 def test_sample_block_into_a_dirty_buffer_equals_a_fresh_draw():
