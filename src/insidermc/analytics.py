@@ -43,7 +43,7 @@ from .functionals import (
     TerminalFunctional,
 )
 from .integrators import ANTICIPATING, Interpretation
-from .market import MarketParams, PartialTrust, stock_functional, threshold
+from .market import Honest, MarketParams, PartialTrust, _check_honest, stock_functional, threshold
 from .paths import _BLOCK_VALUES
 
 CSV_HEADER = ("rho", "mu", "sigma", "T", "M", "E_I", "E_HS", "E_AK", "E_RV", "method")
@@ -68,10 +68,7 @@ def norm_cdf(x: float) -> float:
 
 def expected_honest(params: MarketParams, bond0: float, stock0: float) -> float:
     """Expected terminal wealth of a fixed split: bond0 e^{rho T} + stock0 e^{mu T}."""
-    if bond0 < 0.0 or stock0 < 0.0:
-        raise ValueError("honest trader cannot hold negative positions")
-    if not math.isclose(bond0 + stock0, params.wealth, rel_tol=1e-9, abs_tol=1e-12):
-        raise ValueError(f"split must sum to total wealth {params.wealth}")
+    _check_honest(Honest(bond0, stock0), params)
     t = params.horizon
     return bond0 * math.exp(params.rho * t) + stock0 * math.exp(params.mu * t)
 

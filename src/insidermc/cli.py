@@ -12,8 +12,11 @@ Exit codes: 0 pass, 1 quantitative check failed, 2 usage/config error,
 3 numerical failure. Option precedence: flags > environment > config file
 (INSIDERMC_SEED and INSIDERMC_WORKERS are honored). All three set the run
 and output keys of the config field table (``config.FIELDS``) through
-``ExperimentConfig.override``; each flag's ``dest`` is its config key. Every
-subcommand hands its CSV rows and JSON payload to one writer, ``_write``.
+``ExperimentConfig.override``; each flag's ``dest`` is its config key.
+``build_parser`` reads two tables: ``_COMMANDS`` gives each subcommand's
+function, help and own flags, and ``config.FIELDS`` the flags of the run and
+output keys. Every subcommand hands its CSV rows and JSON payload to one
+writer, ``_write``, which adds the subcommand's name to the config echo.
 """
 from __future__ import annotations
 
@@ -29,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analytics
-from .config import ConfigError, ExperimentConfig, load_file
+from .config import FIELDS, ConfigError, ExperimentConfig, load_file
 from .functionals import (
     Affine,
     MonotonicityError,
@@ -55,6 +58,8 @@ _SCHEME_INTERPS = (Interpretation.FORWARD, Interpretation.HITSUDA_SKOROKHOD)
 _CONVERGE_LADDER = (256, 512, 1024, 2048, 4096, 8192, 16384)
 _CONJECTURE_LADDER = (256, 1024, 4096)
 _SLOPE_FLOOR = 0.4
+# the largest closed-form vs quadrature gap, relative to the wealth, that passes
+_QUAD_BAR = 1e-8
 # the WealthTable fields of the four expected wealths, and the expect --mc cases
 _LEGS = ("honest", "hs", "ak", "rv")
 
@@ -72,16 +77,19 @@ def _cell(value) -> str:
 
 def _write(
     cfg: ExperimentConfig,
-    echo: dict[str, str],
+    args: argparse.Namespace,
     header: tuple[str, ...],
     rows: list[dict],
     payload: dict,
+    **extra: str,
 ) -> None:
-    """Write the CSV and JSON outputs ``cfg`` asks for, each headed by the config ``echo``.
+    """Write the CSV and JSON outputs ``cfg`` asks for, each headed by the config echo.
 
+    The echo is ``cfg.echo()``, then the subcommand, then the ``extra`` keys.
     Each CSV row is read by the ``header`` names; the JSON output is
     ``payload`` plus the echo under ``config``, with sorted keys.
     """
+    echo = cfg.echo() | {"subcommand": args.command} | extra
     if cfg.csv_path:
         lines = [f"# {key} = {value}" for key, value in echo.items()]
         lines.append(",".join(header))
@@ -131,8 +139,8 @@ def cmd_expect(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     gap = max(
         abs(closed.hs - quad.hs), abs(closed.rv - quad.rv), abs(closed.honest - quad.honest)
     ) / cfg.params.wealth
-    print(f"closed-form vs quadrature gap: {gap:.3e} (bar 1e-08)")
-    failed = not verdict.all_hold or gap > 1e-8
+    print(f"closed-form vs quadrature gap: {gap:.3e} (bar {_QUAD_BAR:.0e})")
+    failed = not verdict.all_hold or gap > _QUAD_BAR
     for label, report in reports.items():
         off = abs(report.estimate - getattr(closed, label))
         if off > 4.0 * report.stderr:
@@ -150,7 +158,7 @@ def cmd_expect(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
         "monte_carlo": {label: asdict(report) for label, report in reports.items()},
     }
     rows = [t.cells() for t in tables]
-    _write(cfg, cfg.echo() | {"subcommand": "expect"}, analytics.CSV_HEADER, rows, payload)
+    _write(cfg, args, analytics.CSV_HEADER, rows, payload)
     return 1 if failed else 0
 
 
@@ -184,9 +192,8 @@ def cmd_converge(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     ]
     # one CSV row per JSON row, with its table's interpretation and slope
     rows = [summary | row for summary in summaries for row in summary["rows"]]
-    echo = cfg.echo() | {"subcommand": "converge", "n_list": ",".join(map(str, n_list))}
     header = ("interpretation", "n", "mean_abs_error", "slope")
-    _write(cfg, echo, header, rows, {"tables": summaries})
+    _write(cfg, args, header, rows, {"tables": summaries}, n_list=",".join(map(str, n_list)))
     return 1 if failed else 0
 
 
@@ -204,7 +211,7 @@ def cmd_jump(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     summary = asdict(report) | {"within_tolerance": report.within_tolerance}
     header = ("frequency", "stderr", "closed_form", "n_flips", "n_paths", "grid_steps",
               "mean_flip_time", "rv_flips")
-    _write(cfg, cfg.echo() | {"subcommand": "jump"}, header, [summary], {"report": summary})
+    _write(cfg, args, header, [summary], {"report": summary})
     if report.degenerate:
         print("degenerate: a binomial stderr of 0 cannot be checked against the closed form")
         return 1
@@ -234,9 +241,8 @@ def cmd_conjecture(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
         candidate = row["group"] == "indicator-candidate"
         verdict = report.candidate_verdict if candidate else report.control_verdict
         rows.append(row | {"n": row["steps"], "verdict": verdict})
-    echo = cfg.echo() | {"subcommand": "conjecture", "n_list": ",".join(map(str, n_list))}
     header = ("group", "n", "q10", "q25", "q50", "q75", "q90", "verdict")
-    _write(cfg, echo, header, rows, {"report": summary})
+    _write(cfg, args, header, rows, {"report": summary}, n_list=",".join(map(str, n_list)))
     return 0
 
 
@@ -293,29 +299,28 @@ def cmd_ordering_sweep(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
           f"max closed-vs-quadrature gap: {quad_gap:.3e}")
     for name, margin in margins.items():
         print(f"min (E_RV - E_AK)/M for {name}: {margin:.3e}")
-    failed = chain_failures > 0 or quad_gap > 1e-8 or any(
+    failed = chain_failures > 0 or quad_gap > _QUAD_BAR or any(
         m <= 1e-10 for m in margins.values()
     )
     payload = {"chain_failures": chain_failures, "max_quad_gap": quad_gap, "min_margins": margins}
     row = payload | {"sets": args.sets} | {f"min_margin_{k}": v for k, v in margins.items()}
     header = ("sets", "chain_failures", "max_quad_gap", *(f"min_margin_{k}" for k in margins))
-    echo = cfg.echo() | {"subcommand": "ordering-sweep", "sets": str(args.sets)}
-    _write(cfg, echo, header, [row], payload)
+    _write(cfg, args, header, [row], payload, sets=str(args.sets))
     return 1 if failed else 0
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="experiment config file (INI sections)")
-    sub.add_argument("--seed", type=int, help="RNG seed (overrides env and file)")
-    sub.add_argument("--paths", type=int, help="number of Monte Carlo paths")
-    sub.add_argument(
-        "--steps", type=int,
-        help="grid steps per path (expect --mc draws B_T directly and ignores it; "
-        "in jump it sets only the flip-time grid)",
-    )
-    sub.add_argument("--workers", type=int, help="parallel sampling workers")
-    sub.add_argument("--csv", help="write results as CSV")
-    sub.add_argument("--json", metavar="JSON_OUT", help="write a JSON summary")
+# name: (function, help, the subcommand's own flags and their argparse options)
+_COMMANDS = {
+    "expect": (cmd_expect, "expected-wealth table: closed form vs quadrature",
+               {"--mc": {"action": "store_true", "help": "add a Monte Carlo row"}}),
+    "converge": (cmd_converge, "scheme error decay over a grid ladder", {}),
+    "jump": (cmd_jump, "indicator flip frequency vs closed form", {}),
+    "conjecture": (cmd_conjecture, "indicator-candidate residual evidence", {}),
+    "ordering-sweep": (
+        cmd_ordering_sweep, "expectation chain over random parameters",
+        {"--sets": {"type": int, "default": 1000, "help": "number of parameter sets"}},
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -324,31 +329,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Compare noise interpretations of the insider portfolio SDE.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("expect", help="expected-wealth table: closed form vs quadrature")
-    _add_common(p)
-    p.add_argument("--mc", action="store_true", help="add a Monte Carlo row")
-    p.set_defaults(func=cmd_expect)
-
-    p = subs.add_parser("converge", help="scheme error decay over a grid ladder")
-    _add_common(p)
-    p.add_argument("--n-list", help="comma-separated grid sizes (powers of two)")
-    p.set_defaults(func=cmd_converge)
-
-    p = subs.add_parser("jump", help="indicator flip frequency vs closed form")
-    _add_common(p)
-    p.set_defaults(func=cmd_jump)
-
-    p = subs.add_parser("conjecture", help="indicator-candidate residual evidence")
-    _add_common(p)
-    p.add_argument("--n-list", help="comma-separated grid sizes (powers of two)")
-    p.set_defaults(func=cmd_conjecture)
-
-    p = subs.add_parser("ordering-sweep", help="expectation chain over random parameters")
-    _add_common(p)
-    p.add_argument("--sets", type=int, default=1000, help="number of parameter sets")
-    p.set_defaults(func=cmd_ordering_sweep)
-
+    for name, (func, help_text, own_flags) in _COMMANDS.items():
+        p = subs.add_parser(name, help=help_text)
+        p.add_argument("--config", help="experiment config file (INI sections)")
+        for _, key, _, _, _, options, commands in FIELDS:
+            if options is not None and (commands is None or name in commands):
+                p.add_argument(f"--{key.replace('_', '-')}", **options)
+        for flag, options in own_flags.items():
+            p.add_argument(flag, **options)
+        p.set_defaults(func=func)
     return parser
 
 

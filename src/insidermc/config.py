@@ -5,10 +5,12 @@ split are validated at load time, values are read literally (no ``%``
 interpolation), and ``dumps``/``loads`` round-trip to an identical
 configuration (floats are serialized with ``repr`` so they survive exactly).
 One field table, ``FIELDS``, names each run and output key once, with its
-section, ``ExperimentConfig`` attribute, parser and formatter. The config
-file, the environment and the CLI flags all set those keys through
-``ExperimentConfig.override``; ``dumps``, ``echo`` and the keys ``loads``
-accepts are read from the same table.
+section, ``ExperimentConfig`` attribute, parser, formatter, and the argparse
+options and subcommands of its CLI flag. The config file, the environment and
+the CLI flags all set those keys through ``ExperimentConfig.override``;
+``dumps``, ``echo``, the keys ``loads`` accepts and the flags
+``cli.build_parser`` adds are read from the same table. One strategy table,
+``STRATEGIES``, maps each strategy kind to its class.
 """
 from __future__ import annotations
 
@@ -61,20 +63,32 @@ def _parse_interpretations(text: str) -> tuple[Interpretation, ...]:
 
 
 # (section, key, ExperimentConfig attribute, parser of the text, formatter of
-# the value) of every run and output key, in echo order
+# the value, argparse options of the key's flag or None for no flag, the
+# subcommands whose parser carries the flag or None for all) of every run and
+# output key, in echo order; the flag of key k is --k with "_" read as "-"
 FIELDS = (
-    ("run", "paths", "n_paths", int, str),
-    ("run", "steps", "steps", int, str),
-    ("run", "seed", "seed", int, str),
-    ("run", "workers", "workers", int, str),
+    ("run", "paths", "n_paths", int, str,
+     {"type": int, "help": "number of Monte Carlo paths"}, None),
+    ("run", "steps", "steps", int, str,
+     {"type": int, "help": "grid steps per path (expect --mc draws B_T directly and ignores it; "
+      "in jump it sets only the flip-time grid)"}, None),
+    ("run", "seed", "seed", int, str,
+     {"type": int, "help": "RNG seed (overrides env and file)"}, None),
+    ("run", "workers", "workers", int, str,
+     {"type": int, "help": "parallel sampling workers"}, None),
     ("run", "interpretations", "interpretations", _parse_interpretations,
-     lambda interps: ",".join(i.value for i in interps)),
-    ("run", "n_list", "n_list", parse_int_list, lambda n_list: ",".join(map(str, n_list))),
-    ("output", "csv", "csv_path", str, str),
-    ("output", "json", "json_path", str, str),
+     lambda interps: ",".join(i.value for i in interps), None, None),
+    # a string flag, read by the field's parser so that its errors name the key
+    ("run", "n_list", "n_list", parse_int_list, lambda n_list: ",".join(map(str, n_list)),
+     {"help": "comma-separated grid sizes (powers of two)"}, ("converge", "conjecture")),
+    ("output", "csv", "csv_path", str, str, {"help": "write results as CSV"}, None),
+    ("output", "json", "json_path", str, str,
+     {"metavar": "JSON_OUT", "help": "write a JSON summary"}, None),
 )
 # the echo lists the honest split between these two slices of FIELDS
 _BEFORE_SPLIT = 5
+# the class of each strategy kind a config names
+STRATEGIES = {"honest": Honest, "partial-trust": PartialTrust, "full-information": FullInformation}
 
 
 @dataclass(frozen=True)
@@ -118,7 +132,7 @@ class ExperimentConfig:
         parsers name the bad value themselves, after the ``[section] key``.
         """
         changes = {}
-        for section, key, attr, parse, _ in FIELDS:
+        for section, key, attr, parse, *_ in FIELDS:
             value = values.get(key)
             if isinstance(value, str):
                 try:
@@ -138,11 +152,11 @@ class ExperimentConfig:
         honest = isinstance(s, Honest)
         run = [
             (section, key, None if (value := getattr(self, attr)) is None else fmt(value))
-            for section, key, attr, _, fmt in FIELDS
+            for section, key, attr, _, fmt, *_ in FIELDS
         ]
         return [
             *(("market", f.name, repr(getattr(p, f.name))) for f in fields(p)),
-            ("strategy", "kind", _strategy_kind(s)),
+            ("strategy", "kind", next(k for k, cls in STRATEGIES.items() if isinstance(s, cls))),
             *run[:_BEFORE_SPLIT],
             # after the run keys: the CSV echo of an honest strategy has always read so
             ("strategy", "bond0", repr(s.bond0) if honest else None),
@@ -166,14 +180,6 @@ class ExperimentConfig:
             for section, key, value in self._fields()
             if value is not None and section != "output"
         }
-
-
-def _strategy_kind(strategy: Strategy) -> str:
-    if isinstance(strategy, Honest):
-        return "honest"
-    if isinstance(strategy, PartialTrust):
-        return "partial-trust"
-    return "full-information"
 
 
 def _require_keys(section: str, present, allowed: list[str]) -> None:
@@ -215,23 +221,19 @@ def loads(text: str) -> ExperimentConfig:
         raise ConfigError(f"invalid [market] section: {exc}") from exc
 
     kind = strat.get("kind", "partial-trust")
-    if kind == "honest":
+    if kind not in STRATEGIES:
+        raise ConfigError(f"unknown strategy kind {kind!r}")
+    if STRATEGIES[kind] is Honest:
         if "bond0" not in strat or "stock0" not in strat:
             raise ConfigError("honest strategy needs bond0 and stock0")
         strategy: Strategy = Honest(
             bond0=_parse_float("strategy", "bond0", strat["bond0"]),
             stock0=_parse_float("strategy", "stock0", strat["stock0"]),
         )
-    elif kind == "partial-trust":
-        if "bond0" in strat or "stock0" in strat:
-            raise ConfigError("only the honest strategy takes a fixed split")
-        strategy = PartialTrust()
-    elif kind == "full-information":
-        if "bond0" in strat or "stock0" in strat:
-            raise ConfigError("only the honest strategy takes a fixed split")
-        strategy = FullInformation()
+    elif "bond0" in strat or "stock0" in strat:
+        raise ConfigError("only the honest strategy takes a fixed split")
     else:
-        raise ConfigError(f"unknown strategy kind {kind!r}")
+        strategy = STRATEGIES[kind]()
 
     return ExperimentConfig(params=params, strategy=strategy).override(run | out)
 

@@ -152,9 +152,11 @@ def _map_chunks(fn, args: tuple, n_paths: int, workers: int) -> list:
         return [fn(args + (0, n_paths))]
     bounds = np.linspace(0, n_paths, workers + 1, dtype=int)
     jobs = [args + (int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-    from concurrent.futures import ProcessPoolExecutor  # only a multi-worker run needs it
+    import os
+    from concurrent.futures import ProcessPoolExecutor  # only a multi-worker run needs them
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    # a fork pool starts every process at its first submit; the partition fixes the results
+    with ProcessPoolExecutor(max_workers=min(len(jobs), os.cpu_count() or 1)) as pool:
         return list(pool.map(fn, jobs))
 
 

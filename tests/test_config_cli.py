@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import importlib.util
 import json
@@ -17,7 +18,7 @@ import insidermc
 from insidermc import Honest, Interpretation, PartialTrust, jump_probability
 from insidermc import cli
 from insidermc.cli import _cell, main
-from insidermc.config import ConfigError, ExperimentConfig, load_file, loads
+from insidermc.config import STRATEGIES, ConfigError, ExperimentConfig, load_file, loads
 
 SAMPLE = """\
 [market]
@@ -118,6 +119,22 @@ def test_honest_strategy_requires_split():
     assert cfg.strategy == Honest(0.4, 0.6)
     with pytest.raises(ConfigError):
         loads("[strategy]\nkind = partial-trust\nbond0 = 0.4\nstock0 = 0.6\n")
+
+
+def test_strategy_table_gives_each_kind_its_class_and_echo():
+    for kind, cls in STRATEGIES.items():
+        split = "bond0 = 0.4\nstock0 = 0.6\n"
+        if cls is Honest:
+            cfg = loads(f"[strategy]\nkind = {kind}\n{split}")
+        else:
+            with pytest.raises(ConfigError, match="only the honest strategy takes a fixed split"):
+                loads(f"[strategy]\nkind = {kind}\n{split}")
+            cfg = loads(f"[strategy]\nkind = {kind}\n")
+        assert type(cfg.strategy) is cls
+        assert cfg.echo()["strategy.kind"] == kind
+        assert loads(cfg.dumps()) == cfg
+    with pytest.raises(ConfigError, match="unknown strategy kind 'sneaky'"):
+        loads("[strategy]\nkind = sneaky\nbond0 = 0.4\nstock0 = 0.6\n")
 
 
 def test_cli_expect_runs_and_is_byte_stable(tmp_path, capsys):
@@ -376,6 +393,26 @@ def test_cli_help_lists_flags(capsys):
                  "--json", "--mc"):
         assert flag in out
     assert "--json JSON_OUT" in out
+
+
+_SHARED_OPTIONS = {"-h", "--help", "--config", "--seed", "--paths", "--steps", "--workers",
+                   "--csv", "--json"}
+
+
+@pytest.mark.parametrize(
+    "command, own",
+    [
+        ("expect", {"--mc"}),
+        ("converge", {"--n-list"}),
+        ("jump", set()),
+        ("conjecture", {"--n-list"}),
+        ("ordering-sweep", {"--sets"}),
+    ],
+)
+def test_each_subcommand_takes_exactly_its_option_strings(command, own):
+    (subs,) = (a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {s for action in subs.choices[command]._actions for s in action.option_strings}
+    assert options == _SHARED_OPTIONS | own
 
 
 def test_env_seed_applies_between_file_and_flags(tmp_path, capsys, monkeypatch):

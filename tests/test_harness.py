@@ -127,6 +127,35 @@ def test_worker_count_does_not_change_the_bits():
     assert serial.stderr == parallel.stderr
 
 
+def test_pool_starts_no_more_processes_than_jobs_or_cores(monkeypatch):
+    # a fork pool starts max_workers processes at once, so the count must be
+    # bounded; this fake records it and maps the jobs inline, starting none
+    import concurrent.futures
+    import os
+
+    started = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    case = [(PartialTrust(), AK)]
+    (serial,) = estimate_expectations(case, BASELINE, 200, GRID, 5, workers=1)
+    (wide,) = estimate_expectations(case, BASELINE, 200, GRID, 5, workers=10_000)
+    assert started == [min(200, os.cpu_count() or 1)]
+    assert (wide.estimate, wide.stderr) == (serial.estimate, serial.stderr)
+
+
 def test_anticipating_estimates_are_bit_identical():
     (ak,) = estimate_expectations([(PartialTrust(), AK)], BASELINE, 400, GRID, 9)
     (hs,) = estimate_expectations([(PartialTrust(), HS)], BASELINE, 400, GRID, 9)
