@@ -22,9 +22,9 @@ value is stable, so a set gets the same float in any block, a block of one
 included. Only the sets still doubling are evaluated, in row chunks of at
 most ``_CHUNK_VALUES`` values, so the kernel bounds its own memory for any
 block size, and each chunk's node sums take one stacked matmul.
-``ordering_monotone_block`` likewise probes a block of horizons for
-monotonicity in row chunks, each chunk's grid a row-major buffer it is
-evaluated in, and takes both stock legs in one kernel call.
+``ordering_monotone_block`` checks a smooth family's monotonicity with one
+probe of its shape over the block's widest window and one array check of
+its per-set scales, and takes both stock legs in one kernel call.
 """
 from __future__ import annotations
 
@@ -53,7 +53,7 @@ _QUAD_MAX = 4096
 _QUAD_RTOL = 1e-8
 # values per evaluation: half a path block stays in cache and reads faster than a whole one
 _CHUNK_VALUES = _BLOCK_VALUES // 2
-# probe points per set of the monotonicity check
+# probe points of the monotonicity check, one probe per family and block
 _PROBE_POINTS = 1000
 
 
@@ -167,10 +167,13 @@ def _row_dots(values: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.matmul(values[:, None, :], w)[:, 0]
 
 
-def _node_sums(c: TerminalFunctional, columns: np.ndarray, nodes: int) -> np.ndarray:
+def _node_sums(
+    c: TerminalFunctional, columns: np.ndarray, nodes: int, magnitudes: np.ndarray | None = None
+) -> np.ndarray:
     """Gauss-Hermite sums of C at sqrt(2T) x + sigma T - shift, one per row of ``columns``.
 
-    Evaluates in row chunks of at most ``_CHUNK_VALUES`` values.
+    Evaluates in row chunks of at most ``_CHUNK_VALUES`` values; the sums of
+    |C| go into ``magnitudes`` when given.
     """
     x, w = _hermgauss(nodes)
     rows = columns.shape[1]
@@ -188,7 +191,9 @@ def _node_sums(c: TerminalFunctional, columns: np.ndarray, nodes: int) -> np.nda
         part = c if step >= rows else _take(c, chunk)
         # C is evaluated in place: a second chunk-sized array freed on every
         # chunk can be trimmed from the top of the heap and faulted back in
-        sums[chunk] = _row_dots(np.asarray(part.evaluate(arg, out=arg), dtype=float), w)
+        sums[chunk] = _row_dots(values := part.evaluate(arg, out=arg), w)
+        if magnitudes is not None:
+            magnitudes[chunk] = _row_dots(np.abs(values, out=values), w)
     return sums
 
 
@@ -232,14 +237,16 @@ def quadrature_expectations(
     hint = np.abs(np.ravel(c.evaluate(columns[1] - columns[2]))) * growth
     # The per-set state of the sets still doubling, compacted as sets settle.
     # A set settles when its change is at most RTOL * max(|value|, |previous|,
-    # hint, tiny); RTOL * max is the max of the scaled terms, bit for bit, so
-    # the hint's term (its floor) is scaled once.
+    # hint, mass, tiny), mass the first rule's sum of |C| times the factor: the
+    # scale of a 0 value (the anticipating leg at A = 1). RTOL * max is the max
+    # of the scaled terms, bit for bit, so the floor (the last three) is scaled once.
     index = np.arange(n)
     factor = growth / math.sqrt(math.pi)
-    floor = _QUAD_RTOL * np.fmax(hint, np.finfo(float).tiny)
+    mass = np.empty(n)
+    previous = factor * _node_sums(c, columns, _QUAD_START, mass)
+    floor = _QUAD_RTOL * np.fmax(np.fmax(hint, factor * mass), np.finfo(float).tiny)
     moved = np.full(n, math.nan)
     result = np.empty(n)
-    previous = factor * _node_sums(c, columns, _QUAD_START)
     nodes = 2 * _QUAD_START
     while index.size and nodes <= _QUAD_MAX:
         value = factor * _node_sums(c, columns, nodes)
@@ -306,8 +313,9 @@ def ordering_monotone_block(
     The translated initial condition can only lose ground pointwise, so each
     anticipating entry is strictly below its forward entry for any
     nonconstant increasing continuous C. ``c`` may hold one coefficient per
-    set as a column array, as in ``quadrature_expectations``; the monotonicity
-    contract is checked for every set before any quadrature runs.
+    set as a column array, as in ``quadrature_expectations``. The monotonicity
+    contract is checked for every set before any quadrature runs, for a
+    ``MonotoneSmooth`` by one probe of its shape over the widest window.
     """
     n = len(params_seq)
     if isinstance(c, Indicator):
@@ -316,12 +324,15 @@ def ordering_monotone_block(
         if not np.all(c.b > 0.0):
             raise MonotonicityError("affine functional must have positive slope")
     elif isinstance(c, MonotoneSmooth):
-        horizons = np.array([p.horizon for p in params_seq])
-        step = max(1, _CHUNK_VALUES // _PROBE_POINTS)
-        for lo in range(0, n, step):
-            rows = slice(lo, lo + step)
-            probe = c if step >= n else _take(c, rows)
-            probe.validate_monotone(horizons[rows], _PROBE_POINTS)
+        # one shape times per-set scales: probe the shape once, on the widest window. A
+        # scale keeps or (if negative) reverses the probe's order, so only a scale that does
+        # not rise end to end fails, and the first such one is probed for its message
+        horizon = max(p.horizon for p in params_seq)
+        ys = replace(c, scale=1.0).validate_monotone(horizon, _PROBE_POINTS)
+        scale = np.ravel(c.scale)
+        rises = scale * ys[..., -1] > scale * ys[..., 0]
+        if not rises.all():
+            replace(c, scale=scale[np.argmin(rises)]).validate_monotone(horizon, _PROBE_POINTS)
     else:
         raise MonotonicityError(f"{type(c).__name__} carries no monotonicity contract")
     # both legs in one kernel call: shift sigma T (anticipating), then 0 (forward)

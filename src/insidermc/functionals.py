@@ -148,54 +148,23 @@ class Smooth(TerminalFunctional):
         return Smooth(scale=self.scale, fn=self.dfn, dfn=None, shift=self.shift)
 
 
-def _symmetric_grid(span: ArrayLike, points: int, shape: tuple[int, ...]) -> np.ndarray:
-    """``np.linspace(-span, span, points, axis=-1)`` bit for bit, in a new
-    C-contiguous array of ``shape``, which that grid broadcasts to.
-
-    linspace builds its grid along axis 0 and returns a transposed view; the
-    same operations run here along the last axis: k * step, plus the start
-    -span, then the stop span at the end (k / (points - 1) * 2 span instead
-    where a step underflows to 0).
-    """
-    if points < 2:
-        raise ValueError(f"a probe grid needs at least 2 points, got {points}")
-    span = np.asarray(span)[..., None]
-    k = np.arange(points, dtype=float)
-    width = span - -span
-    step = width / (points - 1)
-    if not step.all():
-        k /= points - 1
-        step = width
-    xs = np.multiply(k, step, out=np.empty(shape))
-    xs += -span
-    xs[..., -1:] = span
-    return xs
-
-
 @dataclass(frozen=True)
 class MonotoneSmooth(Smooth):
     """A Smooth map claimed nondecreasing; validated empirically on a probe grid."""
 
-    def validate_monotone(self, horizon: ArrayLike, points: int = 1000) -> None:
-        """Probe over +-8*sqrt(horizon); raises MonotonicityError on failure.
-
-        ``horizon`` may be an array of horizons, one probe row per set against
-        column coefficients; the first row that fails raises.
-        """
-        span = 8.0 * np.sqrt(horizon)
-        shape = np.broadcast_shapes(
-            np.shape(span) + (points,), np.shape(self.scale), np.shape(self.shift)
-        )
-        xs = _symmetric_grid(span, points, shape)
-        ys = self.evaluate(xs, out=xs)
+    def validate_monotone(self, horizon: float, points: int = 1000) -> np.ndarray:
+        """Probe at ``points`` evenly spaced points over +-8*sqrt(horizon) and
+        return the probe values; raises MonotonicityError on failure."""
+        if points < 2:
+            raise ValueError(f"a probe grid needs at least 2 points, got {points}")
+        span = 8.0 * math.sqrt(horizon)
+        ys = self.evaluate(np.linspace(-span, span, points))
         # y[i+1] < y[i] is y[i+1] - y[i] < 0 for floats, without a difference array
-        decreases = np.any(ys[..., 1:] < ys[..., :-1], axis=-1).ravel()
-        grows = (ys[..., -1] > ys[..., 0]).ravel()
-        for down, up in zip(decreases, grows):
-            if down:
-                raise MonotonicityError("evaluator decreases somewhere on the probe grid")
-            if not up:
-                raise MonotonicityError("evaluator is constant on the probe grid")
+        if np.any(ys[..., 1:] < ys[..., :-1]):
+            raise MonotonicityError("evaluator decreases somewhere on the probe grid")
+        if not np.all(ys[..., -1] > ys[..., 0]):
+            raise MonotonicityError("evaluator is constant on the probe grid")
+        return ys
 
 
 def _expit(z: np.ndarray) -> np.ndarray:

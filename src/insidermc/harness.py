@@ -150,7 +150,8 @@ def _map_chunks(fn, args: tuple, n_paths: int, workers: int) -> list:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if workers == 1:
         return [fn(args + (0, n_paths))]
-    bounds = np.linspace(0, n_paths, workers + 1, dtype=int)
+    # past n_paths chunks the extra ones are empty, so the partition stops there
+    bounds = np.linspace(0, n_paths, min(workers, n_paths) + 1, dtype=int)
     jobs = [args + (int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
     import os
     from concurrent.futures import ProcessPoolExecutor  # only a multi-worker run needs them

@@ -11,6 +11,7 @@ from insidermc import (
     Indicator,
     Interpretation,
     MarketParams,
+    MonotoneSmooth,
     MonotonicityError,
     PartialTrust,
     arctangent,
@@ -325,6 +326,85 @@ def test_monotone_probe_block_raises_the_one_set_message():
     slopes = _column([1.0, 1.0, -2.0, 1.0, 1.0, 1.0])
     with pytest.raises(MonotonicityError, match="affine functional must have positive slope"):
         ordering_monotone_block(Affine(1.0, slopes), sets)
+
+
+def test_monotone_block_probes_the_shape_once():
+    # the block's fn values are the kernel's on the same legs plus one probe
+    sets = _sweep_sets(7, 200)
+    base = arctangent(_column(p.wealth for p in sets))
+    sizes = []
+
+    def counted(x):
+        sizes.append(np.size(x))
+        return base.fn(x)
+
+    c = replace(base, fn=counted)
+    ordering_monotone_block(c, sets)
+    block = sum(sizes)
+    sizes.clear()
+    shifts = [p.sigma * p.horizon for p in sets] + [0.0] * len(sets)
+    quadrature_expectations(replace(c, scale=np.tile(c.scale, (2, 1))), shifts, sets * 2)
+    assert block - sum(sizes) == analytics._PROBE_POINTS
+
+
+def _monotone_outcome(c, sets):
+    """The MonotonicityError message of a block, or None if it passes."""
+    try:
+        ordering_monotone_block(c, sets)
+    except MonotonicityError as error:
+        return str(error)
+    return None
+
+
+@pytest.mark.parametrize("bad, want", [
+    (-1.0, "decreases"),
+    (0.0, "constant"),
+    (math.nan, "constant"),
+    (math.inf, "constant"),
+    # every probe value is -inf, so none is below the one before it
+    (-math.inf, "constant"),
+    (5e-324, None),
+])
+def test_monotone_block_checks_each_scale_as_its_one_set_probe(bad, want):
+    sets = _sweep_sets(3, 6)
+    scales = [1.0, 2.0, 1.0, bad, 1.0, 0.5]
+    for family in (logistic, arctangent):
+        one = _monotone_outcome(family(bad), (sets[3],))
+        assert one == _monotone_outcome(family(_column(scales)), sets)
+        assert one is None if want is None else want in one
+
+
+def test_monotone_block_rejects_a_bad_shape():
+    sets = _sweep_sets(3, 6)
+    scales = _column([1.0] * 6)
+    bump = MonotoneSmooth(scale=scales, fn=lambda x: np.exp(-np.square(x)))
+    with pytest.raises(MonotonicityError, match="decreases"):
+        ordering_monotone_block(bump, sets)
+    flat = MonotoneSmooth(scale=scales, fn=np.zeros_like)
+    with pytest.raises(MonotonicityError, match="constant"):
+        ordering_monotone_block(flat, sets)
+
+
+def test_monotone_block_probes_the_widest_window():
+    # x e^{-x^2/50} rises on |x| < 5 only: inside +-8 sqrt(0.1), not +-8 sqrt(5)
+    hump = MonotoneSmooth(scale=1.0, fn=lambda x: x * np.exp(-np.square(x) / 50.0))
+    hump.validate_monotone(0.1)
+    with pytest.raises(MonotonicityError, match="decreases"):
+        hump.validate_monotone(5.0)
+    sets = [replace(BASELINE, horizon=0.1), replace(BASELINE, horizon=5.0)]
+    with pytest.raises(MonotonicityError, match="decreases"):
+        ordering_monotone_block(hump, sets)
+
+
+def test_oracle_settles_at_the_debt_regime_boundary(tmp_path):
+    # A = sigma^2 / (4 (mu - rho)) = 1: the anticipating stock leg is exactly 0,
+    # so only the integrand's own scale can tell its rounding from a change
+    config = tmp_path / "boundary.ini"
+    config.write_text(
+        "[market]\nwealth = 1.0\nrho = 0.01\nmu = 0.05\nsigma = 0.4\nhorizon = 1.0\n"
+        "\n[strategy]\nkind = partial-trust\n"
+    )
+    assert main(["expect", "--config", str(config)]) == 0
 
 
 def test_jump_probability_baseline_and_bounds():

@@ -19,7 +19,6 @@ from insidermc import (
     stock_functional,
     wick_with_exponential,
 )
-from insidermc.functionals import _symmetric_grid
 
 BASELINE = MarketParams(wealth=1.0, rho=0.02, mu=0.05, sigma=0.2, horizon=1.0)
 
@@ -218,26 +217,9 @@ def test_monotone_probe_rejects_bad_evaluators():
         flat.validate_monotone(1.0)
 
 
-@pytest.mark.parametrize("horizon", [
-    1.0,
-    0.1,
-    np.array(5.0),
-    np.linspace(0.1, 5.0, 16),
-    np.random.default_rng(3).uniform(0.1, 5.0, (3, 7)),
-    # a zero span takes linspace's divide-first branch for every row
-    np.array([0.0, 2.0]),
-], ids=["scalar", "short", "0-d", "row", "2-d", "zero"])
-def test_probe_grid_is_linspace_bit_for_bit(horizon):
-    span = 8.0 * np.sqrt(horizon)
-    expected = np.linspace(-span, span, 1000, axis=-1)
-    grid = _symmetric_grid(span, 1000, expected.shape)
-    assert _same_bits(grid, expected)
-    assert grid.flags.c_contiguous
-    if np.ndim(span) == 0:
-        # against column coefficients, every row of the broadcast buffer is the one grid
-        wide = _symmetric_grid(span, 1000, (4, 1000))
-        assert wide.flags.c_contiguous
-        assert all(_same_bits(row, expected) for row in wide)
+def test_monotone_probe_needs_two_points():
+    with pytest.raises(ValueError, match="at least 2 points, got 1"):
+        logistic(1.0).validate_monotone(1.0, points=1)
 
 
 def test_monotone_outputs_nondecreasing_on_increasing_inputs():

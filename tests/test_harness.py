@@ -156,6 +156,40 @@ def test_pool_starts_no_more_processes_than_jobs_or_cores(monkeypatch):
     assert (wide.estimate, wide.stderr) == (serial.estimate, serial.stderr)
 
 
+def test_partition_is_bounded_by_the_path_count(monkeypatch):
+    # past one worker per path the extra chunks are empty: a million workers
+    # give the jobs of 200, without a million-entry partition (the fake pool
+    # maps inline and starts no process)
+    import concurrent.futures
+    import tracemalloc
+
+    from insidermc.harness import _map_chunks
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    tracemalloc.start()
+    try:
+        wide = _map_chunks(tuple, ("case",), 200, 1_000_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert wide == _map_chunks(tuple, ("case",), 200, 200)
+    assert wide == [("case", i, i + 1) for i in range(200)]
+    assert peak < 1 << 20
+
+
 def test_anticipating_estimates_are_bit_identical():
     (ak,) = estimate_expectations([(PartialTrust(), AK)], BASELINE, 400, GRID, 9)
     (hs,) = estimate_expectations([(PartialTrust(), HS)], BASELINE, 400, GRID, 9)
