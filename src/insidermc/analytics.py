@@ -17,11 +17,12 @@ The quadrature oracle never touches that algebra: it integrates the
 translated functional numerically against the Gaussian terminal law. It
 works on a block of parameter sets at once (``quadrature_expectations``):
 one node grid per node count, with the functional's per-set coefficients as
-column arrays, while each set still doubles its own node count until its own
-value is stable, so a set gets the same float in any block, a block of one
-included. Only the sets still doubling are evaluated, in row chunks of at
-most ``_CHUNK_VALUES`` values, so the kernel bounds its own memory for any
-block size, and each chunk's node sums take one stacked matmul.
+column arrays, while each set doubles its own node count from 32 until its
+own value is stable: two changes in a row within tolerance, or one from 512
+nodes on. A set gets the same float in any block, a block of one included.
+Only the sets still doubling are evaluated, in row chunks of at most
+``_CHUNK_VALUES`` values, so the kernel bounds its own memory for any block
+size, and each chunk's node sums take one stacked matmul.
 ``ordering_monotone_block`` checks a smooth family's monotonicity with one
 probe of its shape over the block's widest window and one array check of
 its per-set scales, and takes both stock legs in one kernel call.
@@ -48,8 +49,10 @@ from .paths import _BLOCK_VALUES
 
 CSV_HEADER = ("rho", "mu", "sigma", "T", "M", "E_I", "E_HS", "E_AK", "E_RV", "method")
 
-_QUAD_START = 256
+_QUAD_START = 32
 _QUAD_MAX = 4096
+# from this rule on, one agreement settles a set; below it, two in a row must
+_QUAD_TRUSTED = 512
 _QUAD_RTOL = 1e-8
 # values per evaluation: half a path block stays in cache and reads faster than a whole one
 _CHUNK_VALUES = _BLOCK_VALUES // 2
@@ -208,9 +211,12 @@ def quadrature_expectations(
     node sums, which would ring at the discontinuity. ``c`` may hold one
     coefficient per set as a column array (``Affine`` and ``Smooth``
     broadcast them against the node axis). Every set doubles its node count
-    until its own value is stable, exactly as a one-set call would, and gets
-    the same float; only the sets still doubling are evaluated, in row chunks
-    of at most ``_CHUNK_VALUES`` values. A set that does not converge raises
+    from ``_QUAD_START`` until its own value is stable, exactly as a one-set
+    call would, and gets the same float. It settles at the first rule whose
+    change from the rule before is within tolerance, if the change before
+    that was too or the rule has at least ``_QUAD_TRUSTED`` nodes. Only the
+    sets still doubling are evaluated, in row chunks of at most
+    ``_CHUNK_VALUES`` values. A set that does not converge raises
     ``QuadratureError`` naming the first such set, in ``params_seq`` order.
     """
     if isinstance(c, Indicator):
@@ -236,15 +242,18 @@ def quadrature_expectations(
     growth, columns = table[0], table[1:, :, None]
     hint = np.abs(np.ravel(c.evaluate(columns[1] - columns[2]))) * growth
     # The per-set state of the sets still doubling, compacted as sets settle.
-    # A set settles when its change is at most RTOL * max(|value|, |previous|,
+    # A set's change agrees when it is at most RTOL * max(|value|, |previous|,
     # hint, mass, tiny), mass the first rule's sum of |C| times the factor: the
     # scale of a 0 value (the anticipating leg at A = 1). RTOL * max is the max
     # of the scaled terms, bit for bit, so the floor (the last three) is scaled once.
+    # A set settles on two agreements in a row, or on one from _QUAD_TRUSTED
+    # nodes on: a single agreement at a low node count can still be 8e-8 off.
     index = np.arange(n)
     factor = growth / math.sqrt(math.pi)
     mass = np.empty(n)
     previous = factor * _node_sums(c, columns, _QUAD_START, mass)
     floor = _QUAD_RTOL * np.fmax(np.fmax(hint, factor * mass), np.finfo(float).tiny)
+    agreed = np.zeros(n, dtype=bool)
     moved = np.full(n, math.nan)
     result = np.empty(n)
     nodes = 2 * _QUAD_START
@@ -253,11 +262,17 @@ def quadrature_expectations(
         moved = np.abs(value - previous)
         # a set still doubling is written over when it settles
         result[index] = value
-        keep = ~(moved <= np.maximum(_QUAD_RTOL * np.maximum(np.abs(value), np.abs(previous)), floor))
-        index = index[keep]
-        if index.size:
-            factor, floor, previous, moved = factor[keep], floor[keep], value[keep], moved[keep]
-            columns, c = columns[:, keep], _take(c, keep)
+        agrees = moved <= np.maximum(_QUAD_RTOL * np.maximum(np.abs(value), np.abs(previous)), floor)
+        keep = ~(agrees & (agreed | (nodes >= _QUAD_TRUSTED)))
+        previous, agreed = value, agrees
+        # a pass that settles no set keeps every row as it is
+        if not keep.all():
+            index = index[keep]
+            if index.size:
+                factor, floor, previous, agreed, moved = (
+                    v[keep] for v in (factor, floor, previous, agreed, moved)
+                )
+                columns, c = columns[:, keep], _take(c, keep)
         nodes *= 2
     if index.size:
         raise QuadratureError(

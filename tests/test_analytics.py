@@ -23,6 +23,7 @@ from insidermc import (
     norm_cdf,
     ordering_monotone_block,
     quadrature_expectations,
+    random_param_sets,
     random_params,
     stock_functional,
     threshold,
@@ -224,7 +225,7 @@ def _sweep_sets(seed: int, n: int) -> list[MarketParams]:
 
 
 def test_batched_quadrature_equals_one_set_calls_bit_for_bit():
-    # at seed 7, set 81 needs 1024 nodes (arctangent, forward leg); the rest stop at 256 or 512
+    # at seed 7, set 81 needs 1024 nodes (arctangent, forward leg); the rest stop at 128 to 512
     sets = _sweep_sets(7, 200)
     stocks = [stock_functional(PartialTrust(), p) for p in sets]
     wealth = _column(p.wealth for p in sets)
@@ -260,7 +261,8 @@ def test_batched_quadrature_names_the_first_set_that_fails(monkeypatch, capsys):
 
 
 def test_kernel_evaluates_only_the_sets_still_doubling():
-    # at seed 7, set 81 needs 1024 nodes (arctangent, forward leg); the rest stop at 512
+    # at seed 7, set 81 needs 1024 nodes (arctangent, forward leg); 90 others stop
+    # at 512, 64 at 256 and 45 at 128, the first rule with two agreements in a row
     sets = _sweep_sets(7, 200)
     c = arctangent(_column(p.wealth for p in sets))
     sizes = []
@@ -273,8 +275,42 @@ def test_kernel_evaluates_only_the_sets_still_doubling():
     got = quadrature_expectations(replace(c, fn=counted), shifts, sets)
     assert got == quadrature_expectations(c, shifts, sets)
     # the hint probe at each set's centre, then the sets still doubling at each node count
-    assert sum(sizes) == 200 + 200 * 256 + 200 * 512 + 1 * 1024
+    assert sum(sizes) == 200 + 200 * (32 + 64 + 128) + 155 * 256 + 91 * 512 + 1 * 1024
     assert max(sizes) <= analytics._CHUNK_VALUES
+
+
+def test_oracle_lies_within_1e_9_of_an_8192_node_rule():
+    # every set stops at the first rule it trusts; that rule must be as good as
+    # a far finer one, for each family the sweep checks and both stock legs
+    sets = random_param_sets(np.random.default_rng(11), 1024)
+    wealth = _column(p.wealth for p in sets)
+    stocks = [stock_functional(PartialTrust(), p) for p in sets]
+    families = {
+        "logistic": logistic(wealth),
+        "arctangent": arctangent(wealth),
+        "affine": Affine(_column(c.a for c in stocks), _column(c.b for c in stocks)),
+    }
+    factor = np.array([math.exp(p.mu * p.horizon) for p in sets]) / math.sqrt(math.pi)
+    roots = [math.sqrt(2.0 * p.horizon) for p in sets]
+    drifts = [p.sigma * p.horizon for p in sets]
+    for leg, shifts in {"anticipating": drifts, "forward": [0.0] * len(sets)}.items():
+        columns = np.array([roots, drifts, shifts])[:, :, None]
+        for name, c in families.items():
+            got = np.array(quadrature_expectations(c, shifts, sets))
+            want = factor * analytics._node_sums(c, columns, 8192)
+            worst = np.max(np.abs(got - want) / np.abs(want))
+            assert worst <= 1e-9, (name, leg, worst)
+
+
+def test_quadrature_table_builds_only_the_rules_it_settles_at(monkeypatch):
+    # the three affine legs of the default market settle together at 128 nodes
+    rule = analytics._hermgauss
+    rule.cache_clear()
+    asked = []
+    monkeypatch.setattr(analytics, "_hermgauss", lambda n: asked.append(n) or rule(n))
+    quadrature_table(BASELINE)
+    assert sorted(set(asked)) == [32, 64, 128]
+    assert rule.cache_info().currsize == 3
 
 
 @pytest.mark.parametrize("nodes", [256, 512, 1024, 2048, 4096])

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import insidermc
 from insidermc import Honest, Interpretation, PartialTrust, jump_probability
-from insidermc import cli
+from insidermc import analytics, cli
 from insidermc.cli import _cell, main
 from insidermc.config import STRATEGIES, ConfigError, ExperimentConfig, load_file, loads
 
@@ -440,11 +440,11 @@ def test_load_file_missing_path_is_config_error(tmp_path):
 # numpy 2.4 on x86-64; a change that alters one on purpose updates its digest and
 # says so
 CSV_DIGESTS = {
-    "expect": "c10e84e10cf5d2ef29e130c9dc372ed07c1d1efecbcc286ec367980e064921bb",
+    "expect": "853064ebf5da2a00e5be0a23229346c6d0e51d02067c329d7d35f5176b2570fa",
     "converge": "f3dd54cbe8c970a27ee7793b6a5a9f2c53ceecbbca765196c31db02e13362fb1",
     "conjecture": "28ab6e695c7a31e00e24ce8a4fc90051c84ef8560187361f0909089f10c3e51c",
     "jump": "db4d45be3129ce5b71469e1e15b2e071cce9696608a2eb35c319b67a1b414c84",
-    "ordering-sweep": "e1d33920f7a526b391389bba3d478d63260b616f1beb92d6d3bc583728761ccb",
+    "ordering-sweep": "ec8c1bd9296e6b066e106d6b33f23b9e76265596349de6cad749014bbe3ef38e",
     "converge-honest": "34c83e4460d05685d9ad588c332d43d9458a0a146778c0f44c563cb73ae90a37",
 }
 DUMPS_DIGESTS = {
@@ -544,15 +544,15 @@ def _output_digests(tmp_path, capsys, name: str, argv: list[str]) -> dict[str, s
 # to 0) and of its stdout, and of all three outputs of one `expect --mc` run that
 # takes its seed and worker count from the environment; recorded like CSV_DIGESTS
 JSON_DIGESTS = {
-    "expect": "229a6fd53fbdfc27eb74ad0c8c7a9d15dc684af066dddbc19bb869bb6a3b4570",
+    "expect": "f0a5c8e46e057cafa4e3281b89430aa7f7d4dd8ca6397bd506ffac204d389f42",
     "converge": "41bb8fa6f6f56c945647f9c811c9d832645dda61e32ea1939fde56b6edc6134a",
     "conjecture": "0048fff6d3b8b9471b67a15f5f5d97919c237ba3df4ddbae661d9c30cead0156",
     "jump": "dcbf2571a454ca6c0dfd90f940fd2e15e6ea63b0d9cf709411a19937f994aef6",
-    "ordering-sweep": "1519afe6ff785a61e32487fbbc431a4eae7fefb2e67bf1b95f53b72a96cef52c",
+    "ordering-sweep": "3106ba5e03ec57e783b45dec9494f42305c61d09ba55353b500ecea95893edd8",
     "converge-honest": "6740003693f2695feae715abdaf59dcc9f0f9f73403ceaeab5cf78f9aad3ab98",
 }
 STDOUT_DIGESTS = {
-    "expect": "6b51674ba78914668b65ee46f5cb6ac475e8b5bb0cf233102242ca711e1b5bcf",
+    "expect": "aa74a3b11e7a5da5f09bb4b4c27a5c34b335f05b3e2d7897a3c8b1399cd4f5cb",
     "converge": "624721364729011503efe4629a29846c95044555933b5073b4fc095ccbe2b22d",
     "conjecture": "0dfb7bccc998f467036eee9fa94fe18d0ff30bfab0d89afd781cfdcca94e6da2",
     "jump": "15ddbcab886533e48b18831401b4632a81a392a4a5731aca88a311bbeefaae45",
@@ -560,9 +560,9 @@ STDOUT_DIGESTS = {
     "converge-honest": "b51d4271576a0f78d5043f50c63ee3d3b63997e4675c07fdcc1a6db3d41f3592",
 }
 ENV_DIGESTS = {
-    "json": "28bc549bf46fd0fd5ee95e7b393f75dc2498a4191d881d91ceb3a4a712be6c31",
-    "stdout": "b45d59ee70992bc5647678a1f5b9e26b99023ca1f1cb383b0899b81355a9e477",
-    "csv": "4276dfbdf0a6fde34975ece55cadac44f32994abbb7433f8683267ed8b907ee2",
+    "json": "ba32a836c247dc0b59451ea5ab4f43954b9f6b429b0d2747bf122a97b9cc45a2",
+    "stdout": "a5891e303cd91f3bf9cd63419c96c65c779ec7b9585da832d6cec6fcf304dfed",
+    "csv": "11fd347eaa192e2d113bf4192a8f421481df56a564587bbb4efd7770a3b361d7",
 }
 
 
@@ -616,17 +616,28 @@ def test_successive_main_calls_share_no_parser_state(tmp_path, capsys):
 
 # sha256 of the outputs of `ordering-sweep --sets 300 --seed 7`, recorded like
 # CSV_DIGESTS; sets 81 and 258 need 1024 nodes (arctangent, forward leg) where
-# every other set stops at 256 or 512
+# every other set stops at 128, 256 or 512
 SWEEP_DIGESTS = {
-    "json": "09f246a92d1d49afe7cade3c1188562476c1bcdf632eb3a615da7fae86fabde6",
-    "stdout": "f943779033b977b4dec46de7cb02ead91dd1f3c74c0ad48d2ec2fbbeab1bf740",
-    "csv": "91f4eb304dda0f238adecb7cbc45433b4ae8a829d5451f43c51c2f1195798837",
+    "json": "b0e707c37da0ffa3ff6e1a882312738f6f912735eadfefa18ff0f8fcfda3a69d",
+    "stdout": "3bd8fe1be8fe7cabb3b8c6d220260f6818e0c48d9269d0513e4683ccd14622fa",
+    "csv": "cc4e10266db418136803186230e57b972c52c22e56a7c6cea0eef04cbcf2e957",
 }
 
 
 def test_sweep_bytes_match_recorded_digests(tmp_path, capsys):
     argv = ["ordering-sweep", "--sets", "300", "--seed", "7"]
     assert _output_digests(tmp_path, capsys, "sweep", argv) == SWEEP_DIGESTS
+
+
+def test_sweep_bytes_do_not_depend_on_the_block_size(tmp_path, capsys, monkeypatch):
+    # 300 sets fit in one default block; blocks of 128 sets split them into three
+    argv = ["ordering-sweep", "--sets", "300", "--seed", "7"]
+    whole = _output_digests(tmp_path, capsys, "whole", argv)
+    draw, drawn = cli.random_param_sets, []
+    monkeypatch.setattr(cli, "random_param_sets", lambda rng, n: drawn.append(n) or draw(rng, n))
+    monkeypatch.setattr(cli, "_BLOCK_VALUES", 128 * analytics._QUAD_START)
+    assert _output_digests(tmp_path, capsys, "blocks", argv) == whole
+    assert drawn == [128, 128, 44]
 
 
 # (exit code, sha256 of the CSV) at --seed 7 of ladders whose paths span several
