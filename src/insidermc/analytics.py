@@ -8,17 +8,18 @@ A = sigma^2 / (4 (mu - rho)):
 * partial-trust, forward:       M (A e^{rho T} + (1 + A) e^{mu T})
 
 ``closed_form_table`` evaluates the last three (the honest one at the
-all-stock split) from one A, e^{rho T} and e^{mu T}; ``expected_insider``,
-``expected_honest_max`` and ``verify_ordering`` read their values from it,
-and ``OrderingVerdict.of`` gives the chain verdicts of one set or, on
-arrays, of a block.
+all-stock split) from one A, e^{rho T} and e^{mu T}; ``expected_insider``
+and ``expected_honest_max`` read their values from it and
+``verify_ordering`` its chain verdicts. Each, and ``insider_bond_leg``,
+takes one set or a parameter block (``MarketParams`` columns) and gives one
+value per set, the floats of one-set calls.
 
 The quadrature oracle never touches that algebra: it integrates the
 translated functional numerically against the Gaussian terminal law. It
-works on a block of parameter sets at once (``quadrature_expectations``):
-one node grid per node count, with the functional's per-set coefficients as
-column arrays, while each set doubles its own node count from 32 until its
-own value is stable: two changes in a row within tolerance, or one from 512
+works on a parameter block at once (``quadrature_expectations``): one node
+grid per node count, with the functional's per-set coefficients as column
+arrays, while each set doubles its own node count from 32 until its own
+value is stable: two changes in a row within tolerance, or one from 512
 nodes on. A set gets the same float in any block, a block of one included.
 Only the sets still doubling are evaluated, in row chunks of at most
 ``_CHUNK_VALUES`` values, so the kernel bounds its own memory for any block
@@ -30,7 +31,6 @@ its per-set scales, and takes both stock legs in one kernel call.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, fields, is_dataclass, replace
 from functools import lru_cache
 
@@ -38,13 +38,14 @@ import numpy as np
 
 from .functionals import (
     Affine,
+    ArrayLike,
     Indicator,
     MonotoneSmooth,
     MonotonicityError,
     TerminalFunctional,
 )
 from .integrators import ANTICIPATING, Interpretation
-from .market import Honest, MarketParams, PartialTrust, _check_honest, stock_functional, threshold
+from .market import Honest, MarketParams, PartialTrust, _check_honest, _libm, stock_functional, threshold
 from .paths import _BLOCK_VALUES
 
 CSV_HEADER = ("rho", "mu", "sigma", "T", "M", "E_I", "E_HS", "E_AK", "E_RV", "method")
@@ -64,9 +65,9 @@ class QuadratureError(RuntimeError):
     """Node doubling failed to stabilize the quadrature value."""
 
 
-def norm_cdf(x: float) -> float:
-    """Standard normal CDF via the complementary error function."""
-    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+def norm_cdf(x: ArrayLike) -> ArrayLike:
+    """Standard normal CDF via the complementary error function, per value of a column."""
+    return 0.5 * _libm(math.erfc, -x / math.sqrt(2.0))
 
 
 def expected_honest(params: MarketParams, bond0: float, stock0: float) -> float:
@@ -200,46 +201,40 @@ def _node_sums(
     return sums
 
 
-def quadrature_expectations(
-    c: TerminalFunctional, shifts: Sequence[float], params_seq: Sequence[MarketParams]
-) -> list[float]:
-    """Numerical oracle for E[C(B_T - shift) exp((mu - sigma^2/2) T + sigma B_T)], per set.
+def quadrature_expectations(c: TerminalFunctional, shifts, params: MarketParams) -> list[float]:
+    """Numerical oracle for E[C(B_T - shift) exp((mu - sigma^2/2) T + sigma B_T)], per value.
 
-    One value per (shift, params) pair, on one node grid per node count.
-    shift = 0 gives the forward stock leg, shift = sigma*T the anticipating
-    one. Indicator functionals use the exact normal-CDF reduction instead of
-    node sums, which would ring at the discontinuity. ``c`` may hold one
-    coefficient per set as a column array (``Affine`` and ``Smooth``
-    broadcast them against the node axis). Every set doubles its node count
-    from ``_QUAD_START`` until its own value is stable, exactly as a one-set
-    call would, and gets the same float. It settles at the first rule whose
-    change from the rule before is within tolerance, if the change before
-    that was too or the rule has at least ``_QUAD_TRUSTED`` nodes. Only the
-    sets still doubling are evaluated, in row chunks of at most
-    ``_CHUNK_VALUES`` values. A set that does not converge raises
-    ``QuadratureError`` naming the first such set, in ``params_seq`` order.
+    One value per entry of ``shifts`` broadcast against the parameter block's
+    columns, in C order: shifts of shape (2, n) against n sets give two legs
+    per set, and three against one set give three. shift = 0 gives the
+    forward stock leg, shift = sigma*T the anticipating one. Indicator
+    functionals use the exact normal-CDF reduction instead of node sums,
+    which would ring at the discontinuity. ``c`` may hold one coefficient per
+    value as a column array (``Affine`` and ``Smooth`` broadcast them against
+    the node axis). Every value doubles its node count from ``_QUAD_START``
+    until it is stable, exactly as a one-value call would, and gets the same
+    float. It settles at the first rule whose change from the rule before is
+    within tolerance, if the change before that was too or the rule has at
+    least ``_QUAD_TRUSTED`` nodes. Only the values still doubling are
+    evaluated, in row chunks of at most ``_CHUNK_VALUES`` values. A value
+    that does not converge raises ``QuadratureError`` naming its set.
     """
+    # rows e^{mu T} (libm, not np.exp), T, sigma T and the shift; one entry per value
+    growth, drift = _libm(math.exp, params.mu * params.horizon), params.sigma * params.horizon
+    table = np.empty((4, *np.broadcast(growth, drift, shifts).shape))
+    table[0], table[1], table[2], table[3] = growth, params.horizon, drift, shifts
+    growth, horizon, drift, shifts = table = table.reshape(4, -1)
     if isinstance(c, Indicator):
-        return [
-            float(c.scale * math.exp(p.mu * p.horizon)
-                  * norm_cdf((p.sigma * p.horizon - c.threshold - s) / math.sqrt(p.horizon)))
-            for s, p in zip(shifts, params_seq)
-        ]
-    n = len(params_seq)
+        arg = (drift - np.ravel(c.threshold) - shifts) / np.sqrt(horizon)
+        return (np.ravel(c.scale) * growth * norm_cdf(arg)).tolist()
+    n = growth.size
     # Absorb the exponential growth factor into the Gaussian measure
     # (complete the square): the integrand becomes C evaluated under an
     # N(sigma T, T) law times e^{mu T}, which keeps every quadrature term at
     # the scale of the answer instead of cancelling across e^{sigma B_T}.
-    # The per-set factors stay in libm (math.exp), which np.exp need not match.
-    # Rows: e^{mu T}, then sqrt(2T), sigma T and the shift of each set, the
-    # last three as columns against the node axis.
-    table = np.array([
-        [math.exp(p.mu * p.horizon) for p in params_seq],
-        [math.sqrt(2.0 * p.horizon) for p in params_seq],
-        [p.sigma * p.horizon for p in params_seq],
-        shifts,
-    ], dtype=float)
-    growth, columns = table[0], table[1:, :, None]
+    # Rows: sqrt(2T), sigma T and the shift, as columns against the node axis.
+    np.sqrt(2.0 * horizon, out=horizon)
+    columns = table[1:, :, None]
     hint = np.abs(np.ravel(c.evaluate(columns[1] - columns[2]))) * growth
     # The per-set state of the sets still doubling, compacted as sets settle.
     # A set's change agrees when it is at most RTOL * max(|value|, |previous|,
@@ -276,7 +271,7 @@ def quadrature_expectations(
         nodes *= 2
     if index.size:
         raise QuadratureError(
-            f"no convergence up to {_QUAD_MAX} nodes for {params_seq[index[0]]} "
+            f"no convergence up to {_QUAD_MAX} nodes for {params[index[0] % len(params)]} "
             f"(last change {moved[0]:.3e})"
         )
     return result.tolist()
@@ -284,8 +279,8 @@ def quadrature_expectations(
 
 def insider_bond_leg(params: MarketParams) -> float:
     """Expected bond leg of the partial-trust insider, M A e^{rho T} (exact)."""
-    a = params.sigma**2 / (4.0 * (params.mu - params.rho))
-    return params.wealth * a * math.exp(params.rho * params.horizon)
+    a = _libm(pow, params.sigma, 2) / (4.0 * (params.mu - params.rho))
+    return params.wealth * a * _libm(math.exp, params.rho * params.horizon)
 
 
 @dataclass(frozen=True)
@@ -293,7 +288,7 @@ class OrderingVerdict:
     """The four expected wealths and the chain verdicts between them.
 
     Each field is a float or a bool, or, for a block of sets, an array of
-    them with one entry per set (see ``of``).
+    them with one entry per set (see ``verify_ordering``).
     """
 
     honest: float
@@ -304,26 +299,21 @@ class OrderingVerdict:
     ak_below_honest: bool
     honest_below_rv: bool
 
-    @classmethod
-    def of(cls, honest, hs, ak, rv) -> "OrderingVerdict":
-        """The chain verdicts of four expected wealths, floats or arrays alike."""
-        return cls(honest, hs, ak, rv, hs == ak, ak < honest, honest < rv)
-
     @property
     def all_hold(self) -> bool:
         return self.hs_equals_ak & self.ak_below_honest & self.honest_below_rv
 
 
 def verify_ordering(params: MarketParams) -> OrderingVerdict:
-    """Evaluate the expectation chain HS = AK < honest < forward on the closed forms."""
-    table = closed_form_table(params)
-    return OrderingVerdict.of(table.honest, table.hs, table.ak, table.rv)
+    """Evaluate the expectation chain HS = AK < honest < forward on the closed forms, per set."""
+    t = closed_form_table(params)
+    return OrderingVerdict(t.honest, t.hs, t.ak, t.rv, t.hs == t.ak, t.ak < t.honest, t.honest < t.rv)
 
 
 def ordering_monotone_block(
-    c: TerminalFunctional, params_seq: Sequence[MarketParams]
+    c: TerminalFunctional, params: MarketParams
 ) -> tuple[list[float], list[float]]:
-    """Stock-leg expectations (anticipating, forward) of each set, for increasing C.
+    """Stock-leg expectations (anticipating, forward) of each set of ``params``, for increasing C.
 
     The translated initial condition can only lose ground pointwise, so each
     anticipating entry is strictly below its forward entry for any
@@ -332,7 +322,7 @@ def ordering_monotone_block(
     contract is checked for every set before any quadrature runs, for a
     ``MonotoneSmooth`` by one probe of its shape over the widest window.
     """
-    n = len(params_seq)
+    n = len(params)
     if isinstance(c, Indicator):
         raise MonotonicityError("indicator functionals are not continuous")
     if isinstance(c, Affine):
@@ -342,7 +332,7 @@ def ordering_monotone_block(
         # one shape times per-set scales: probe the shape once, on the widest window. A
         # scale keeps or (if negative) reverses the probe's order, so only a scale that does
         # not rise end to end fails, and the first such one is probed for its message
-        horizon = max(p.horizon for p in params_seq)
+        horizon = float(np.max(params.horizon))
         ys = replace(c, scale=1.0).validate_monotone(horizon, _PROBE_POINTS)
         scale = np.ravel(c.scale)
         rises = scale * ys[..., -1] > scale * ys[..., 0]
@@ -351,8 +341,9 @@ def ordering_monotone_block(
     else:
         raise MonotonicityError(f"{type(c).__name__} carries no monotonicity contract")
     # both legs in one kernel call: shift sigma T (anticipating), then 0 (forward)
-    shifts = [p.sigma * p.horizon for p in params_seq] + [0.0] * n
-    legs = quadrature_expectations(_take(c, np.tile(np.arange(n), 2)), shifts, [*params_seq] * 2)
+    drift = params.sigma * params.horizon
+    shifts = np.array([drift, np.zeros_like(drift)])
+    legs = quadrature_expectations(_take(c, np.tile(np.arange(n), 2)), shifts, params)
     return legs[:n], legs[n:]
 
 
@@ -368,7 +359,7 @@ def jump_probability(params: MarketParams) -> float:
 
 @dataclass(frozen=True)
 class WealthTable:
-    """One row of per-interpretation expected terminal wealth."""
+    """One row of per-interpretation expected terminal wealth, or a column per field for a block."""
 
     params: MarketParams
     method: str
@@ -388,39 +379,27 @@ class WealthTable:
 def closed_form_table(params: MarketParams) -> WealthTable:
     """The four expected wealths in closed form (see the module docstring), with
     A, e^{rho T} and e^{mu T} computed once; HS and AK share one value."""
-    a = params.sigma**2 / (4.0 * (params.mu - params.rho))
+    a = _libm(pow, params.sigma, 2) / (4.0 * (params.mu - params.rho))
     t = params.horizon
-    bond = a * math.exp(params.rho * t)
-    growth = math.exp(params.mu * t)
+    bond = a * _libm(math.exp, params.rho * t)
+    growth = _libm(math.exp, params.mu * t)
     anticipating = params.wealth * (bond + (1.0 - a) * growth)
-    return WealthTable(
-        params=params,
-        method="closed-form",
-        honest=params.wealth * growth,
-        hs=anticipating,
-        ak=anticipating,
-        rv=params.wealth * (bond + (1.0 + a) * growth),
-    )
+    forward = params.wealth * (bond + (1.0 + a) * growth)
+    honest = params.wealth * growth
+    return WealthTable(params, "closed-form", honest, anticipating, anticipating, forward)
 
 
 def quadrature_table(params: MarketParams) -> WealthTable:
-    """Oracle row: stock legs by quadrature, insider bond leg in closed form."""
+    """Oracle row of one set: stock legs by quadrature, insider bond leg in closed form."""
     c = stock_functional(PartialTrust(), params)
     bond = insider_bond_leg(params)
     # one kernel call, one row per leg: the affine stock leg at shift sigma T
     # (anticipating) and 0 (forward), then the all-stock honest leg, the constant M
     legs = Affine(np.array([[c.a], [c.a], [params.wealth]]), np.array([[c.b], [c.b], [0.0]]))
     shifts = (params.sigma * params.horizon, 0.0, 0.0)
-    *stock, honest = quadrature_expectations(legs, shifts, (params,) * 3)
+    *stock, honest = quadrature_expectations(legs, shifts, params)
     anticipating, forward = (bond + leg for leg in stock)
-    return WealthTable(
-        params=params,
-        method="quadrature",
-        honest=honest,
-        hs=anticipating,
-        ak=anticipating,
-        rv=forward,
-    )
+    return WealthTable(params, "quadrature", honest, anticipating, anticipating, forward)
 
 
 def render_tables(tables: list[WealthTable]) -> str:

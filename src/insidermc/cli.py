@@ -33,13 +33,7 @@ import numpy as np
 
 from . import analytics
 from .config import FIELDS, ConfigError, ExperimentConfig, load_file
-from .functionals import (
-    Affine,
-    MonotonicityError,
-    NonDifferentiableError,
-    arctangent,
-    logistic,
-)
+from .functionals import MonotonicityError, NonDifferentiableError, arctangent, logistic
 from .harness import (
     NumericalError,
     conjecture_report,
@@ -270,31 +264,25 @@ def cmd_ordering_sweep(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     block = _BLOCK_VALUES // analytics._QUAD_START
     for lo in range(0, args.sets, block):
         sets = random_param_sets(rng, min(block, args.sets - lo))
-        # one coefficient per set, as columns against the node axis
-        stocks = [stock_functional(PartialTrust(), params) for params in sets]
-        wealth = np.array([params.wealth for params in sets])
+        # the block's wealth is one float; the affine coefficients are columns
         families = {
-            "logistic": logistic(wealth[:, None]),
-            "arctangent": arctangent(wealth[:, None]),
-            "affine": Affine(np.array([[c.a] for c in stocks]), np.array([[c.b] for c in stocks])),
+            "logistic": logistic(sets.wealth),
+            "arctangent": arctangent(sets.wealth),
+            "affine": stock_functional(PartialTrust(), sets),
         }
         legs = {
             name: np.array(analytics.ordering_monotone_block(c, sets))
             for name, c in families.items()
         }
-        closed = map(analytics.closed_form_table, sets)
-        verdict = analytics.OrderingVerdict.of(
-            *np.array([(t.honest, t.hs, t.ak, t.rv) for t in closed]).T
-        )
+        verdict = analytics.verify_ordering(sets)
         chain_failures += len(sets) - int(np.count_nonzero(verdict.all_hold))
         # the insider bond leg plus the affine legs are quadrature_table's HS and RV
-        bond = np.array([analytics.insider_bond_leg(params) for params in sets])
-        hs, rv = bond + legs["affine"]
+        hs, rv = analytics.insider_bond_leg(sets) + legs["affine"]
         off_hs, off_rv = np.abs(verdict.hs - hs), np.abs(verdict.rv - rv)
         # max(off_hs, off_rv) per set: off_rv only where it compares greater, as in max
-        quad_gap = _fold(max, quad_gap, np.where(off_rv > off_hs, off_rv, off_hs) / wealth)
+        quad_gap = _fold(max, quad_gap, np.where(off_rv > off_hs, off_rv, off_hs) / sets.wealth)
         for name, (e_ak, e_rv) in legs.items():
-            margins[name] = _fold(min, margins[name], (e_rv - e_ak) / wealth)
+            margins[name] = _fold(min, margins[name], (e_rv - e_ak) / sets.wealth)
     print(f"sets: {args.sets}; chain failures: {chain_failures}; "
           f"max closed-vs-quadrature gap: {quad_gap:.3e}")
     for name, margin in margins.items():

@@ -1,5 +1,9 @@
 """Market model: parameters, trader strategies, and wealth assembly.
 
+``MarketParams`` holds one parameter set, or a block of sets as columns (a
+float field applies to every set); ``random_param_sets`` draws a block, and
+``threshold`` and ``stock_functional`` read its columns with one-set bits.
+
 Three strategies set the time-0 split of the wealth M between bond and stock:
 
 * ``Honest`` uses a fixed split chosen without terminal knowledge.
@@ -14,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -24,7 +28,8 @@ from .integrators import Interpretation, exact_wealths
 
 @dataclass(frozen=True)
 class MarketParams:
-    """Model constants: wealth M, rates rho < mu, volatility sigma, horizon T."""
+    """Model constants: wealth M, rates rho < mu, volatility sigma, horizon T, each a float or,
+    for a block of sets, a 1-D float array with one entry per set (``block[i]`` is set i)."""
 
     wealth: float
     rho: float
@@ -33,8 +38,16 @@ class MarketParams:
     horizon: float
 
     def __post_init__(self) -> None:
-        for name in ("wealth", "rho", "mu", "sigma", "horizon"):
-            value = getattr(self, name)
+        values = vars(self)
+        if any(isinstance(value, np.ndarray) for value in values.values()):
+            # a block, checked as columns: its first failing set raises as a set of floats
+            ok = self.mu > self.rho
+            for value in values.values():
+                ok = ok & np.isfinite(value) & (value > 0.0)
+            if not np.all(ok):
+                self[int(np.argmin(ok))]
+            return
+        for name, value in values.items():
             if not (isinstance(value, (int, float)) and math.isfinite(value)):
                 raise ValueError(f"{name} must be finite, got {value!r}")
             if value <= 0.0:
@@ -43,6 +56,14 @@ class MarketParams:
             raise ValueError(
                 f"stock rate must exceed bond rate, got mu={self.mu} <= rho={self.rho}"
             )
+
+    def __len__(self) -> int:
+        """The number of sets: 1 for a set of floats."""
+        return np.broadcast(*vars(self).values()).size
+
+    def __getitem__(self, i: int) -> "MarketParams":
+        """Set ``i`` as a ``MarketParams`` of floats."""
+        return MarketParams(*(np.broadcast_to(v, len(self))[i].item() for v in vars(self).values()))
 
 
 @dataclass(frozen=True)
@@ -66,9 +87,22 @@ class FullInformation:
 Strategy = Union[Honest, PartialTrust, FullInformation]
 
 
-def threshold(params: MarketParams) -> float:
+def _libm(f: Callable[..., float], x: ArrayLike, *args: float) -> ArrayLike:
+    """``f(x, *args)`` for a float or for each value of a column: per-set ``math.exp`` and
+    ``pow(x, 2)`` keep libm's bits, which ``np.exp`` and ``x * x`` need not match."""
+    if isinstance(x, np.ndarray):
+        return np.array([f(v, *args) for v in x.tolist()])
+    return f(x, *args)
+
+
+def _column(x: ArrayLike) -> ArrayLike:
+    """A per-set coefficient as a column against the node axis; a float as it is."""
+    return x[:, None] if isinstance(x, np.ndarray) else x
+
+
+def threshold(params: MarketParams) -> ArrayLike:
     """Terminal level z above which the stock beats the bond: (rho - mu + sigma^2/2) T / sigma."""
-    return (params.rho - params.mu + 0.5 * params.sigma**2) * params.horizon / params.sigma
+    return (params.rho - params.mu + 0.5 * _libm(pow, params.sigma, 2)) * params.horizon / params.sigma
 
 
 def _check_honest(strategy: Honest, params: MarketParams) -> None:
@@ -82,7 +116,7 @@ def _check_honest(strategy: Honest, params: MarketParams) -> None:
 
 
 def stock_functional(strategy: Strategy, params: MarketParams) -> TerminalFunctional:
-    """Initial stock position as a functional of the terminal value B_T."""
+    """Initial stock position as a functional of B_T; a block's insider coefficients are columns."""
     if isinstance(strategy, Honest):
         _check_honest(strategy, params)
         return Affine(strategy.stock0, 0.0)
@@ -90,9 +124,9 @@ def stock_functional(strategy: Strategy, params: MarketParams) -> TerminalFuncti
         denom = 2.0 * (params.mu - params.rho) * params.horizon
         slope = params.wealth * params.sigma / denom
         intercept = params.wealth - slope * (params.sigma * params.horizon / 2.0)
-        return Affine(intercept, slope)
+        return Affine(_column(intercept), _column(slope))
     if isinstance(strategy, FullInformation):
-        return Indicator(params.wealth, threshold(params))
+        return Indicator(_column(params.wealth), _column(threshold(params)))
     raise TypeError(f"unknown strategy {strategy!r}")
 
 
@@ -125,33 +159,32 @@ def wealth_at(
     return stock + bond0 * np.exp(params.rho * nodes)
 
 
-def random_param_sets(
-    rng: np.random.Generator, n: int, wealth: float = 1.0
-) -> list[MarketParams]:
-    """Draw ``n`` valid parameter sets from the benchmark sweep ranges in one generator call.
+def _sweep_set(u, wealth: float) -> MarketParams:
+    """The set, or block, that the uniforms ``u`` of (rho, mu, sigma, horizon) give."""
+    rho = 0.001 + (0.199 - 0.001) * u[0]
+    low = rho + 1e-3
+    mu = low + (0.2 - low) * u[1]
+    sigma = 0.01 + (3.0 - 0.01) * u[2]
+    horizon = 0.1 + (5.0 - 0.1) * u[3]
+    return MarketParams(wealth=wealth, rho=rho, mu=mu, sigma=sigma, horizon=horizon)
+
+
+def random_param_sets(rng: np.random.Generator, n: int, wealth: float = 1.0) -> MarketParams:
+    """Draw ``n`` valid parameter sets, one block, from the benchmark sweep ranges in one call.
 
     rho, mu in [0.001, 0.2] with mu - rho >= 1e-3 (keeps sigma^2/(4(mu-rho))
     bounded so closed forms and quadrature stay comparable in float64),
     sigma in [0.01, 3], horizon in [0.1, 5]. Row i of one ``rng.random((n, 4))``
     gives set i its (rho, mu, sigma, horizon), each as ``low + (high - low) * u``,
-    the formula of ``Generator.uniform``, with mu's range per row. The sets, and
-    the generator's state after them, are bit for bit those of one
-    ``rng.uniform(low, high)`` call per value, set after set.
+    the formula of ``Generator.uniform``, with mu's range per row; the block's
+    wealth is the float ``wealth``. The sets, and the generator's state after
+    them, are bit for bit those of one ``rng.uniform(low, high)`` call per
+    value, set after set.
     """
-    u = rng.random((n, 4))
-    rho = 0.001 + (0.199 - 0.001) * u[:, 0]
-    low = rho + 1e-3
-    mu = low + (0.2 - low) * u[:, 1]
-    sigma = 0.01 + (3.0 - 0.01) * u[:, 2]
-    horizon = 0.1 + (5.0 - 0.1) * u[:, 3]
-    return [
-        MarketParams(wealth=wealth, rho=r, mu=m, sigma=s, horizon=t)
-        for r, m, s, t in zip(rho.tolist(), mu.tolist(), sigma.tolist(), horizon.tolist())
-    ]
+    return _sweep_set(rng.random((n, 4)).T, wealth)
 
 
 def random_params(rng: np.random.Generator, wealth: float = 1.0) -> MarketParams:
     """Draw one valid parameter set from the benchmark sweep ranges: the one-set
-    case of ``random_param_sets``, which gives the ranges."""
-    (params,) = random_param_sets(rng, 1, wealth)
-    return params
+    case of ``random_param_sets``, which gives the ranges, in floats."""
+    return _sweep_set(rng.random(4).tolist(), wealth)

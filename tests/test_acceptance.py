@@ -61,7 +61,7 @@ def test_criterion_01_closed_form_vs_quadrature_sweep():
         p = random_params(rng, wealth=float(rng.uniform(0.2, 5.0)))
         bond = insider_bond_leg(p)
         c = stock_functional(PartialTrust(), p)
-        legs = quadrature_expectations(c, (p.sigma * p.horizon, 0.0), (p, p))
+        legs = quadrature_expectations(c, (p.sigma * p.horizon, 0.0), p)
         quad_anticipating, quad_forward = (bond + leg for leg in legs)
         for interp, oracle in ((HS, quad_anticipating), (AK, quad_anticipating), (RV, quad_forward)):
             gap = abs(expected_insider(p, interp) - oracle) / p.wealth
@@ -214,7 +214,7 @@ def test_criterion_10_monotone_ordering_by_quadrature():
             stock_functional(PartialTrust(), p),
         )
         for c in families:
-            (e_ak,), (e_rv,) = ordering_monotone_block(c, (p,))
+            (e_ak,), (e_rv,) = ordering_monotone_block(c, p)
             margin = (e_rv - e_ak) / p.wealth
             worst = min(worst, margin)
             assert margin > 1e-10

@@ -92,7 +92,7 @@ def test_debt_regime_value_and_signs():
 
 def test_quadrature_constant_functional_gives_lognormal_mean():
     for shift in (0.0, 0.37, -1.2):
-        (got,) = quadrature_expectations(Affine(1.0, 0.0), (shift,), (BASELINE,))
+        (got,) = quadrature_expectations(Affine(1.0, 0.0), (shift,), BASELINE)
         assert math.isclose(got, math.exp(0.05), rel_tol=1e-12)
 
 
@@ -100,9 +100,9 @@ def test_quadrature_affine_matches_closed_form_stock_legs():
     p = BASELINE
     c = stock_functional(PartialTrust(), p)
     a = p.sigma**2 / (4.0 * (p.mu - p.rho))
-    (forward_leg,) = quadrature_expectations(c, (0.0,), (p,))
+    (forward_leg,) = quadrature_expectations(c, (0.0,), p)
     assert math.isclose(forward_leg, p.wealth * (1.0 + a) * math.exp(p.mu), rel_tol=1e-10)
-    (anticipating_leg,) = quadrature_expectations(c, (p.sigma * p.horizon,), (p,))
+    (anticipating_leg,) = quadrature_expectations(c, (p.sigma * p.horizon,), p)
     assert math.isclose(anticipating_leg, p.wealth * (1.0 - a) * math.exp(p.mu), rel_tol=1e-10)
 
 
@@ -127,7 +127,7 @@ def test_quadrature_against_dense_trapezoid():
     p = BASELINE
     shift = p.sigma * p.horizon
     for c in (stock_functional(PartialTrust(), p), logistic(1.0), Indicator(1.0, -0.05)):
-        (got,) = quadrature_expectations(c, (shift,), (p,))
+        (got,) = quadrature_expectations(c, (shift,), p)
         want = _dense_trapezoid_oracle(c, shift, p)
         assert math.isclose(got, want, rel_tol=1e-6)
 
@@ -137,7 +137,7 @@ def test_indicator_quadrature_closed_form():
     c = Indicator(p.wealth, threshold(p))
     # P(B_T > z + shift - sigma T) under the tilted law, times M e^{mu T}
     for shift in (0.0, p.sigma * p.horizon):
-        (got,) = quadrature_expectations(c, (shift,), (p,))
+        (got,) = quadrature_expectations(c, (shift,), p)
         arg = (p.sigma * p.horizon - c.threshold - shift) / math.sqrt(p.horizon)
         want = p.wealth * math.exp(p.mu * p.horizon) * norm_cdf(arg)
         assert math.isclose(got, want, rel_tol=1e-14)
@@ -152,6 +152,24 @@ def test_closed_form_vs_quadrature_on_sweep():
         for pair in ((closed.hs, quad.hs), (closed.ak, quad.ak), (closed.rv, quad.rv),
                      (closed.honest, quad.honest)):
             assert abs(pair[0] - pair[1]) / p.wealth < 1e-8
+
+
+@pytest.mark.parametrize("seed", [1, 11])
+def test_column_closed_forms_are_the_one_set_floats(seed):
+    # per-set exp and ** 2 come from libm, whose bits np.exp and s * s need not match
+    block = random_param_sets(np.random.default_rng(seed), 4096)
+    table = closed_form_table(block)
+    bond, z = insider_bond_leg(block), threshold(block)
+    stock = stock_functional(PartialTrust(), block)
+    for i in range(len(block)):
+        p = block[i]
+        one = closed_form_table(p)
+        assert (table.honest[i], table.hs[i], table.ak[i], table.rv[i]) == (
+            one.honest, one.hs, one.ak, one.rv
+        )
+        assert (bond[i], z[i]) == (insider_bond_leg(p), threshold(p))
+        c = stock_functional(PartialTrust(), p)
+        assert (stock.a[i, 0], stock.b[i, 0]) == (c.a, c.b)
 
 
 def test_insider_bond_leg_closed_form():
@@ -197,31 +215,30 @@ def test_negativity_frontier_located_by_bisection():
 def test_ordering_monotone_families():
     p = BASELINE
     for c in (logistic(1.0), arctangent(1.0)):
-        (e_ak,), (e_rv,) = ordering_monotone_block(c, (p,))
+        (e_ak,), (e_rv,) = ordering_monotone_block(c, p)
         assert e_ak < e_rv
     # affine gap is exactly M_b * sigma * T * e^{mu T} for slope M_b
     c = stock_functional(PartialTrust(), p)
-    (e_ak,), (e_rv,) = ordering_monotone_block(c, (p,))
+    (e_ak,), (e_rv,) = ordering_monotone_block(c, p)
     want_gap = c.b * p.sigma * p.horizon * math.exp(p.mu * p.horizon)
     assert math.isclose(e_rv - e_ak, want_gap, rel_tol=1e-10)
 
 
 def test_ordering_monotone_rejects_bad_inputs():
     with pytest.raises(MonotonicityError):
-        ordering_monotone_block(Affine(1.0, 0.0), (BASELINE,))  # constant
+        ordering_monotone_block(Affine(1.0, 0.0), BASELINE)  # constant
     with pytest.raises(MonotonicityError):
-        ordering_monotone_block(Affine(1.0, -2.0), (BASELINE,))  # decreasing
+        ordering_monotone_block(Affine(1.0, -2.0), BASELINE)  # decreasing
     with pytest.raises(MonotonicityError):
-        ordering_monotone_block(Indicator(1.0, 0.0), (BASELINE,))  # discontinuous
+        ordering_monotone_block(Indicator(1.0, 0.0), BASELINE)  # discontinuous
 
 
 def _column(values) -> np.ndarray:
     return np.array([[v] for v in values])
 
 
-def _sweep_sets(seed: int, n: int) -> list[MarketParams]:
-    rng = np.random.default_rng(seed)
-    return [random_params(rng) for _ in range(n)]
+def _sweep_sets(seed: int, n: int) -> MarketParams:
+    return random_param_sets(np.random.default_rng(seed), n)
 
 
 def test_batched_quadrature_equals_one_set_calls_bit_for_bit():
@@ -240,12 +257,12 @@ def test_batched_quadrature_equals_one_set_calls_bit_for_bit():
         for shifts in ([p.sigma * p.horizon for p in sets], [0.0] * len(sets)):
             got = quadrature_expectations(block, shifts, sets)
             want = [
-                quadrature_expectations(c, (s,), (p,))[0] for c, s, p in zip(singles, shifts, sets)
+                quadrature_expectations(c, (s,), p)[0] for c, s, p in zip(singles, shifts, sets)
             ]
             assert got == want, name
             assert all(type(v) is float for v in got)
     legs = ordering_monotone_block(families["arctangent"][0], sets)
-    singles = [ordering_monotone_block(arctangent(p.wealth), (p,)) for p in sets]
+    singles = [ordering_monotone_block(arctangent(p.wealth), p) for p in sets]
     assert list(zip(*legs)) == [(e_ak, e_rv) for (e_ak,), (e_rv,) in singles]
 
 
@@ -355,7 +372,7 @@ def test_monotone_probe_block_raises_the_one_set_message():
     for scales, bad in cases:
         sets = _sweep_sets(3, len(scales))
         with pytest.raises(MonotonicityError) as one:
-            ordering_monotone_block(logistic(bad), (sets[scales.index(bad)],))
+            ordering_monotone_block(logistic(bad), sets[scales.index(bad)])
         with pytest.raises(MonotonicityError, match=f"^{one.value}$"):
             ordering_monotone_block(logistic(_column(scales)), sets)
     sets = _sweep_sets(3, 6)
@@ -378,8 +395,8 @@ def test_monotone_block_probes_the_shape_once():
     ordering_monotone_block(c, sets)
     block = sum(sizes)
     sizes.clear()
-    shifts = [p.sigma * p.horizon for p in sets] + [0.0] * len(sets)
-    quadrature_expectations(replace(c, scale=np.tile(c.scale, (2, 1))), shifts, sets * 2)
+    shifts = [[p.sigma * p.horizon for p in sets], [0.0] * len(sets)]
+    quadrature_expectations(replace(c, scale=np.tile(c.scale, (2, 1))), shifts, sets)
     assert block - sum(sizes) == analytics._PROBE_POINTS
 
 
@@ -405,7 +422,7 @@ def test_monotone_block_checks_each_scale_as_its_one_set_probe(bad, want):
     sets = _sweep_sets(3, 6)
     scales = [1.0, 2.0, 1.0, bad, 1.0, 0.5]
     for family in (logistic, arctangent):
-        one = _monotone_outcome(family(bad), (sets[3],))
+        one = _monotone_outcome(family(bad), sets[3])
         assert one == _monotone_outcome(family(_column(scales)), sets)
         assert one is None if want is None else want in one
 
@@ -427,7 +444,7 @@ def test_monotone_block_probes_the_widest_window():
     hump.validate_monotone(0.1)
     with pytest.raises(MonotonicityError, match="decreases"):
         hump.validate_monotone(5.0)
-    sets = [replace(BASELINE, horizon=0.1), replace(BASELINE, horizon=5.0)]
+    sets = replace(BASELINE, horizon=np.array([0.1, 5.0]))
     with pytest.raises(MonotonicityError, match="decreases"):
         ordering_monotone_block(hump, sets)
 

@@ -629,6 +629,17 @@ def test_sweep_bytes_match_recorded_digests(tmp_path, capsys):
     assert _output_digests(tmp_path, capsys, "sweep", argv) == SWEEP_DIGESTS
 
 
+def test_the_sweep_validates_one_block_not_each_set(monkeypatch, capsys):
+    # 2500 sets make three blocks of parameter columns; no set becomes an object of its own
+    calls = []
+    post_init = insidermc.MarketParams.__post_init__
+    monkeypatch.setattr(
+        insidermc.MarketParams, "__post_init__", lambda self: calls.append(1) or post_init(self)
+    )
+    assert main(["ordering-sweep", "--sets", "2500", "--seed", "7"]) == 0
+    assert len(calls) <= 3
+
+
 def test_sweep_bytes_do_not_depend_on_the_block_size(tmp_path, capsys, monkeypatch):
     # 300 sets fit in one default block; blocks of 128 sets split them into three
     argv = ["ordering-sweep", "--sets", "300", "--seed", "7"]

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -39,7 +40,17 @@ def test_params_validation():
         MarketParams(wealth=1.0, rho=0.02, mu=0.05, sigma=0.2, horizon=-1.0)
     with pytest.raises(ValueError):
         MarketParams(wealth=1.0, rho=0.02, mu=float("nan"), sigma=0.2, horizon=1.0)
-
+    # a block raises the message of its first failing set alone: mu <= rho at
+    # row 5 and a NaN sigma at row 9, then the two faults swapped
+    block = random_param_sets(np.random.default_rng(5), 12)
+    for bad_rate, bad_sigma, want in ((5, 9, "stock rate must exceed"), (9, 5, "sigma must be finite")):
+        rho, sigma = block.rho.copy(), block.sigma.copy()
+        rho[bad_rate], sigma[bad_sigma] = block.mu[bad_rate], math.nan
+        with pytest.raises(ValueError, match=want) as alone:
+            MarketParams(block.wealth, rho[5].item(), block.mu[5].item(), sigma[5].item(),
+                         block.horizon[5].item())
+        with pytest.raises(ValueError, match=f"^{re.escape(str(alone.value))}$"):
+            MarketParams(block.wealth, rho, block.mu, sigma, block.horizon)
 
 def test_threshold_examples():
     assert math.isclose(threshold(BASELINE), -0.05, rel_tol=1e-12)
@@ -186,6 +197,6 @@ def test_a_block_draw_is_that_many_one_set_draws(seed, n, wealth):
     # n one-set draws give the same sets, and every generator then stands where
     # the others do: the next draws match
     rng = np.random.default_rng(seed)
-    assert [random_params(rng, wealth) for _ in range(n)] == block
+    assert [random_params(rng, wealth) for _ in range(n)] == [block[i] for i in range(n)]
     after = [random_params(r, wealth) for r in (block_rng, one_rng, rng)]
     assert after[0] == after[1] == after[2]
