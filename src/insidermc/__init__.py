@@ -1,7 +1,6 @@
 """Monte Carlo and quadrature toolkit comparing noise interpretations of insider portfolio SDEs."""
 
 from .analytics import (
-    OrderingVerdict,
     QuadratureError,
     WealthTable,
     closed_form_table,
@@ -13,7 +12,6 @@ from .analytics import (
     ordering_monotone_block,
     quadrature_expectations,
     quadrature_table,
-    verify_ordering,
 )
 from .functionals import (
     Affine,

@@ -9,10 +9,10 @@ A = sigma^2 / (4 (mu - rho)):
 
 ``closed_form_table`` evaluates the last three (the honest one at the
 all-stock split) from one A, e^{rho T} and e^{mu T}; ``expected_insider``
-and ``expected_honest_max`` read their values from it and
-``verify_ordering`` its chain verdicts. Each, and ``insider_bond_leg``,
-takes one set or a parameter block (``MarketParams`` columns) and gives one
-value per set, the floats of one-set calls.
+and ``expected_honest_max`` read their values from it. Each, and
+``insider_bond_leg`` and ``jump_probability``, takes one set or a parameter
+block (``MarketParams`` columns) and gives one value per set, the floats of
+one-set calls. The chain verdicts are properties of any ``WealthTable``.
 
 The quadrature oracle never touches that algebra: it integrates the
 translated functional numerically against the Gaussian terminal law. It
@@ -283,33 +283,6 @@ def insider_bond_leg(params: MarketParams) -> float:
     return params.wealth * a * _libm(math.exp, params.rho * params.horizon)
 
 
-@dataclass(frozen=True)
-class OrderingVerdict:
-    """The four expected wealths and the chain verdicts between them.
-
-    Each field is a float or a bool, or, for a block of sets, an array of
-    them with one entry per set (see ``verify_ordering``).
-    """
-
-    honest: float
-    hs: float
-    ak: float
-    rv: float
-    hs_equals_ak: bool
-    ak_below_honest: bool
-    honest_below_rv: bool
-
-    @property
-    def all_hold(self) -> bool:
-        return self.hs_equals_ak & self.ak_below_honest & self.honest_below_rv
-
-
-def verify_ordering(params: MarketParams) -> OrderingVerdict:
-    """Evaluate the expectation chain HS = AK < honest < forward on the closed forms, per set."""
-    t = closed_form_table(params)
-    return OrderingVerdict(t.honest, t.hs, t.ak, t.rv, t.hs == t.ak, t.ak < t.honest, t.honest < t.rv)
-
-
 def ordering_monotone_block(
     c: TerminalFunctional, params: MarketParams
 ) -> tuple[list[float], list[float]]:
@@ -353,13 +326,17 @@ def jump_probability(params: MarketParams) -> float:
     Equals P(z < B_T < z + sigma T) for the betting threshold z.
     """
     z = threshold(params)
-    sqrt_t = math.sqrt(params.horizon)
-    return float(norm_cdf((z + params.sigma * params.horizon) / sqrt_t) - norm_cdf(z / sqrt_t))
+    sqrt_t = _libm(math.sqrt, params.horizon)
+    return norm_cdf((z + params.sigma * params.horizon) / sqrt_t) - norm_cdf(z / sqrt_t)
 
 
 @dataclass(frozen=True)
 class WealthTable:
-    """One row of per-interpretation expected terminal wealth, or a column per field for a block."""
+    """One row of per-interpretation expected terminal wealth, or a column per field for a block.
+
+    The chain HS = AK < honest < forward is read off the row: each verdict is
+    a bool for one set and a bool array with one entry per set for a block.
+    """
 
     params: MarketParams
     method: str
@@ -367,6 +344,22 @@ class WealthTable:
     hs: float
     ak: float
     rv: float
+
+    @property
+    def hs_equals_ak(self) -> bool:
+        return self.hs == self.ak
+
+    @property
+    def ak_below_honest(self) -> bool:
+        return self.ak < self.honest
+
+    @property
+    def honest_below_rv(self) -> bool:
+        return self.honest < self.rv
+
+    @property
+    def all_hold(self) -> bool:
+        return self.hs_equals_ak & self.ak_below_honest & self.honest_below_rv
 
     def cells(self) -> dict[str, float | str]:
         """The row's value in each ``CSV_HEADER`` column."""
@@ -391,6 +384,8 @@ def closed_form_table(params: MarketParams) -> WealthTable:
 
 def quadrature_table(params: MarketParams) -> WealthTable:
     """Oracle row of one set: stock legs by quadrature, insider bond leg in closed form."""
+    if any(np.ndim(v) for v in vars(params).values()):
+        raise ValueError("quadrature_table takes one parameter set, not a block")
     c = stock_functional(PartialTrust(), params)
     bond = insider_bond_leg(params)
     # one kernel call, one row per leg: the affine stock leg at shift sigma T

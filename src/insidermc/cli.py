@@ -122,19 +122,18 @@ def cmd_expect(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
             cfg.params, "monte-carlo", **{leg: r.estimate for leg, r in reports.items()}
         ))
 
-    verdict = analytics.verify_ordering(cfg.params)
     print(analytics.render_tables(tables))
     print()
-    print(f"chain verdicts: HS == AK: {verdict.hs_equals_ak}, "
-          f"AK < honest: {verdict.ak_below_honest}, honest < RV: {verdict.honest_below_rv}")
-    if verdict.hs < 0.0:
+    print(f"chain verdicts: HS == AK: {closed.hs_equals_ak}, "
+          f"AK < honest: {closed.ak_below_honest}, honest < RV: {closed.honest_below_rv}")
+    if closed.hs < 0.0:
         print("debt regime: the anticipating expectations are negative")
 
     gap = max(
         abs(closed.hs - quad.hs), abs(closed.rv - quad.rv), abs(closed.honest - quad.honest)
     ) / cfg.params.wealth
     print(f"closed-form vs quadrature gap: {gap:.3e} (bar {_QUAD_BAR:.0e})")
-    failed = not verdict.all_hold or gap > _QUAD_BAR
+    failed = not closed.all_hold or gap > _QUAD_BAR
     for label, report in reports.items():
         off = abs(report.estimate - getattr(closed, label))
         if off > 4.0 * report.stderr:
@@ -143,9 +142,9 @@ def cmd_expect(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
 
     payload = {
         "verdicts": {
-            "hs_equals_ak": verdict.hs_equals_ak,
-            "ak_below_honest": verdict.ak_below_honest,
-            "honest_below_rv": verdict.honest_below_rv,
+            "hs_equals_ak": closed.hs_equals_ak,
+            "ak_below_honest": closed.ak_below_honest,
+            "honest_below_rv": closed.honest_below_rv,
         },
         "closed_form": {leg: getattr(closed, leg) for leg in _LEGS},
         "quadrature": {leg: getattr(quad, leg) for leg in _LEGS},
@@ -240,19 +239,6 @@ def cmd_conjecture(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def _fold(pick, current: float, values: np.ndarray) -> float:
-    """``pick(current, *values)`` for ``pick`` max or min, without a per-value loop.
-
-    As in that fold, a NaN value is skipped (``np.maximum`` would propagate
-    it), and of equal values, zeros of either sign included, the first is kept.
-    """
-    better = values[values > current] if pick is max else values[values < current]
-    if not better.size:
-        return current
-    best = better.max() if pick is max else better.min()
-    return float(better[np.argmax(better == best)])
-
-
 def cmd_ordering_sweep(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     if args.sets < 1:
         raise ConfigError(f"--sets must be at least 1, got {args.sets}")
@@ -274,15 +260,14 @@ def cmd_ordering_sweep(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
             name: np.array(analytics.ordering_monotone_block(c, sets))
             for name, c in families.items()
         }
-        verdict = analytics.verify_ordering(sets)
-        chain_failures += len(sets) - int(np.count_nonzero(verdict.all_hold))
+        closed = analytics.closed_form_table(sets)
+        chain_failures += len(sets) - int(np.count_nonzero(closed.all_hold))
         # the insider bond leg plus the affine legs are quadrature_table's HS and RV
         hs, rv = analytics.insider_bond_leg(sets) + legs["affine"]
-        off_hs, off_rv = np.abs(verdict.hs - hs), np.abs(verdict.rv - rv)
-        # max(off_hs, off_rv) per set: off_rv only where it compares greater, as in max
-        quad_gap = _fold(max, quad_gap, np.where(off_rv > off_hs, off_rv, off_hs) / sets.wealth)
+        off_hs, off_rv = np.abs(closed.hs - hs), np.abs(closed.rv - rv)
+        quad_gap = max(quad_gap, float(np.max(np.maximum(off_hs, off_rv) / sets.wealth)))
         for name, (e_ak, e_rv) in legs.items():
-            margins[name] = _fold(min, margins[name], (e_rv - e_ak) / sets.wealth)
+            margins[name] = min(margins[name], float(np.min((e_rv - e_ak) / sets.wealth)))
     print(f"sets: {args.sets}; chain failures: {chain_failures}; "
           f"max closed-vs-quadrature gap: {quad_gap:.3e}")
     for name, margin in margins.items():

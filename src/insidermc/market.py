@@ -29,7 +29,8 @@ from .integrators import Interpretation, exact_wealths
 @dataclass(frozen=True)
 class MarketParams:
     """Model constants: wealth M, rates rho < mu, volatility sigma, horizon T, each a float or,
-    for a block of sets, a 1-D float array with one entry per set (``block[i]`` is set i)."""
+    for a block of sets, a 1-D float array with one entry per set (``block[i]`` is set i).
+    A block supports neither ``==`` nor ``hash``: both treat its columns as scalars."""
 
     wealth: float
     rho: float

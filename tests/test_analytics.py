@@ -27,7 +27,6 @@ from insidermc import (
     random_params,
     stock_functional,
     threshold,
-    verify_ordering,
 )
 from insidermc.analytics import (
     CSV_HEADER,
@@ -143,6 +142,11 @@ def test_indicator_quadrature_closed_form():
         assert math.isclose(got, want, rel_tol=1e-14)
 
 
+def test_quadrature_table_refuses_a_block():
+    with pytest.raises(ValueError, match="takes one parameter set"):
+        quadrature_table(random_param_sets(np.random.default_rng(1), 4))
+
+
 def test_closed_form_vs_quadrature_on_sweep():
     rng = np.random.default_rng(2024)
     for _ in range(100):
@@ -159,15 +163,19 @@ def test_column_closed_forms_are_the_one_set_floats(seed):
     # per-set exp and ** 2 come from libm, whose bits np.exp and s * s need not match
     block = random_param_sets(np.random.default_rng(seed), 4096)
     table = closed_form_table(block)
-    bond, z = insider_bond_leg(block), threshold(block)
+    bond, z, flip = insider_bond_leg(block), threshold(block), jump_probability(block)
     stock = stock_functional(PartialTrust(), block)
+    verdicts = ("hs_equals_ak", "ak_below_honest", "honest_below_rv", "all_hold")
     for i in range(len(block)):
         p = block[i]
         one = closed_form_table(p)
         assert (table.honest[i], table.hs[i], table.ak[i], table.rv[i]) == (
             one.honest, one.hs, one.ak, one.rv
         )
-        assert (bond[i], z[i]) == (insider_bond_leg(p), threshold(p))
+        # one set's verdicts are bools, as the JSON writer needs
+        assert [type(getattr(one, v)) for v in verdicts] == [bool] * 4
+        assert [getattr(table, v)[i] for v in verdicts] == [getattr(one, v) for v in verdicts]
+        assert (bond[i], z[i], flip[i]) == (insider_bond_leg(p), threshold(p), jump_probability(p))
         c = stock_functional(PartialTrust(), p)
         assert (stock.a[i, 0], stock.b[i, 0]) == (c.a, c.b)
 
@@ -178,7 +186,7 @@ def test_insider_bond_leg_closed_form():
 
 
 def test_verify_ordering_baseline():
-    v = verify_ordering(BASELINE)
+    v = closed_form_table(BASELINE)
     assert v.hs_equals_ak and v.ak_below_honest and v.honest_below_rv and v.all_hold
     assert math.isclose(v.honest, 1.0512710963760241, rel_tol=1e-12)
     assert math.isclose(v.rv, 1.7417619085102842, rel_tol=1e-12)
@@ -189,7 +197,7 @@ def test_ordering_chain_identity_on_sweep():
     rng = np.random.default_rng(7)
     for _ in range(300):
         p = random_params(rng, wealth=float(rng.uniform(0.2, 5.0)))
-        v = verify_ordering(p)
+        v = closed_form_table(p)
         assert v.all_hold
         a = p.sigma**2 / (4.0 * (p.mu - p.rho))
         gap = p.wealth * a * (math.exp(p.mu * p.horizon) - math.exp(p.rho * p.horizon))

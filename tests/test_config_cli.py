@@ -2,7 +2,6 @@ import argparse
 import hashlib
 import importlib.util
 import json
-import math
 import os
 import re
 import subprocess
@@ -11,8 +10,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import insidermc
 from insidermc import Honest, Interpretation, PartialTrust, jump_probability
@@ -805,28 +802,19 @@ def test_usage_errors_exit_2_with_stable_messages(
     assert captured.err.splitlines()[-1].endswith(message)
 
 
+def test_expect_evaluates_the_closed_forms_once(capsys, monkeypatch):
+    calls = []
+    closed_form_table = analytics.closed_form_table
+    monkeypatch.setattr(
+        analytics, "closed_form_table", lambda p: calls.append(p) or closed_form_table(p)
+    )
+    assert main(["expect", "--seed", "7"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
 def test_csv_cells_refuse_numpy_scalars():
     # a numpy scalar's repr names its type, which would corrupt the CSV bytes
     assert [_cell(v) for v in (None, "a", 3, 0.1, True)] == ["", "a", "3", "0.1", "True"]
     with pytest.raises(TypeError):
         _cell(np.float64(0.1))
-
-
-# zeros of both signs, NaN and infinities, often repeated, so that ties and skips occur
-_FOLD_VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, math.nan, math.inf, -math.inf])
-
-
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(
-    pick=st.sampled_from([max, min]),
-    start=st.sampled_from([0.0, -0.0, math.inf, -math.inf, 1.0, math.nan]),
-    values=st.lists(st.one_of(_FOLD_VALUES, st.floats()), max_size=40),
-)
-def test_sweep_fold_is_the_per_value_fold(pick, start, values):
-    expected = start
-    for value in values:
-        expected = pick(expected, value)
-    folded = cli._fold(pick, start, np.array(values, dtype=float))
-    assert type(folded) is float
-    # the same bits: NaN stays NaN and a zero keeps its sign
-    assert np.array(folded).tobytes() == np.array(expected).tobytes()
