@@ -34,10 +34,12 @@ from .harness import (
     JumpReport,
     MCReport,
     NumericalError,
+    RowHealth,
     conjecture_report,
     convergence_studies,
     discontinuity_probe,
     estimate_expectations,
+    row_health,
 )
 from .integrators import (
     Interpretation,

@@ -105,22 +105,28 @@ def cmd_expect(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     closed = analytics.closed_form_table(cfg.params)
     quad = analytics.quadrature_table(cfg.params)
     tables = [closed, quad]
-    reports = {}
+    plain, checked = {}, {}
     if args.mc:
         grid = TimeGrid(cfg.params.horizon, cfg.steps)
-        cases = (
-            (Honest(0.0, cfg.params.wealth), Interpretation.ITO),
-            (PartialTrust(), Interpretation.HITSUDA_SKOROKHOD),
-            (PartialTrust(), Interpretation.AYED_KUO),
-            (PartialTrust(), Interpretation.FORWARD),
+        insider = (
+            Interpretation.HITSUDA_SKOROKHOD, Interpretation.AYED_KUO, Interpretation.FORWARD
         )
+        cases = [
+            (Honest(0.0, cfg.params.wealth), Interpretation.ITO),
+            *((PartialTrust(), interp) for interp in insider),
+            *((PartialTrust(), interp, True) for interp in insider),
+        ]
         estimates = estimate_expectations(
             cases, cfg.params, cfg.n_paths, grid, cfg.seed, workers=cfg.workers,
         )
-        reports = dict(zip(_LEGS, estimates))
-        tables.append(analytics.WealthTable(
-            cfg.params, "monte-carlo", **{leg: r.estimate for leg, r in reports.items()}
-        ))
+        plain = dict(zip(_LEGS, estimates))
+        # the checked rows: the tilted insiders, and the plain honest row, since
+        # its tilted form is the constant M e^{mu T} and checks nothing
+        checked = dict(zip(_LEGS, estimates[:1] + estimates[len(_LEGS):]))
+        for method, reports in (("monte-carlo", plain), ("monte-carlo-tilted", checked)):
+            tables.append(analytics.WealthTable(
+                cfg.params, method, **{leg: r.estimate for leg, r in reports.items()}
+            ))
 
     print(analytics.render_tables(tables))
     print()
@@ -134,10 +140,19 @@ def cmd_expect(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
     ) / cfg.params.wealth
     print(f"closed-form vs quadrature gap: {gap:.3e} (bar {_QUAD_BAR:.0e})")
     failed = not closed.all_hold or gap > _QUAD_BAR
-    for label, report in reports.items():
+    # the plain insider rows are only named when degenerate; the checked rows decide the exit code
+    for label, report in [*list(plain.items())[1:], *checked.items()]:
+        method = "monte-carlo" if report is plain[label] else "monte-carlo-tilted"
+        verdict = report is checked[label]
         off = abs(report.estimate - getattr(closed, label))
-        if off > 4.0 * report.stderr:
-            print(f"monte-carlo {label} estimate off by {off:.3e} > 4 stderr")
+        if report.degenerate:
+            health = report.health
+            print(f"{method} {label} estimate is degenerate ({health.zeros} of "
+                  f"{report.n_paths} weighted values are 0, the largest carries "
+                  f"{health.largest_share:.3f} of their sum): its stderr checks nothing")
+            failed = failed or verdict
+        elif verdict and off > 4.0 * report.stderr:
+            print(f"{method} {label} estimate off by {off:.3e} > 4 stderr")
             failed = True
 
     payload = {
@@ -148,8 +163,17 @@ def cmd_expect(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
         },
         "closed_form": {leg: getattr(closed, leg) for leg in _LEGS},
         "quadrature": {leg: getattr(quad, leg) for leg in _LEGS},
-        "monte_carlo": {label: asdict(report) for label, report in reports.items()},
+        # the checked estimates; the plain ones follow, each with its stock leg's health
+        "monte_carlo": {
+            label: {k: v for k, v in vars(r).items() if k != "health"}
+            for label, r in checked.items()
+        },
     }
+    if plain:
+        payload["monte_carlo_plain"] = {
+            label: {"estimate": r.estimate, "stderr": r.stderr, **vars(r.health)}
+            for label, r in plain.items()
+        }
     rows = [t.cells() for t in tables]
     _write(cfg, args, analytics.CSV_HEADER, rows, payload)
     return 1 if failed else 0
@@ -285,7 +309,7 @@ def cmd_ordering_sweep(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
 # name: (function, help, the subcommand's own flags and their argparse options)
 _COMMANDS = {
     "expect": (cmd_expect, "expected-wealth table: closed form vs quadrature",
-               {"--mc": {"action": "store_true", "help": "add a Monte Carlo row"}}),
+               {"--mc": {"action": "store_true", "help": "add plain and tilted Monte Carlo rows"}}),
     "converge": (cmd_converge, "scheme error decay over a grid ladder", {}),
     "jump": (cmd_jump, "indicator flip frequency vs closed form", {}),
     "conjecture": (cmd_conjecture, "indicator-candidate residual evidence", {}),

@@ -3,10 +3,10 @@
 Sampling is partitioned by path index, and every sample is a pure function
 of the seed and the path index, so estimates are identical for any worker
 count. Each estimator draws only what it reads: ``estimate_expectations``,
-which evaluates the exact solution, and ``discontinuity_probe`` read B_T
-alone and draw it directly (``sample_terminal``); the grid ladders need whole
-paths (``sample_block``), and read each coarser level as a strided view of a
-block's finest paths. Every estimate is evaluated over blocks of contiguous
+which evaluates the exact solution and its tilted form, and
+``discontinuity_probe`` read B_T alone and draw it directly
+(``sample_terminal``); the grid ladders need whole paths (``sample_block``),
+and read each coarser level as a strided view of a block's finest paths. Every estimate is evaluated over blocks of contiguous
 path indices with array kernels on a trailing node axis, and each block is
 drawn once for all the estimators that read it: ``estimate_expectations``
 evaluates several ``(strategy, interpretation)`` cases and
@@ -50,11 +50,14 @@ import numpy as np
 from .analytics import jump_probability
 from .functionals import TerminalFunctional
 from .integrators import (
+    ANTICIPATING,
     Interpretation,
     Workspace,
     ak_residuals,
+    check_ito,
     exact_wealths,
     first_flip,
+    growth_factor,
     scheme_stack,
     scheme_starts,
     scheme_wealths,
@@ -64,8 +67,8 @@ from .market import (
     MarketParams,
     PartialTrust,
     Strategy,
+    initial_allocation,
     stock_functional,
-    wealth_at,
 )
 from .paths import _BLOCK_VALUES, TimeGrid, sample_block, sample_terminal
 
@@ -81,8 +84,67 @@ class NumericalError(RuntimeError):
 
 
 @dataclass(frozen=True)
+class RowHealth:
+    """What one row of per-path values says about its mean as an estimate.
+
+    ``largest_share`` is max|x| / sum|x| and ``effective_size`` Kish's
+    (sum|x|)^2 / sum x^2, both 0 for a row of zeros. The row is
+    ``degenerate`` when its stderr is 0 or one value carries most of the sum
+    of |x|: its stderr then says nothing about the error of its mean.
+    """
+
+    largest_share: float
+    effective_size: float
+    non_finite: int
+    zeros: int
+    degenerate: bool
+
+
+def row_health(rows: np.ndarray) -> list[tuple[float, float, RowHealth]]:
+    """``(mean, stderr, health)`` of each row of a (row, path) array.
+
+    Rows are reduced in groups of at most ``_BLOCK_VALUES`` values, which
+    bounds the temporaries; ``np.mean`` and ``np.std(ddof=1)`` along a row
+    give the floats of a call on that row alone.
+    """
+    n = rows.shape[1]
+    step = max(1, _BLOCK_VALUES // n)
+    reduced = []
+    for lo in range(0, len(rows), step):
+        group = rows[lo : lo + step]
+        # overflow and non-finite values show as inf/nan, which callers report
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = np.mean(group, axis=1)
+            stderr = np.std(group, axis=1, ddof=1) / math.sqrt(n)
+            size = np.abs(group)
+            total = np.sum(size, axis=1)
+            # sum x^2 from the moments, (n - 1) s^2 + n mean^2, both terms nonnegative
+            squares = (n - 1) * n * stderr * stderr + n * mean * mean
+            largest = np.max(size, axis=1)
+            share = np.divide(largest, total, out=np.zeros(len(total)), where=total > 0)
+            ess = np.divide(total * total, squares, out=np.zeros(len(total)), where=squares > 0)
+        # counted only where there is something to count: a finite sum of |x|
+        # has finite terms only, and a positive least |x| no zeros
+        non_finite = zeros = np.zeros(len(group), dtype=int)
+        if not np.isfinite(total).all():
+            non_finite = n - np.count_nonzero(np.isfinite(group), axis=1)
+        if not np.min(size) > 0.0:
+            zeros = n - np.count_nonzero(group, axis=1)
+        health = zip(share.tolist(), ess.tolist(), non_finite.tolist(), zeros.tolist())
+        for m, se, (s, e, bad, zero) in zip(mean.tolist(), stderr.tolist(), health):
+            reduced.append((m, se, RowHealth(s, e, bad, zero, degenerate=se == 0.0 or s > 0.5)))
+    return reduced
+
+
+@dataclass(frozen=True)
 class MCReport:
-    """Summary of one Monte Carlo estimate."""
+    """Summary of one Monte Carlo estimate.
+
+    ``health`` is the ``row_health`` of the per-path values that carry the
+    path weight: a plain sample's stock leg C E(T), whose growth factor can
+    underflow or carry the sum while the bond leg hides it, or a tilted
+    sample itself, whose weight e^{mu T} is a constant.
+    """
 
     estimate: float
     stderr: float
@@ -92,6 +154,11 @@ class MCReport:
     grid_steps: int
     seed: int
     elapsed_seconds: float
+    health: RowHealth
+
+    @property
+    def degenerate(self) -> bool:
+        return self.health.degenerate
 
 
 def _blocks(grid: TimeGrid, start: int, stop: int):
@@ -130,17 +197,47 @@ def _check_finite(bad: int, what: str) -> None:
 
 
 def _terminal_chunk(args) -> np.ndarray:
-    cases, params, grid, seed, start, stop = args
-    out = np.empty((len(cases), stop - start))
-    # the exact terminal wealth reads the path only through B_T
-    terminal_node = grid.nodes[-1:]
+    """Per-path values of paths start..stop-1, one row each: every estimator's
+    sample, then every plain estimator's stock leg.
+
+    An estimator is a ``(strategy, interpretation, tilted)`` triple. Each
+    sample is the stock leg plus the bond leg (M - C(B_T)) e^{rho T} (an
+    honest split's fixed bond0 e^{rho T}). The plain stock leg is the exact
+    solution C(B_T - shift) E(T); the tilted one is e^{mu T} C(B_T) for the
+    anticipating legs and e^{mu T} C(B_T + sigma T) for the forward leg. The
+    growth factor E(T), e^{rho T} and e^{mu T} are built once per block,
+    C(B_T) and the bond leg once per strategy.
+    """
+    estimators, params, grid, seed, start, stop = args
+    plain = [k for k, (_, _, tilted) in enumerate(estimators) if not tilted]
+    out = np.empty((len(estimators) + len(plain), stop - start))
+    # the exact terminal wealth reads the path only through B_T, at the last node T
+    node = np.array([grid.horizon])
+    shift = params.sigma * node
+    bond_rate, stock_rate = np.exp(params.rho * node), np.exp(params.mu * node)
     b_t = sample_terminal(seed, grid.horizon, start, stop)[:, None]
-    for lo in range(0, stop - start, _BLOCK_VALUES):
-        hi = lo + _BLOCK_VALUES
-        for row, (strategy, interp) in zip(out, cases):
-            # overflow shows as inf/nan, which estimate_expectations reports
-            with np.errstate(over="ignore", invalid="ignore"):
-                row[lo:hi] = wealth_at(strategy, params, terminal_node, b_t[lo:hi], interp)[:, 0]
+    # a block's arrays, about eight of them, together take one block of memory
+    step = _BLOCK_VALUES // 8
+    for lo in range(0, stop - start, step):
+        b = b_t[lo : lo + step]
+        rows = out[:, lo : lo + len(b), None]
+        legs = {}
+        # overflow shows as inf/nan, which estimate_expectations reports
+        with np.errstate(over="ignore", invalid="ignore"):
+            growth = growth_factor(params, node, b)
+            for k, (strategy, interp, tilted) in enumerate(estimators):
+                if strategy not in legs:
+                    c_b, bond0 = initial_allocation(strategy, params, b)
+                    legs[strategy] = stock_functional(strategy, params), c_b, bond0 * bond_rate
+                c, c_b, bond = legs[strategy]
+                check_ito([c], interp)
+                if interp in ANTICIPATING:
+                    stock = c_b * stock_rate if tilted else c.evaluate(b - shift) * growth
+                else:
+                    stock = c.evaluate(b + shift) * stock_rate if tilted else c_b * growth
+                np.add(stock, bond, out=rows[k])
+                if not tilted:
+                    rows[len(estimators) + plain.index(k)] = stock
     return out
 
 
@@ -162,7 +259,7 @@ def _map_chunks(fn, args: tuple, n_paths: int, workers: int) -> list:
 
 
 def estimate_expectations(
-    cases: Sequence[tuple[Strategy, Interpretation]],
+    cases: Sequence[tuple],
     params: MarketParams,
     n_paths: int,
     grid: TimeGrid,
@@ -171,33 +268,50 @@ def estimate_expectations(
 ) -> list[MCReport]:
     """Average terminal total wealth over paths 0..n_paths-1, one report per case.
 
-    Each case is a ``(strategy, interpretation)`` pair; every case is
-    evaluated on each sampled block, so the paths are drawn once for all of
-    them. Each sample is the per-path closed-form solution (testing the
-    expectation formulas) on B_T drawn directly, so ``grid`` sets only the
-    horizon and ``grid.steps`` does not change the estimate. Path indices
-    are split into contiguous chunks per worker and re-assembled in order,
-    so the estimates do not depend on ``workers``. Every report carries the
-    wall time of the whole shared run.
+    A case is ``(strategy, interpretation)`` for the plain estimator, whose
+    sample is the per-path closed-form solution (testing the expectation
+    formulas), or ``(strategy, interpretation, True)`` for the tilted one.
+    Under Q, Y = B_T + sigma T ~ N(sigma T, T), and the growth factor times
+    dP/dQ is exactly e^{mu T}, so the stock leg's expectation is
+    e^{mu T} E[C(Y - shift)], shift sigma T for the anticipating legs and 0
+    for the forward leg (Glasserman, *Monte Carlo Methods in Financial
+    Engineering*, 2003, section 4.6); the tilted sample reads Y off the same
+    draw of B_T and adds the bond leg of that draw, so it is one number per
+    path and its stderr is honest. Every case is evaluated on each sampled
+    block, so B_T is drawn once for all of them; the anticipating cases of
+    one strategy and estimator share one row, so HS and AK are identical to
+    the bit. ``grid`` sets only the horizon, and ``grid.steps`` does not
+    change the estimate. Path indices are split into contiguous chunks per
+    worker and re-assembled in order, so the reports do not depend on
+    ``workers``. Every report carries the wall time of the whole shared run
+    and its health (see ``MCReport``).
     """
     if n_paths < 100:
         raise ValueError(f"need at least 100 paths, got {n_paths}")
-    cases = tuple(cases)
+    # an anticipating case reads the row of the first one of its strategy and estimator
+    keys = [
+        (strategy, Interpretation.AYED_KUO if interp in ANTICIPATING else interp, bool(tilted))
+        for strategy, interp, *tilted in cases
+    ]
+    estimators = tuple(dict.fromkeys(keys))
     start = time.perf_counter()
-    values = np.concatenate(
-        _map_chunks(_terminal_chunk, (cases, params, grid, seed), n_paths, workers), axis=1
-    )
-    for row in values:
-        bad = int(np.count_nonzero(~np.isfinite(row)))
-        if bad:
-            raise NumericalError(f"{bad} of {n_paths} terminal samples are non-finite")
-    with np.errstate(over="ignore"):
-        moments = [
-            (float(np.mean(row)), float(np.std(row, ddof=1) / math.sqrt(n_paths)))
-            for row in values
-        ]
+    chunks = _map_chunks(_terminal_chunk, (estimators, params, grid, seed), n_paths, workers)
+    reduced = row_health(chunks[0] if len(chunks) == 1 else np.concatenate(chunks, axis=1))
+    rows = [estimators.index(key) for key in keys]
+    for k in rows:
+        if reduced[k][2].non_finite:
+            raise NumericalError(
+                f"{reduced[k][2].non_finite} of {n_paths} terminal samples are non-finite"
+            )
+    moments = [reduced[k][:2] for k in rows]
     # finite samples can still sum past the float range
     _check_finite(_non_finite(np.array(moments)), "estimate and stderr")
+    # a plain estimate's health is its stock leg's: the rows after the samples, in order
+    stock_legs = iter(reduced[len(estimators) :])
+    health = [
+        reduced[k][2] if tilted else next(stock_legs)[2]
+        for k, (_, _, tilted) in enumerate(estimators)
+    ]
     elapsed = time.perf_counter() - start
     return [
         MCReport(
@@ -209,8 +323,9 @@ def estimate_expectations(
             grid_steps=grid.steps,
             seed=seed,
             elapsed_seconds=elapsed,
+            health=health[k],
         )
-        for estimate, stderr in moments
+        for k, (estimate, stderr) in zip(rows, moments)
     ]
 
 

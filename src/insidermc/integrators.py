@@ -100,6 +100,12 @@ def growth_factor(
     return np.exp(out, out=out)
 
 
+def check_ito(cs: Sequence[TerminalFunctional], interp: Interpretation) -> None:
+    """Ito is only defined for a deterministic initial condition."""
+    if interp is Interpretation.ITO and not all(c.is_deterministic for c in cs):
+        raise ValueError("Ito interpretation requires a deterministic initial condition")
+
+
 def exact_wealths(
     cs: Sequence[TerminalFunctional],
     params: "MarketParams",
@@ -120,8 +126,7 @@ def exact_wealths(
     all functionals; ``growth`` passes in ``growth_factor(params, nodes, w)``
     for a caller that already holds it. The arrays are taken from ``work``.
     """
-    if interp is Interpretation.ITO and not all(c.is_deterministic for c in cs):
-        raise ValueError("Ito interpretation requires a deterministic initial condition")
+    check_ito(cs, interp)
     shape = np.broadcast(nodes, w).shape
     if work is None:
         work = Workspace(math.prod(shape))

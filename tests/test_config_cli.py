@@ -13,7 +13,7 @@ import pytest
 
 import insidermc
 from insidermc import Honest, Interpretation, PartialTrust, jump_probability
-from insidermc import analytics, cli
+from insidermc import analytics, cli, harness
 from insidermc.cli import _cell, main
 from insidermc.config import STRATEGIES, ConfigError, ExperimentConfig, load_file, loads
 
@@ -165,6 +165,51 @@ def test_cli_expect_with_mc_and_json(tmp_path, capsys):
     elapsed = {r["elapsed_seconds"] for r in reports.values()}
     assert len(elapsed) == 1 and elapsed.pop() > 0.0
     assert all(r["n_paths"] == 2000 for r in reports.values())
+    # the plain rows sit beside the checked ones, each with its stock leg's health
+    plain = payload["monte_carlo_plain"]
+    assert sorted(plain) == ["ak", "honest", "hs", "rv"]
+    assert plain["honest"]["estimate"] == reports["honest"]["estimate"]
+    assert plain["ak"] == plain["hs"] and not any(r["degenerate"] for r in plain.values())
+
+
+def test_cli_expect_tilts_where_the_plain_growth_factor_underflows(tmp_path, capsys):
+    # at sigma = 100, T = 50 the growth factor underflows to 0 on every path: the
+    # plain honest row reads 0 and each plain insider row its bond leg alone
+    ini, out = tmp_path / "wide.ini", tmp_path / "wide.json"
+    ini.write_text("[market]\nsigma = 100\nhorizon = 50\n")
+    argv = ["expect", "--mc", "--paths", "1000", "--seed", "1", "--config", str(ini)]
+    # the checked honest row is degenerate, which fails the run as in jump
+    assert main(argv + ["--json", str(out)]) == 1
+    stdout = capsys.readouterr().out
+    payload = json.loads(out.read_text())
+    for label in ("hs", "ak", "rv"):
+        report = payload["monte_carlo"][label]
+        assert abs(report["estimate"] - payload["closed_form"][label]) <= 4.0 * report["stderr"]
+    plain = payload["monte_carlo_plain"]
+    assert all(r["degenerate"] and r["zeros"] == 1000 for r in plain.values())
+    for label in plain:
+        assert f"monte-carlo {label} estimate is degenerate" in stdout
+    assert "> 4 stderr" not in stdout
+
+
+def test_expect_mc_bytes_do_not_depend_on_workers_and_read_one_draw(tmp_path, capsys, monkeypatch):
+    outputs = {}
+    for workers in ("1", "2"):
+        out_csv, out_json = tmp_path / f"{workers}.csv", tmp_path / f"{workers}.json"
+        argv = ["expect", "--mc", "--paths", "5000", "--seed", "3", "--workers", workers]
+        assert main(argv + ["--csv", str(out_csv), "--json", str(out_json)]) == 0
+        # the config echo names the worker count, and the wall time varies
+        outputs[workers] = [
+            re.sub(r"(run\.workers\W+)\d", r"\1N", _zero_elapsed(path.read_text()))
+            for path in (out_csv, out_json)
+        ]
+    assert outputs["1"] == outputs["2"]
+    # one draw of B_T per chunk serves the plain and the tilted rows
+    calls, draw = [], harness.sample_terminal
+    monkeypatch.setattr(harness, "sample_terminal", lambda *a: calls.append(a) or draw(*a))
+    assert main(["expect", "--mc", "--paths", "5000", "--seed", "3", "--workers", "1"]) == 0
+    assert calls == [(3, 1.0, 0, 5000)]
+    capsys.readouterr()
 
 
 def test_cli_expect_prints_baseline_expected_values(capsys):
@@ -249,8 +294,9 @@ def test_cli_converge_non_finite_wealth_exits_3(tmp_path, capsys):
     ),
     (
         "[market]\nwealth = 1e304\n",
+        # seven estimates (four plain, three tilted), each with its stderr
         ["expect", "--mc", "--paths", "100000"],
-        "8 estimate and stderr",
+        "14 estimate and stderr",
     ),
 ], ids=["converge", "expect"])
 def test_cli_overflowing_reduction_exits_3(tmp_path, capsys, ini, argv, what):
@@ -437,7 +483,7 @@ def test_load_file_missing_path_is_config_error(tmp_path):
 # numpy 2.4 on x86-64; a change that alters one on purpose updates its digest and
 # says so
 CSV_DIGESTS = {
-    "expect": "853064ebf5da2a00e5be0a23229346c6d0e51d02067c329d7d35f5176b2570fa",
+    "expect": "7455ba042a1270dfad30256c0541b372c05c61b1726884b78acc92df122adfea",
     "converge": "f3dd54cbe8c970a27ee7793b6a5a9f2c53ceecbbca765196c31db02e13362fb1",
     "conjecture": "28ab6e695c7a31e00e24ce8a4fc90051c84ef8560187361f0909089f10c3e51c",
     "jump": "db4d45be3129ce5b71469e1e15b2e071cce9696608a2eb35c319b67a1b414c84",
@@ -541,7 +587,7 @@ def _output_digests(tmp_path, capsys, name: str, argv: list[str]) -> dict[str, s
 # to 0) and of its stdout, and of all three outputs of one `expect --mc` run that
 # takes its seed and worker count from the environment; recorded like CSV_DIGESTS
 JSON_DIGESTS = {
-    "expect": "f0a5c8e46e057cafa4e3281b89430aa7f7d4dd8ca6397bd506ffac204d389f42",
+    "expect": "b1443e21272bc0cd83dbb4c4e765a2a0d7334f3537adba206d9fc287bf6d351c",
     "converge": "41bb8fa6f6f56c945647f9c811c9d832645dda61e32ea1939fde56b6edc6134a",
     "conjecture": "0048fff6d3b8b9471b67a15f5f5d97919c237ba3df4ddbae661d9c30cead0156",
     "jump": "dcbf2571a454ca6c0dfd90f940fd2e15e6ea63b0d9cf709411a19937f994aef6",
@@ -549,7 +595,7 @@ JSON_DIGESTS = {
     "converge-honest": "6740003693f2695feae715abdaf59dcc9f0f9f73403ceaeab5cf78f9aad3ab98",
 }
 STDOUT_DIGESTS = {
-    "expect": "aa74a3b11e7a5da5f09bb4b4c27a5c34b335f05b3e2d7897a3c8b1399cd4f5cb",
+    "expect": "2b2477beba32b4b9d54fb1504a565aac3b209ae5c384ad9f1147fa6c7e637e6d",
     "converge": "624721364729011503efe4629a29846c95044555933b5073b4fc095ccbe2b22d",
     "conjecture": "0dfb7bccc998f467036eee9fa94fe18d0ff30bfab0d89afd781cfdcca94e6da2",
     "jump": "15ddbcab886533e48b18831401b4632a81a392a4a5731aca88a311bbeefaae45",
@@ -557,9 +603,9 @@ STDOUT_DIGESTS = {
     "converge-honest": "b51d4271576a0f78d5043f50c63ee3d3b63997e4675c07fdcc1a6db3d41f3592",
 }
 ENV_DIGESTS = {
-    "json": "ba32a836c247dc0b59451ea5ab4f43954b9f6b429b0d2747bf122a97b9cc45a2",
-    "stdout": "a5891e303cd91f3bf9cd63419c96c65c779ec7b9585da832d6cec6fcf304dfed",
-    "csv": "11fd347eaa192e2d113bf4192a8f421481df56a564587bbb4efd7770a3b361d7",
+    "json": "2e833a9ff65cb23cce1cd69502321de4199a4a410dcc896c49423885eeb9298a",
+    "stdout": "debb565341b95ae5ca699b4e86f61527630d1ef4fe8796399b7db3660f48a5ed",
+    "csv": "18552ff0e68778975ce5a519fe8e62f8d17dcdce3bed679a9da4110b2dfa63b9",
 }
 
 

@@ -2,13 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from insidermc import (
     Honest,
     Interpretation,
     MarketParams,
     PartialTrust,
+    RowHealth,
     TimeGrid,
+    closed_form_table,
     conjecture_report,
     convergence_studies,
     discontinuity_probe,
@@ -16,6 +20,9 @@ from insidermc import (
     expected_honest_max,
     expected_insider,
     jump_probability,
+    random_params,
+    row_health,
+    stock_functional,
     threshold,
 )
 from insidermc.harness import NumericalError
@@ -211,6 +218,71 @@ def test_estimates_land_near_closed_forms():
     assert abs(rv.estimate - expected_insider(BASELINE, Interpretation.FORWARD)) < 3.0 * rv.stderr
     (ak,) = estimate_expectations([(PartialTrust(), AK)], BASELINE, n, GRID, 77)
     assert abs(ak.estimate - expected_insider(BASELINE, Interpretation.AYED_KUO)) < 3.0 * ak.stderr
+
+
+TILTED = [(PartialTrust(), HS, True), (PartialTrust(), AK, True), (PartialTrust(), RV, True)]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_tilted_estimates_lie_near_the_closed_forms_over_the_sweep(seed):
+    params = random_params(np.random.default_rng(seed))
+    hs, ak, rv = estimate_expectations(TILTED, params, 2000, TimeGrid(params.horizon, 1), seed)
+    closed = closed_form_table(params)
+    assert (hs.estimate, hs.stderr) == (ak.estimate, ak.stderr)
+    for report, exact in ((ak, closed.ak), (rv, closed.rv)):
+        assert abs(report.estimate - exact) <= 4.5 * report.stderr
+
+
+def test_tilted_variance_is_the_affine_closed_form():
+    # for C(x) = a + s x, a tilted sample is a constant plus s B_T (e^{mu T} - e^{rho T})
+    # on either leg, so its per-path variance is s^2 T (e^{mu T} - e^{rho T})^2
+    n = 20000
+    for params in (BASELINE, MarketParams(wealth=1.0, rho=0.01, mu=0.12, sigma=2.0, horizon=4.0)):
+        t = params.horizon
+        s = stock_functional(PartialTrust(), params).b
+        want = s**2 * t * (math.exp(params.mu * t) - math.exp(params.rho * t)) ** 2
+        for report in estimate_expectations(TILTED[1:], params, n, TimeGrid(t, 1), 5):
+            # the sample variance of n normal values has relative sd sqrt(2 / (n - 1))
+            assert abs(report.stderr**2 * n / want - 1.0) <= 5.0 * math.sqrt(2.0 / (n - 1))
+
+
+def test_row_health_keeps_the_per_row_floats_and_names_degenerate_rows():
+    rng = np.random.default_rng(4)
+    rows = np.stack([
+        rng.normal(1.0, 0.1, 500),
+        np.zeros(500),
+        np.r_[np.full(499, 1e-3), 10.0],  # one value carries most of the sum
+        np.r_[np.zeros(100), rng.normal(size=400)],
+    ])
+    reduced = row_health(rows)
+    for row, (mean, stderr, _) in zip(rows, reduced):
+        assert (mean, stderr) == (float(np.mean(row)), float(np.std(row, ddof=1) / math.sqrt(500)))
+    (_, _, normal), (_, _, zero), (_, _, heavy), (_, _, holed) = reduced
+    assert not normal.degenerate and 490 < normal.effective_size <= 500
+    assert zero == RowHealth(0.0, 0.0, 0, 500, True)
+    assert heavy.degenerate and heavy.largest_share > 0.9
+    assert holed.zeros == 100 and not holed.degenerate
+    rows[0, :3], rows[3, 7] = np.inf, np.nan
+    assert [health.non_finite for _, _, health in row_health(rows)] == [3, 0, 0, 1]
+    # rows longer than a group are reduced one at a time, to the same floats
+    wide = rng.lognormal(0.0, 2.0, (3, 20000))
+    assert [r[:2] for r in row_health(wide)] == [
+        (float(np.mean(row)), float(np.std(row, ddof=1) / math.sqrt(20000))) for row in wide
+    ]
+
+
+def test_plain_health_reads_the_stock_leg_and_tilted_health_the_sample():
+    # all bond: the stock leg is 0 on every path, and the plain estimate is exact
+    (bond,) = estimate_expectations([(Honest(1.0, 0.0), ITO)], BASELINE, 200, GRID, 2)
+    assert bond.degenerate and bond.health.zeros == 200
+    plain, tilted = estimate_expectations(
+        [(PartialTrust(), RV), (PartialTrust(), RV, True)], BASELINE, 2000, GRID, 2
+    )
+    assert not plain.degenerate and not tilted.degenerate
+    assert tilted.stderr < plain.stderr / 5
+    with pytest.raises(ValueError, match="deterministic"):
+        estimate_expectations([(PartialTrust(), ITO, True)], BASELINE, 200, GRID, 2)
 
 
 def test_stderr_scales_like_inverse_root_n():
