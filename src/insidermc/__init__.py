@@ -4,9 +4,6 @@ from .analytics import (
     QuadratureError,
     WealthTable,
     closed_form_table,
-    expected_honest,
-    expected_honest_max,
-    expected_insider,
     jump_probability,
     norm_cdf,
     ordering_monotone_block,
@@ -26,7 +23,6 @@ from .functionals import (
     arctangent,
     logistic,
     malliavin_trace_partial,
-    wick_with_exponential,
 )
 from .harness import (
     ConjectureReport,

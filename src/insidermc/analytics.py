@@ -8,11 +8,10 @@ A = sigma^2 / (4 (mu - rho)):
 * partial-trust, forward:       M (A e^{rho T} + (1 + A) e^{mu T})
 
 ``closed_form_table`` evaluates the last three (the honest one at the
-all-stock split) from one A, e^{rho T} and e^{mu T}; ``expected_insider``
-and ``expected_honest_max`` read their values from it. Each, and
-``insider_bond_leg`` and ``jump_probability``, takes one set or a parameter
-block (``MarketParams`` columns) and gives one value per set, the floats of
-one-set calls. The chain verdicts are properties of any ``WealthTable``.
+all-stock split) from one A, e^{rho T} and e^{mu T}. It, ``insider_bond_leg``
+and ``jump_probability`` take one set or a parameter block (``MarketParams``
+columns) and give one value per set, the floats of one-set calls. The chain
+verdicts are properties of any ``WealthTable``.
 
 The quadrature oracle never touches that algebra: it integrates the
 translated functional numerically against the Gaussian terminal law. It
@@ -44,8 +43,7 @@ from .functionals import (
     MonotonicityError,
     TerminalFunctional,
 )
-from .integrators import ANTICIPATING, Interpretation
-from .market import Honest, MarketParams, PartialTrust, _check_honest, _libm, stock_functional, threshold
+from .market import MarketParams, PartialTrust, _libm, stock_functional, threshold
 from .paths import _BLOCK_VALUES
 
 CSV_HEADER = ("rho", "mu", "sigma", "T", "M", "E_I", "E_HS", "E_AK", "E_RV", "method")
@@ -68,28 +66,6 @@ class QuadratureError(RuntimeError):
 def norm_cdf(x: ArrayLike) -> ArrayLike:
     """Standard normal CDF via the complementary error function, per value of a column."""
     return 0.5 * _libm(math.erfc, -x / math.sqrt(2.0))
-
-
-def expected_honest(params: MarketParams, bond0: float, stock0: float) -> float:
-    """Expected terminal wealth of a fixed split: bond0 e^{rho T} + stock0 e^{mu T}."""
-    _check_honest(Honest(bond0, stock0), params)
-    t = params.horizon
-    return bond0 * math.exp(params.rho * t) + stock0 * math.exp(params.mu * t)
-
-
-def expected_honest_max(params: MarketParams) -> float:
-    """Maximal honest expectation, attained by the all-stock split; read from
-    ``closed_form_table``."""
-    return closed_form_table(params).honest
-
-
-def expected_insider(params: MarketParams, interp: Interpretation) -> float:
-    """Closed-form expected terminal wealth of the partial-trust insider; read from
-    ``closed_form_table``."""
-    if interp is Interpretation.ITO:
-        raise ValueError("the insider initial condition is not Ito-integrable")
-    table = closed_form_table(params)
-    return table.ak if interp in ANTICIPATING else table.rv
 
 
 def _hermite_step(x: np.ndarray, n: int, logs: np.ndarray | None = None) -> np.ndarray:

@@ -149,7 +149,8 @@ def cmd_expect(cfg: ExperimentConfig, args: argparse.Namespace) -> int:
             health = report.health
             print(f"{method} {label} estimate is degenerate ({health.zeros} of "
                   f"{report.n_paths} weighted values are 0, the largest carries "
-                  f"{health.largest_share:.3f} of their sum): its stderr checks nothing")
+                  f"{health.largest_share:.3f} of their sum, effective size "
+                  f"{health.effective_size:.1f}): its stderr checks nothing")
             failed = failed or verdict
         elif verdict and off > 4.0 * report.stderr:
             print(f"{method} {label} estimate off by {off:.3e} > 4 stderr")

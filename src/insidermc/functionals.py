@@ -1,8 +1,8 @@
 """Terminal-value functionals C(B_T) and adapted/future product integrands.
 
 The supported families are closed under translation x -> x - s, which is the
-only Wick-product rule the linear model needs: multiplying by the stochastic
-exponential of a deterministic integrand acts on C as a translation.
+only Wick-product rule the linear model needs: the Wick product with the
+stochastic exponential of sigma over [0, t] acts on C as ``translate(sigma * t)``.
 """
 from __future__ import annotations
 
@@ -36,9 +36,6 @@ class TerminalFunctional:
         and the coefficients, possibly x itself) and returned; without ``out``
         a new array, or a float for scalar input."""
         raise NotImplementedError
-
-    def __call__(self, x: ArrayLike) -> ArrayLike:
-        return self.evaluate(x)
 
     def translate(self, s: float) -> "TerminalFunctional":
         """The functional x -> C(x - s)."""
@@ -202,21 +199,6 @@ def _atan01_deriv(z: np.ndarray) -> np.ndarray:
 def arctangent(scale: float = 1.0) -> MonotoneSmooth:
     """Bounded increasing map x -> scale * (1/2 + arctan(x)/pi)."""
     return MonotoneSmooth(scale=scale, fn=_atan01, dfn=_atan01_deriv)
-
-
-def wick_with_exponential(
-    c: TerminalFunctional, sigma: float, t: float
-) -> TerminalFunctional:
-    """Wick product of C(B_T) with the stochastic exponential of sigma over [0, t].
-
-    Acts as the translation C -> C(. - sigma*t); the ordinary exponential
-    growth factor exp((mu - sigma^2/2) t + sigma B_t) is applied by the caller.
-    """
-    if sigma <= 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    if t < 0.0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    return c.translate(sigma * t)
 
 
 @dataclass(frozen=True)

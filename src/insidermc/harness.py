@@ -89,8 +89,10 @@ class RowHealth:
 
     ``largest_share`` is max|x| / sum|x| and ``effective_size`` Kish's
     (sum|x|)^2 / sum x^2, both 0 for a row of zeros. The row is
-    ``degenerate`` when its stderr is 0 or one value carries most of the sum
-    of |x|: its stderr then says nothing about the error of its mean.
+    ``degenerate`` when its stderr is 0, one value carries most of the sum
+    of |x|, or a heavy tail leaves it an effective size below 1 % of its values
+    (Kish, *Survey Sampling*, 1965; Owen, *Monte Carlo theory, methods and
+    examples*, 2013, ch. 9): its stderr then says nothing about its mean's error.
     """
 
     largest_share: float
@@ -109,6 +111,7 @@ def row_health(rows: np.ndarray) -> list[tuple[float, float, RowHealth]]:
     """
     n = rows.shape[1]
     step = max(1, _BLOCK_VALUES // n)
+    least = 0.01 * n  # the 1 % floor on the effective size
     reduced = []
     for lo in range(0, len(rows), step):
         group = rows[lo : lo + step]
@@ -132,7 +135,7 @@ def row_health(rows: np.ndarray) -> list[tuple[float, float, RowHealth]]:
             zeros = n - np.count_nonzero(group, axis=1)
         health = zip(share.tolist(), ess.tolist(), non_finite.tolist(), zeros.tolist())
         for m, se, (s, e, bad, zero) in zip(mean.tolist(), stderr.tolist(), health):
-            reduced.append((m, se, RowHealth(s, e, bad, zero, degenerate=se == 0.0 or s > 0.5)))
+            reduced.append((m, se, RowHealth(s, e, bad, zero, se == 0.0 or s > 0.5 or e < least)))
     return reduced
 
 
@@ -230,7 +233,6 @@ def _terminal_chunk(args) -> np.ndarray:
                     c_b, bond0 = initial_allocation(strategy, params, b)
                     legs[strategy] = stock_functional(strategy, params), c_b, bond0 * bond_rate
                 c, c_b, bond = legs[strategy]
-                check_ito([c], interp)
                 if interp in ANTICIPATING:
                     stock = c_b * stock_rate if tilted else c.evaluate(b - shift) * growth
                 else:
@@ -290,10 +292,13 @@ def estimate_expectations(
         raise ValueError(f"need at least 100 paths, got {n_paths}")
     # an anticipating case reads the row of the first one of its strategy and estimator
     keys = [
-        (strategy, Interpretation.AYED_KUO if interp in ANTICIPATING else interp, bool(tilted))
+        (strategy, Interpretation.AYED_KUO if interp in ANTICIPATING else interp, any(tilted))
         for strategy, interp, *tilted in cases
     ]
     estimators = tuple(dict.fromkeys(keys))
+    # a case that cannot run is rejected before anything is drawn
+    for strategy, interp, _ in estimators:
+        check_ito([stock_functional(strategy, params)], interp)
     start = time.perf_counter()
     chunks = _map_chunks(_terminal_chunk, (estimators, params, grid, seed), n_paths, workers)
     reduced = row_health(chunks[0] if len(chunks) == 1 else np.concatenate(chunks, axis=1))

@@ -21,8 +21,6 @@ from insidermc import (
     convergence_studies,
     discontinuity_probe,
     estimate_expectations,
-    expected_honest_max,
-    expected_insider,
     generate_path,
     logistic,
     ordering_monotone_block,
@@ -63,8 +61,11 @@ def test_criterion_01_closed_form_vs_quadrature_sweep():
         c = stock_functional(PartialTrust(), p)
         legs = quadrature_expectations(c, (p.sigma * p.horizon, 0.0), p)
         quad_anticipating, quad_forward = (bond + leg for leg in legs)
-        for interp, oracle in ((HS, quad_anticipating), (AK, quad_anticipating), (RV, quad_forward)):
-            gap = abs(expected_insider(p, interp) - oracle) / p.wealth
+        closed = closed_form_table(p)
+        for value, oracle in (
+            (closed.hs, quad_anticipating), (closed.ak, quad_anticipating), (closed.rv, quad_forward)
+        ):
+            gap = abs(value - oracle) / p.wealth
             worst = max(worst, gap)
             assert gap < 1e-8
     elapsed = time.monotonic() - start
@@ -130,10 +131,8 @@ def test_criterion_04_anticipating_solutions_identical():
 
 
 def test_criterion_05_debt_regime():
-    e_hs = expected_insider(DEBT, HS)
-    e_ak = expected_insider(DEBT, AK)
-    e_rv = expected_insider(DEBT, RV)
-    e_honest = expected_honest_max(DEBT)
+    closed = closed_form_table(DEBT)
+    e_hs, e_ak, e_rv, e_honest = closed.hs, closed.ak, closed.rv, closed.honest
     assert abs(e_hs - E_DEBT) < 1e-2
     assert e_hs < 0.0 and e_ak < 0.0
     assert e_rv > e_honest > 0.0

@@ -9,15 +9,11 @@ from insidermc import analytics
 from insidermc import (
     Affine,
     Indicator,
-    Interpretation,
     MarketParams,
     MonotoneSmooth,
     MonotonicityError,
     PartialTrust,
     arctangent,
-    expected_honest,
-    expected_honest_max,
-    expected_insider,
     jump_probability,
     logistic,
     norm_cdf,
@@ -41,36 +37,14 @@ BASELINE = MarketParams(wealth=1.0, rho=0.02, mu=0.05, sigma=0.2, horizon=1.0)
 DEBT = MarketParams(wealth=1.0, rho=0.04, mu=0.05, sigma=2.5, horizon=1.0)
 
 
-def test_expected_honest_examples():
-    assert math.isclose(expected_honest(BASELINE, 1.0, 0.0), math.exp(0.02), rel_tol=1e-14)
-    assert math.isclose(expected_honest(BASELINE, 0.0, 1.0), 1.0512710963760241, rel_tol=1e-14)
-    mid = expected_honest(BASELINE, 0.25, 0.75)
-    assert math.isclose(mid, 0.25 * math.exp(0.02) + 0.75 * math.exp(0.05), rel_tol=1e-14)
-    with pytest.raises(ValueError):
-        expected_honest(BASELINE, 0.5, 0.6)
-    with pytest.raises(ValueError):
-        expected_honest(BASELINE, -0.1, 1.1)
-
-
 def test_expected_insider_baseline_values():
     # A = 1/3 here: (1/3) e^0.02 + (2/3) e^0.05 and (1/3) e^0.02 + (4/3) e^0.05
-    assert math.isclose(
-        expected_insider(BASELINE, Interpretation.HITSUDA_SKOROKHOD),
-        1.040914510926268,
-        rel_tol=1e-12,
-    )
-    assert math.isclose(
-        expected_insider(BASELINE, Interpretation.AYED_KUO),
-        1.040914510926268,
-        rel_tol=1e-12,
-    )
-    assert math.isclose(
-        expected_insider(BASELINE, Interpretation.FORWARD),
-        1.7417619085102842,
-        rel_tol=1e-12,
-    )
-    with pytest.raises(ValueError):
-        expected_insider(BASELINE, Interpretation.ITO)
+    closed = closed_form_table(BASELINE)
+    assert math.isclose(closed.hs, 1.040914510926268, rel_tol=1e-12)
+    assert math.isclose(closed.ak, 1.040914510926268, rel_tol=1e-12)
+    assert math.isclose(closed.rv, 1.7417619085102842, rel_tol=1e-12)
+    # the all-stock honest split, M e^{mu T}
+    assert math.isclose(closed.honest, 1.0512710963760241, rel_tol=1e-14)
 
 
 def test_expected_insider_degenerates_to_honest_as_tilt_vanishes():
@@ -78,15 +52,17 @@ def test_expected_insider_degenerates_to_honest_as_tilt_vanishes():
     sigma = math.sqrt(4.0 * (p.mu - p.rho) * 1e-7)  # tilt coefficient 1e-7
     tiny = MarketParams(p.wealth, p.rho, p.mu, sigma, p.horizon)
     target = tiny.wealth * math.exp(tiny.mu * tiny.horizon)
-    for interp in (Interpretation.FORWARD, Interpretation.AYED_KUO):
-        assert abs(expected_insider(tiny, interp) - target) < 1e-5 * tiny.wealth
+    closed = closed_form_table(tiny)
+    for value in (closed.rv, closed.ak):
+        assert abs(value - target) < 1e-5 * tiny.wealth
 
 
 def test_debt_regime_value_and_signs():
-    e_hs = expected_insider(DEBT, Interpretation.HITSUDA_SKOROKHOD)
+    closed = closed_form_table(DEBT)
+    e_hs = closed.hs
     assert math.isclose(e_hs, -0.5831542448170808, rel_tol=1e-12)
     assert e_hs < 0.0
-    assert expected_insider(DEBT, Interpretation.FORWARD) > expected_honest_max(DEBT) > 0.0
+    assert closed.rv > closed.honest > 0.0
 
 
 def test_quadrature_constant_functional_gives_lognormal_mean():
@@ -211,7 +187,7 @@ def test_negativity_frontier_located_by_bisection():
 
     def value(sigma):
         p = MarketParams(1.0, rho, mu, sigma, horizon)
-        return expected_insider(p, Interpretation.HITSUDA_SKOROKHOD)
+        return closed_form_table(p).hs
 
     a_star = math.exp(mu) / (math.exp(mu) - math.exp(rho))
     sigma_star = math.sqrt(4.0 * (mu - rho) * a_star)

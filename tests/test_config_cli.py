@@ -192,6 +192,26 @@ def test_cli_expect_tilts_where_the_plain_growth_factor_underflows(tmp_path, cap
     assert "> 4 stderr" not in stdout
 
 
+def test_cli_expect_names_heavy_tailed_plain_rows_degenerate(tmp_path, capsys):
+    # at sigma = 2, T = 4 the plain stock legs are heavy tailed: a few dozen of the
+    # 20000 paths carry their sums, though no one path carries half of one
+    ini, out = tmp_path / "heavy.ini", tmp_path / "heavy.json"
+    ini.write_text("[market]\nsigma = 2.0\nhorizon = 4.0\n")
+    argv = ["expect", "--mc", "--paths", "20000", "--seed", "3", "--config", str(ini)]
+    # the checked honest row is degenerate, which fails the run
+    assert main(argv + ["--json", str(out)]) == 1
+    stdout = capsys.readouterr().out
+    plain = json.loads(out.read_text())["monte_carlo_plain"]
+    for label, row in plain.items():
+        assert row["degenerate"] and row["largest_share"] < 0.5
+        assert row["effective_size"] < 0.01 * 20000
+        assert f"monte-carlo {label} estimate is degenerate (" in stdout
+        assert f"effective size {row['effective_size']:.1f})" in stdout
+    # the tilted rows are checked and pass
+    assert "monte-carlo-tilted" not in stdout.split("bar 1e-08)")[1]
+    assert "> 4 stderr" not in stdout
+
+
 def test_expect_mc_bytes_do_not_depend_on_workers_and_read_one_draw(tmp_path, capsys, monkeypatch):
     outputs = {}
     for workers in ("1", "2"):

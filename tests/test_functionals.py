@@ -17,7 +17,6 @@ from insidermc import (
     logistic,
     malliavin_trace_partial,
     stock_functional,
-    wick_with_exponential,
 )
 
 BASELINE = MarketParams(wealth=1.0, rho=0.02, mu=0.05, sigma=0.2, horizon=1.0)
@@ -73,11 +72,11 @@ def test_wick_with_exponential_is_translation():
     sigma, t = 0.2, 0.7
     # deterministic data: multiplying by the exponential changes nothing
     const = Affine(4.2, 0.0)
-    assert wick_with_exponential(const, sigma, t) == const
+    assert const.translate(sigma * t) == const
 
     # affine partial-trust bracket picks up the -sigma^2 t term
     c = stock_functional(PartialTrust(), BASELINE)
-    shifted = wick_with_exponential(c, sigma, t)
+    shifted = c.translate(sigma * t)
     p = BASELINE
     xs = np.linspace(-4.0, 4.0, 50)
     expected = p.wealth * (
@@ -89,22 +88,15 @@ def test_wick_with_exponential_is_translation():
 
     # indicator jump set moves up by sigma*t
     ind = Indicator(1.0, -0.05)
-    assert wick_with_exponential(ind, sigma, t) == Indicator(1.0, -0.05 + sigma * t)
-
-
-def test_wick_validates_arguments():
-    with pytest.raises(ValueError):
-        wick_with_exponential(Affine(1.0, 1.0), 0.0, 0.5)
-    with pytest.raises(ValueError):
-        wick_with_exponential(Affine(1.0, 1.0), 0.2, -0.1)
+    assert ind.translate(sigma * t) == Indicator(1.0, -0.05 + sigma * t)
 
 
 def test_affine_wick_commutes_with_scaling():
     c = Affine(0.4, 1.1)
     doubled = Affine(0.8, 2.2)
     xs = np.linspace(-3, 3, 11)
-    left = 2.0 * np.asarray(wick_with_exponential(c, 0.3, 0.5).evaluate(xs))
-    right = np.asarray(wick_with_exponential(doubled, 0.3, 0.5).evaluate(xs))
+    left = 2.0 * np.asarray(c.translate(0.3 * 0.5).evaluate(xs))
+    right = np.asarray(doubled.translate(0.3 * 0.5).evaluate(xs))
     assert np.allclose(left, right, rtol=1e-14)
 
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,14 +18,13 @@ from insidermc import (
     convergence_studies,
     discontinuity_probe,
     estimate_expectations,
-    expected_honest_max,
-    expected_insider,
     jump_probability,
     random_params,
     row_health,
     stock_functional,
     threshold,
 )
+from insidermc import harness
 from insidermc.harness import NumericalError
 from insidermc.paths import sample_terminal
 
@@ -212,12 +212,13 @@ def test_bond_only_honest_estimate_is_exact():
 
 def test_estimates_land_near_closed_forms():
     n = 4000
+    closed = closed_form_table(BASELINE)
     (honest,) = estimate_expectations([(Honest(0.0, 1.0), ITO)], BASELINE, n, GRID, 77)
-    assert abs(honest.estimate - expected_honest_max(BASELINE)) < 3.0 * honest.stderr
+    assert abs(honest.estimate - closed.honest) < 3.0 * honest.stderr
     (rv,) = estimate_expectations([(PartialTrust(), RV)], BASELINE, n, GRID, 77)
-    assert abs(rv.estimate - expected_insider(BASELINE, Interpretation.FORWARD)) < 3.0 * rv.stderr
+    assert abs(rv.estimate - closed.rv) < 3.0 * rv.stderr
     (ak,) = estimate_expectations([(PartialTrust(), AK)], BASELINE, n, GRID, 77)
-    assert abs(ak.estimate - expected_insider(BASELINE, Interpretation.AYED_KUO)) < 3.0 * ak.stderr
+    assert abs(ak.estimate - closed.ak) < 3.0 * ak.stderr
 
 
 TILTED = [(PartialTrust(), HS, True), (PartialTrust(), AK, True), (PartialTrust(), RV, True)]
@@ -283,6 +284,39 @@ def test_plain_health_reads_the_stock_leg_and_tilted_health_the_sample():
     assert tilted.stderr < plain.stderr / 5
     with pytest.raises(ValueError, match="deterministic"):
         estimate_expectations([(PartialTrust(), ITO, True)], BASELINE, 200, GRID, 2)
+
+
+def test_a_false_tilted_flag_runs_the_plain_estimator():
+    (plain,) = estimate_expectations([(PartialTrust(), AK)], BASELINE, 2000, GRID, 3)
+    (flagged,) = estimate_expectations([(PartialTrust(), AK, False)], BASELINE, 2000, GRID, 3)
+    assert replace(flagged, elapsed_seconds=0.0) == replace(plain, elapsed_seconds=0.0)
+
+
+def test_a_case_that_cannot_run_is_rejected_before_anything_is_drawn(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return sample_terminal(*args)
+
+    monkeypatch.setattr(harness, "sample_terminal", counting)
+    message = "^Ito interpretation requires a deterministic initial condition$"
+    with pytest.raises(ValueError, match=message):
+        estimate_expectations([(PartialTrust(), ITO)], BASELINE, 200, GRID, 2)
+    assert calls == []
+    # a case that can run draws once
+    estimate_expectations([(Honest(0.0, 1.0), ITO)], BASELINE, 200, GRID, 2)
+    assert len(calls) == 1
+
+
+def test_row_health_names_a_heavy_tail_over_a_few_values_degenerate():
+    # no value carries half the sum, but k of 1000 values carry nearly all of it:
+    # the effective size is about k, against a floor of 1 % of the values, 10
+    for k, degenerate in ((5, True), (20, False)):
+        row = np.r_[np.full(1000 - k, 1e-3), np.full(k, 100.0)]
+        ((_, _, health),) = row_health(row[None])
+        assert health.largest_share < 0.5 and round(health.effective_size) == k
+        assert health.degenerate is degenerate
 
 
 def test_stderr_scales_like_inverse_root_n():

@@ -1,9 +1,10 @@
-"""Every function the package exports has a caller in ``src/`` or a named reason to stay.
+"""Every function the package exports has a caller in ``src/`` or a pin that keeps it.
 
 A computation ships one path: the array kernel the CLI runs. An exported
-function that no code in ``src/`` calls is either a primitive kept for its
-own sake, listed in ``KEPT`` with the reason, or a second path to something
-a kernel already computes, which should go.
+function that no code in ``src/`` calls is either kept because a file outside
+``src/`` pins it, listed in ``KEPT`` with that file, or a second path to
+something a kernel already computes, which should go. A kept name leaves
+``KEPT`` once code in ``src/`` calls it or its pin file stops naming it.
 """
 import ast
 import inspect
@@ -11,16 +12,17 @@ from pathlib import Path
 
 import insidermc
 
+ROOT = Path(__file__).resolve().parent.parent
+
+# name -> the file outside src/ that pins it
 KEPT = {
-    "ak_integral": "the paper's mixed-endpoint (Ayed-Kuo) integral on one path",
-    "forward_integral": "the paper's forward (Russo-Vallois) integral on one path",
-    "skorokhod_integral": "the paper's divergence (Hitsuda-Skorokhod) integral on one path",
-    "wick_with_exponential": "the paper's Wick product with the stochastic exponential",
-    "generate_path": "the one-path sampler the integral primitives and bench/selftest.py take",
-    "random_params": "one draw from the sweep ranges, used by the benchmark's sweep check",
-    "expected_honest": "a closed form: the honest trader's expected wealth for any split",
-    "expected_honest_max": "a closed form: the honest trader's best expected wealth",
-    "expected_insider": "a closed form: the partial-trust insider's expected wealth",
+    # the one-path integrals of acceptance criteria 7 and 8 (ROADMAP item 18)
+    "ak_integral": "tests/test_acceptance.py",
+    "skorokhod_integral": "tests/test_acceptance.py",
+    # the benchmark's self-test patches the one-path sampler
+    "generate_path": "bench/selftest.py",
+    # the benchmark's sweep check draws one set at a time
+    "random_params": "bench/workloads.py",
 }
 
 
@@ -43,6 +45,15 @@ def _called_names() -> set[str]:
     return names
 
 
+def _named_in(path: Path) -> set[str]:
+    """Names and attributes that the Python file at ``path`` refers to."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+
+
 def test_every_exported_function_has_a_caller_or_a_reason():
     exported = {
         name for name, obj in vars(insidermc).items()
@@ -51,3 +62,10 @@ def test_every_exported_function_has_a_caller_or_a_reason():
     assert set(KEPT) <= exported, f"kept but not exported: {sorted(set(KEPT) - exported)}"
     uncalled = exported - _called_names() - set(KEPT)
     assert not uncalled, f"exported functions with no caller in src/: {sorted(uncalled)}"
+
+
+def test_every_kept_name_is_uncalled_in_src_and_named_by_its_pin():
+    called = sorted(set(KEPT) & _called_names())
+    assert not called, f"kept names with a caller in src/, which need no pin: {called}"
+    unpinned = sorted(name for name, pin in KEPT.items() if name not in _named_in(ROOT / pin))
+    assert not unpinned, f"kept names their pin file no longer names: {unpinned}"
