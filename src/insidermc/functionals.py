@@ -34,8 +34,18 @@ class TerminalFunctional:
     def evaluate(self, x: ArrayLike, out: np.ndarray | None = None) -> ArrayLike:
         """C(x), written into ``out`` when given (of the broadcast shape of x
         and the coefficients, possibly x itself) and returned; without ``out``
-        a new array, or a float for scalar input."""
+        a new array, or a float for scalar input. A non-finite argument
+        raises ValueError."""
         raise NotImplementedError
+
+    def evaluate_finite(self, x: ArrayLike, out: np.ndarray | None = None) -> ArrayLike:
+        """``evaluate`` of an argument the caller has already checked to be finite.
+
+        A kernel that reads one argument for several functionals checks it
+        once and calls this for each; the built-in families then skip their
+        own check, and any other family runs its ``evaluate``.
+        """
+        return self.evaluate(x, out)
 
     def translate(self, s: float) -> "TerminalFunctional":
         """The functional x -> C(x - s)."""
@@ -62,6 +72,9 @@ class Affine(TerminalFunctional):
 
     def evaluate(self, x: ArrayLike, out: np.ndarray | None = None) -> ArrayLike:
         _require_finite(x)
+        return self.evaluate_finite(x, out)
+
+    def evaluate_finite(self, x: ArrayLike, out: np.ndarray | None = None) -> ArrayLike:
         if out is None:
             out = np.empty(np.broadcast(x, self.a, self.b).shape)
         # b * x + a is a + b * x, bit for bit
@@ -95,6 +108,9 @@ class Indicator(TerminalFunctional):
 
     def evaluate(self, x: ArrayLike, out: np.ndarray | None = None) -> ArrayLike:
         _require_finite(x)
+        return self.evaluate_finite(x, out)
+
+    def evaluate_finite(self, x: ArrayLike, out: np.ndarray | None = None) -> ArrayLike:
         on = np.greater(x, self.threshold)
         if out is None:
             out = np.empty(np.broadcast(x, self.scale, self.threshold).shape)
@@ -127,6 +143,9 @@ class Smooth(TerminalFunctional):
 
     def evaluate(self, x: ArrayLike, out: np.ndarray | None = None) -> ArrayLike:
         _require_finite(x)
+        return self.evaluate_finite(x, out)
+
+    def evaluate_finite(self, x: ArrayLike, out: np.ndarray | None = None) -> ArrayLike:
         if out is None:
             out = np.empty(np.broadcast(x, self.scale, self.shift).shape)
         # x - shift goes through out, which fn may then work in

@@ -11,26 +11,62 @@ path indices with array kernels on a trailing node axis, and each block is
 drawn once for all the estimators that read it: ``estimate_expectations``
 evaluates several ``(strategy, interpretation)`` cases and
 ``convergence_studies`` several schemes on the same draw; a one-case caller
-passes one case. Each grid level is one kernel call for all its schemes or
-groups: the schemes share one Euler factor g and one cumprod(g) per level
-(``scheme_wealths``), and start from values read once per block, since
-every level of a block shares B_T; the two residual groups share the
-residual's arguments per level (``ak_residuals``). Every node is checked
-for finiteness; a ladder reports its first failure scheme by scheme, then
-level by level (``convergence_studies``), or level by level, then group by
-group (``conjecture_report``). Workers return per-path values, which are
-reduced in index order; a reduction that overflows is a numerical failure
-too.
+passes one case. Each block of a ladder is one kernel call for all its
+levels and all its schemes or groups. ``scheme_wealths`` lays the levels
+end to end along the node axis and runs each stage once for all of them:
+the Euler factors g = sigma dW + (1 + mu dt), with 1 + mu dt a per-node
+column, and the Hitsuda-Skorokhod divide, scale, subtract and multiply;
+only the running products and sums stay one call per level. The schemes
+share g and cumprod(g), and start from values read once per block, since
+every level of a block shares B_T. ``ak_residuals`` builds the growth
+factor, B_T - sigma t and both groups' exact solutions once per block, at
+the finest level, and reads each coarser level as a strided view; each
+level builds the integrand's arguments once for both groups. An argument
+that several functionals read is checked for finiteness once, and every
+value is checked: a block whose values sum to a finite number has finite
+values only, and only a block whose sum is not finite is counted value by
+value. A ladder reports its first failure scheme by scheme, then level by
+level (``convergence_studies``), or level by level, then group by group
+(``conjecture_report``). Workers return per-path values, which are reduced
+in index order; a reduction that overflows is a numerical failure too.
+
+Cost per path of each ladder stage, in µs, in-process on a 2-core Xeon
+(median of 21 alternating pairs of the two versions; ``converge``: 200
+paths, n = 256..16384, forward and Hitsuda-Skorokhod schemes;
+``conjecture``: 250 paths, n = 256, 1024, 4096). "Before" is the version
+that called each kernel once per level. The first three stages run the same
+code in both and were timed on their own; the rest is the total minus them:
+
+===========================================  ======  =====  ======  =====
+stage                                        converge       conjecture
+-------------------------------------------  -------------  -------------
+..                                           before  after  before  after
+===========================================  ======  =====  ======  =====
+Philox draw                                     281    281      74     74
+running sum of the increments                    56     56      14     14
+per-level running products and sums             228    228      --     --
+the rest                                        342    204     138    109
+total                                           907    769     225    197
+===========================================  ======  =====  ======  =====
+
+The first three stages are the bit-identical floor. The Philox stream
+fixes the normals, and the running sum and the per-level running products
+and sums (``np.add.accumulate`` and ``np.multiply.accumulate`` along each
+level) are sequential recursions whose order fixes the floats, so they can
+be neither regrouped nor shared between levels without changing them.
+``conjecture`` runs no running product or sum of its own.
 
 Each ladder chunk allocates its working set once (``_ladder_blocks``): one
 array for a block's finest paths, into which every block is drawn, and one
-kernel ``Workspace`` of the same size, into which ``scheme_wealths`` and
-``ak_residuals`` write every node-sized array, a coarser level into a
-prefix of each buffer. Freed and reallocated per block and level, these
-arrays outgrew malloc's trim threshold, so their pages went back to the
-OS and were faulted in again on the next block: with glibc on Linux
-x86-64, about 42500 minor faults per round of the benchmark's ladder
-workload, against about 700 with the workspace.
+kernel ``Workspace`` sized from the block's rows (per row, the finest
+nodes, or for ``converge`` every level's nodes end to end), into which
+``scheme_wealths`` and ``ak_residuals`` write every node-sized array, a
+shorter block or a coarser level into a prefix of each buffer. Freed and
+reallocated per block and level, these arrays outgrew malloc's trim
+threshold, so their pages went back to the OS and were faulted in again on
+the next block: with glibc on Linux x86-64, about 42500 minor faults per
+round of the benchmark's ladder workload, against about 800 with the
+workspace.
 
 ``discontinuity_probe`` locates each path's flip by bisection over the node
 index (``first_flip``), so its cost grows with log2(steps), not steps: at the
@@ -175,17 +211,18 @@ def _blocks(grid: TimeGrid, start: int, stop: int):
         yield lo, min(lo + rows, stop)
 
 
-def _ladder_blocks(grid: TimeGrid, seed: int, start: int, stop: int):
+def _ladder_blocks(grid: TimeGrid, seed: int, start: int, stop: int, width: int):
     """``(lo, hi, paths, work)`` per block of ``_blocks``: the block's paths on
-    ``grid`` and a kernel workspace of the same size, both allocated once.
+    ``grid`` and a kernel workspace of ``width`` values per row, both
+    allocated once.
 
     Every block is drawn into the same array, and the ladder's kernels write
-    into the same workspace, a coarser level into a prefix of it; so a chunk
+    into the same workspace, a shorter block into a prefix of it; so a chunk
     makes its node-sized allocations once, not per block and level.
     """
     rows = min(max(1, _BLOCK_VALUES // (grid.steps + 1)), stop - start)
     buffer = np.empty((rows, grid.steps + 1))
-    work = Workspace(buffer.size)
+    work = Workspace(rows * width)
     for lo, hi in _blocks(grid, start, stop):
         yield lo, hi, sample_block(grid, seed, lo, hi, out=buffer[: hi - lo]), work
 
@@ -385,37 +422,46 @@ def _exact_references(c, params, targets, b_t, node, bounds) -> dict:
 def _convergence_chunk(args) -> np.ndarray:
     """Absolute terminal errors of paths start..stop-1, shaped (path, scheme, level).
 
-    The scheme values are written block by block; the exact references depend
-    on B_T alone and are evaluated once for the chunk, after the blocks.
+    The scheme values are written block by block, every level of a block in
+    one ``scheme_wealths`` call; the exact references depend on B_T alone
+    and are evaluated once for the chunk, after the blocks. A block whose
+    values sum to a finite number has finite values only; the others are
+    counted per (scheme, level).
     """
     c, stacks, targets, params, n_list, seed, start, stop = args
-    n_max = n_list[-1]
-    fine_grid = TimeGrid(params.horizon, n_max)
+    fine_grid = TimeGrid(params.horizon, n_list[-1])
     grids = [TimeGrid(params.horizon, n) for n in n_list]
+    # level j's columns in the levels laid end to end, and its terminal one
+    columns = np.cumsum([0] + [n + 1 for n in n_list])
+    ends = columns[1:] - 1
     errors = np.empty((stop - start, len(stacks), len(n_list)))
     b_t = np.empty((stop - start, 1))
     bounds = []
-    for lo, hi, w, work in _ladder_blocks(fine_grid, seed, start, stop):
+    for lo, hi, w, work in _ladder_blocks(fine_grid, seed, start, stop, int(columns[-1])):
         rows = slice(lo - start, hi - start)
         bounds.append((rows.start, rows.stop))
         b_t[rows] = w[:, -1:]
         with np.errstate(over="ignore", invalid="ignore"):
             # every level of the block shares B_T, so the start values too
             starts = scheme_starts(stacks, b_t[rows])
-        bad = np.zeros((len(stacks), len(n_list)), dtype=int)
-        for j, g in enumerate(grids):
-            with np.errstate(over="ignore", invalid="ignore"):
-                wealths = scheme_wealths(params, g, w[:, :: n_max // g.steps], starts, work)
-            for i, samples in enumerate(wealths):
-                bad[i, j] = _non_finite(samples)
-                errors[rows, i, j] = samples[:, -1]
-        if bad.any():
-            # a non-finite exact wealth in this block or an earlier one is reported
-            # first, then the first scheme failure in (scheme, level) order, as
-            # when each scheme ran its own ladder
-            _exact_references(c, params, targets, b_t[: rows.stop], fine_grid.nodes[-1:], bounds)
-            for count in bad.flat:
-                _check_finite(int(count), "scheme wealth")
+            wealths = scheme_wealths(params, grids, w, starts, work)
+            finite = all(np.isfinite(np.sum(samples)) for samples in wealths)
+        for i, samples in enumerate(wealths):
+            errors[rows, i] = samples[:, ends]
+        if not finite:
+            bad = np.array([
+                [_non_finite(samples[:, a:b]) for a, b in zip(columns[:-1], columns[1:])]
+                for samples in wealths
+            ])
+            # a finite sum can overflow. A non-finite exact wealth in this block or
+            # an earlier one is reported first, then the first scheme failure in
+            # (scheme, level) order, as when each scheme ran its own ladder
+            if bad.any():
+                _exact_references(
+                    c, params, targets, b_t[: rows.stop], fine_grid.nodes[-1:], bounds
+                )
+                for count in bad.flat:
+                    _check_finite(int(count), "scheme wealth")
     exact = _exact_references(c, params, targets, b_t, fine_grid.nodes[-1:], bounds)
     for i, target in enumerate(targets):
         errors[:, i] -= exact[target]
@@ -601,21 +647,27 @@ def _conjecture_groups(params: MarketParams) -> dict[str, TerminalFunctional]:
 
 
 def _residual_chunk(args) -> np.ndarray:
-    """Absolute residuals of paths start..stop-1, shaped (group, level, path)."""
+    """Absolute residuals of paths start..stop-1, shaped (group, level, path).
+
+    Every level of a block is one ``ak_residuals`` call. A block whose
+    residuals sum to a finite number has finite ones only; the others are
+    counted level by level, then group by group.
+    """
     params, n_list, seed, start, stop = args
     groups = _conjecture_groups(params)
     functionals = list(groups.values())
-    n_max = n_list[-1]
-    fine_grid = TimeGrid(params.horizon, n_max)
+    fine_grid = TimeGrid(params.horizon, n_list[-1])
     grids = [TimeGrid(params.horizon, n) for n in n_list]
     residuals = np.empty((len(groups), len(n_list), stop - start))
-    for lo, hi, w, work in _ladder_blocks(fine_grid, seed, start, stop):
-        for j, g in enumerate(grids):
-            with np.errstate(over="ignore", invalid="ignore"):
-                values = ak_residuals(functionals, params, g, w[:, :: n_max // g.steps], work=work)
-            for name, group, out in zip(groups, values, residuals):
-                _check_finite(_non_finite(group), f"{name} residual")
-                out[j, lo - start : hi - start] = np.abs(group)
+    for lo, hi, w, work in _ladder_blocks(fine_grid, seed, start, stop, fine_grid.steps + 1):
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = np.array(ak_residuals(functionals, params, grids, w, work=work))
+            finite = np.isfinite(np.sum(values))
+        if not finite:
+            for j in range(len(grids)):
+                for name, group in zip(groups, values[:, j]):
+                    _check_finite(_non_finite(group), f"{name} residual")
+        np.abs(values, out=residuals[:, :, lo - start : hi - start])
     return residuals
 
 

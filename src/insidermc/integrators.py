@@ -24,6 +24,16 @@ arguments. A one-case caller passes a one-element sequence, and one path
 is a one-row block. Each kernel takes every node-sized array from a
 ``Workspace``; a caller that evaluates block after block passes one
 workspace to every call, and a call without one gets its own.
+
+``scheme_wealths`` and ``ak_residuals`` also take a ladder of grid levels,
+each read off the finest paths ``w`` as the strided view
+``w[..., ::factor]``. The schemes lay the levels end to end along the node
+axis and run each stage once for all of them; only the running products and
+sums stay one call per level. The residual builds the growth factor and
+the exact solutions once, at the finest level, and reads each coarser level
+as a strided view of them: power-of-two levels share their nodes bit for
+bit. An argument that several functionals read is checked for finiteness
+once, and each functional is then evaluated by ``evaluate_finite``.
 """
 from __future__ import annotations
 
@@ -39,6 +49,7 @@ from .functionals import (
     NonDifferentiableError,
     ProductIntegrand,
     TerminalFunctional,
+    _require_finite,
     malliavin_trace_partial,
 )
 from .paths import BrownianPath, TimeGrid
@@ -71,12 +82,21 @@ class Workspace:
     given shape, so a coarser grid level uses a prefix of a finer level's
     buffer and every array has the layout a fresh one would. What a kernel
     returns from the workspace is valid until the workspace serves its next
-    call.
+    call. ``constant`` keeps what a kernel builds once for every call with
+    the same key, such as a ladder's layout and per-node step constants.
     """
 
     def __init__(self, size: int):
         self.size = size
         self._buffers: dict[str, np.ndarray] = {}
+        self._constants: dict = {}
+
+    def constant(self, key, build: Callable):
+        """``build()``, called on the first request for ``key`` and kept."""
+        value = self._constants.get(key)
+        if value is None:
+            value = self._constants[key] = build()
+        return value
 
     def take(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
         n = math.prod(shape)
@@ -134,17 +154,21 @@ def exact_wealths(
         growth = growth_factor(params, nodes, w, work.take("growth", shape))
     argument = w[..., -1:]
     if interp in ANTICIPATING:
-        argument = np.subtract(argument, params.sigma * nodes, out=work.take("argument", shape))
+        # held in the last functional's buffer, which evaluate then writes over in place
+        last = work.take(f"exact{len(cs) - 1}", shape)
+        argument = np.subtract(argument, params.sigma * nodes, out=last)
+    # every functional reads this argument, so it is checked once
+    _require_finite(argument)
     wealths = []
     for k, c in enumerate(cs):
-        samples = c.evaluate(argument, out=work.take(f"exact{k}", shape))
+        samples = c.evaluate_finite(argument, out=work.take(f"exact{k}", shape))
         samples *= growth
         wealths.append(samples)
     return wealths
 
 
 def _riemann_sums(
-    values: Callable,
+    terms: Callable,
     nodes: np.ndarray,
     w: np.ndarray,
     i: int,
@@ -156,8 +180,8 @@ def _riemann_sums(
     Each term is u(t_{k-1}, W_{k-1}, B_T - W_j) * (W_k - W_{k-1}), with the
     future argument read at the right node (j = k) or at the left node
     (j = k - 1). With no future dependence both are the Ito left-point sum.
-    The arguments are built once, in ``work``; ``values(s, x, y)`` yields
-    the integrand values of each integrand u on them, one sum per integrand.
+    The arguments are built once, in ``work``; ``terms(s, x, y, dw)`` yields
+    the terms u * dw of each integrand u on them, one sum per integrand.
     """
     shape = w.shape[:-1] + (i,)
     if work is None:
@@ -166,15 +190,14 @@ def _riemann_sums(
     y = np.subtract(w[..., -1:], w[..., 1 : i + 1] if right else x, out=work.take("y", shape))
     # np.diff, written into the workspace
     dw = np.subtract(w[..., 1 : i + 1], x, out=work.take("dw", shape))
-    terms = work.take("terms", shape)
-    return [np.sum(np.multiply(u, dw, out=terms), axis=-1) for u in values(nodes[:i], x, y)]
+    return [np.sum(t, axis=-1) for t in terms(nodes[:i], x, y, dw)]
 
 
 def ak_integral(u: Integrand, path: BrownianPath, t: float) -> float:
     """Mixed-endpoint Riemann sum over [0, t]: the future argument at the right node."""
     i = path.grid.index_of(t)
     (total,) = _riemann_sums(
-        lambda s, x, y: [u(s, x, y)], path.grid.nodes, path.values, i, right=True
+        lambda s, x, y, dw: [u(s, x, y) * dw], path.grid.nodes, path.values, i, right=True
     )
     return float(total)
 
@@ -183,7 +206,7 @@ def forward_integral(u: Integrand, path: BrownianPath, t: float) -> float:
     """Left-point Riemann sum over [0, t]: all arguments at the left node."""
     i = path.grid.index_of(t)
     (total,) = _riemann_sums(
-        lambda s, x, y: [u(s, x, y)], path.grid.nodes, path.values, i, right=False
+        lambda s, x, y, dw: [u(s, x, y) * dw], path.grid.nodes, path.values, i, right=False
     )
     return float(total)
 
@@ -199,10 +222,21 @@ def skorokhod_integral(u: ProductIntegrand, path: BrownianPath, t: float) -> flo
     return forward_integral(u, path, t) - path.grid.dt * float(np.sum(trace))
 
 
+def _levels(grids: TimeGrid | Sequence[TimeGrid], w: np.ndarray) -> list[tuple[TimeGrid, int]]:
+    """Each grid level with the stride that reads it off the paths ``w``."""
+    steps = w.shape[-1] - 1
+    levels = []
+    for grid in [grids] if isinstance(grids, TimeGrid) else grids:
+        if steps % grid.steps:
+            raise ValueError(f"a {grid.steps}-step level is no stride of {steps}-step paths")
+        levels.append((grid, steps // grid.steps))
+    return levels
+
+
 def ak_residuals(
     cs: Sequence[TerminalFunctional],
     params: "MarketParams",
-    grid: TimeGrid,
+    grids: TimeGrid | Sequence[TimeGrid],
     w: np.ndarray,
     t: float | None = None,
     work: Workspace | None = None,
@@ -216,32 +250,47 @@ def ak_residuals(
     The functionals share what does not depend on them: E(t), read both by
     the exact solution and, at the left nodes, by the integrand
     Phi(s, x, y) = C(y + x - sigma s) E(s); the exact solution's argument
-    B_T - sigma t; Phi's argument y + x - sigma s; and the increments. Every
-    node-sized array is taken from ``work``.
-    """
-    i = grid.steps if t is None else grid.index_of(t)
-    if work is None:
-        work = Workspace(w.size)
-    growth = growth_factor(params, grid.nodes, w, work.take("growth", w.shape))
-    exact = exact_wealths(cs, params, grid.nodes, w, Interpretation.AYED_KUO, growth, work)
-    left_growth = growth[..., :i]
+    B_T - sigma t; Phi's argument y + x - sigma s; and the increments. Each
+    shared argument is checked for finiteness once. Every node-sized array
+    is taken from ``work``.
 
-    def phis(s, x, y):
+    ``grids`` is one grid, or a ladder of power-of-two grid levels whose
+    steps divide those of ``w``; each functional's residual then has one
+    row per level. E(t) and the exact solutions are built once, at the
+    finest level, and every coarser level reads them as strided views.
+    """
+    levels = _levels(grids, w)
+    fine, stride = max(levels, key=lambda level: level[0].steps)
+    v = w[..., ::stride]
+    if work is None:
+        work = Workspace(v.size)
+    growth = growth_factor(params, fine.nodes, v, work.take("growth", v.shape))
+    exact = exact_wealths(cs, params, fine.nodes, v, Interpretation.AYED_KUO, growth, work)
+
+    def terms(s, x, y, dw):
         z = np.add(y, x, out=work.take("z", y.shape))
         z -= params.sigma * s
+        _require_finite(z)
         phi = work.take("phi", y.shape)
         for c in cs:
-            # each Phi is summed before the next is written over it
-            c.evaluate(z, out=phi)
+            # each term Phi * dw is summed before the next is written over it
+            c.evaluate_finite(z, out=phi)
             phi *= left_growth
+            phi *= dw
             yield phi
 
-    stochastic = _riemann_sums(phis, grid.nodes, w, i, right=True, work=work)
-    residuals = []
-    for samples, mixed in zip(exact, stochastic):
-        drift = params.mu * grid.dt * np.sum(samples[..., :i], axis=-1)
-        residuals.append(samples[..., i] - samples[..., 0] - drift - params.sigma * mixed)
-    return residuals
+    residuals = np.empty((len(cs), len(levels)) + w.shape[:-1])
+    for j, (grid, factor) in enumerate(levels):
+        i = grid.steps if t is None else grid.index_of(t)
+        # linspace nodes of power-of-two grids coincide: fine node k * step is level node k
+        step = factor // stride
+        left_growth = growth[..., : i * step : step]
+        stochastic = _riemann_sums(terms, grid.nodes, w[..., ::factor], i, right=True, work=work)
+        for k, (fine_samples, mixed) in enumerate(zip(exact, stochastic)):
+            samples = fine_samples[..., ::step]
+            drift = params.mu * grid.dt * np.sum(samples[..., :i], axis=-1)
+            residuals[k, j] = samples[..., i] - samples[..., 0] - drift - params.sigma * mixed
+    return list(residuals[:, 0] if isinstance(grids, TimeGrid) else residuals)
 
 
 def _correction_stack(c: TerminalFunctional) -> list[TerminalFunctional]:
@@ -282,18 +331,44 @@ def scheme_starts(
 
     They depend on the path only through B_T, which every coarser view of a
     path shares, so one evaluation serves every level of a grid ladder.
+    ``b_t`` is checked for finiteness once, and a functional that several
+    stacks hold (the C that starts both the forward and the corrected
+    stack) is evaluated once.
     """
-    return [[np.asarray(lvl.evaluate(b_t), dtype=float) for lvl in stack] for stack in stacks]
+    _require_finite(b_t)
+    values: dict[int, np.ndarray] = {}
+    for stack in stacks:
+        for level in stack:
+            if id(level) not in values:
+                values[id(level)] = np.asarray(level.evaluate_finite(b_t), dtype=float)
+    return [[values[id(level)] for level in stack] for stack in stacks]
+
+
+def _level_columns(levels: list[tuple[TimeGrid, int]], params: "MarketParams"):
+    """Where each level lies along the node axis of the end-to-end layout,
+    and the per-node columns of its step constants.
+
+    Returns each level's columns, the first column of each level, the Euler
+    constant 1 + mu dt of each node's level (1 at a level's first node, which
+    makes that node's Euler factor 1) and sigma * dt of each node's level.
+    """
+    widths = [grid.steps + 1 for grid, _ in levels]
+    firsts = np.cumsum([0] + widths[:-1])
+    spans = [slice(first, first + width) for first, width in zip(firsts.tolist(), widths)]
+    euler = np.repeat([1.0 + params.mu * grid.dt for grid, _ in levels], widths)
+    euler[firsts] = 1.0
+    scale = np.repeat([params.sigma * grid.dt for grid, _ in levels], widths)
+    return spans, firsts, euler, scale
 
 
 def scheme_wealths(
     params: "MarketParams",
-    grid: TimeGrid,
+    grids: TimeGrid | Sequence[TimeGrid],
     w: np.ndarray,
     starts: Sequence[Sequence[np.ndarray]],
     work: Workspace | None = None,
 ) -> list[np.ndarray]:
-    """Discrete stock wealth of each scheme at the nodes of ``grid`` for Brownian values ``w``.
+    """Discrete stock wealth of each scheme at the nodes of ``grids`` for Brownian values ``w``.
 
     ``w`` holds one path or a block of paths along leading axes; ``starts``
     holds each scheme's ``scheme_starts`` on the B_T of ``w``. Every scheme
@@ -305,41 +380,66 @@ def scheme_wealths(
     level 0 is the wealth. With a vanishing first derivative the stack has
     one level and the scheme is plain Euler, bit for bit. Every node-sized
     array, the returned wealths too, is taken from ``work``.
+
+    ``grids`` is one grid, whose wealths are returned one array per scheme
+    on ``w``'s own shape, or a ladder of grid levels whose steps divide
+    those of ``w``: level j reads ``w[..., ::factor]`` and takes the
+    steps_j + 1 columns of each scheme's array that follow the columns of
+    the levels before it. Each stage then runs once for all levels; only
+    the running products and sums run once per level. The values of every
+    level are those of a call on that level alone, bit for bit.
     """
-    dt = grid.dt
-    sigma = params.sigma
+    levels = _levels(grids, w)
+    shape = w.shape[:-1] + (sum(grid.steps + 1 for grid, _ in levels),)
     if work is None:
-        work = Workspace(w.size)
-    steps = w.shape[:-1] + (w.shape[-1] - 1,)
-    # np.diff, written into the workspace
-    g = np.subtract(w[..., 1:], w[..., :-1], out=work.take("g", steps))
-    g *= sigma
-    g += 1.0 + params.mu * dt
-    growth = np.cumprod(g, axis=-1, out=work.take("cumprod", steps))
-    wealths = []
-    for j, start in enumerate(starts):
-        samples = work.take(f"samples{j}", w.shape)
-        samples[..., :1] = start[0]
-        # Work in ratios r_m = S_m / prod(g_1..g_m), held in samples[..., 1:];
-        # the correction recursion is then r_m = r_{m-1} - sigma*dt * r^below_{m-1} / g_m,
-        # which cumsum solves. The top level's ratios are its constant start over g.
-        # The in-place steps keep every product's operands.
-        ratios = samples[..., 1:]
+        work = Workspace(math.prod(shape))
+    key = (tuple((grid.dt, factor) for grid, factor in levels), params.mu, params.sigma)
+    spans, firsts, euler, scale = work.constant(key, lambda: _level_columns(levels, params))
+    g = work.take("g", shape)
+    for span, (_, factor) in zip(spans, levels):
+        # np.diff of the level, written into the workspace
+        np.subtract(w[..., factor::factor], w[..., :-1:factor], out=g[..., span][..., 1:])
+    # g at each level's first node is sigma * 0 + 1, so its running product
+    # there is 1 and every later one is g_1 * ... * g_m, as over the steps alone
+    g[..., firsts] = 0.0
+    g *= params.sigma
+    g += euler
+    wealths = [work.take(f"samples{j}", shape) for j in range(len(starts))]
+    for samples, start in zip(wealths, starts):
         if len(start) == 1:
-            np.multiply(start[0], growth, out=ratios)
+            continue
+        # Work in ratios r_m = S_m / prod(g_1..g_m); the correction recursion is
+        # then r_m = r_{m-1} - sigma*dt * r^below_{m-1} / g_m, which cumsum solves.
+        # The top level's ratios are its constant start over g. A level's first
+        # column holds -0.0 before each cumsum, which adds it to nothing. The
+        # in-place steps keep every product's operands.
+        np.divide(start[-1], g, out=samples)
+        left = work.take("left", shape) if len(start) > 2 else None
+        for k in range(len(start) - 2, -1, -1):
+            samples[..., firsts] = -0.0
+            # the ufunc behind np.cumsum, called without its wrapper
+            for span in spans:
+                np.add.accumulate(samples[..., span], axis=-1, out=samples[..., span])
+            samples *= scale
+            np.subtract(start[k], samples, out=samples)
+            if k:
+                # step m of the level below reads this level's ratio at step m - 1,
+                # start[k] at step 1: one shift by a column, each level's first
+                # column holding start[k]
+                samples[..., firsts] = start[k]
+                left[..., 1:] = samples[..., :-1]
+                left[..., :1] = start[k]
+                np.divide(left, g, out=samples)
+    # every division by g is done, so g becomes its running product in place
+    # (the ufunc behind np.cumprod, called without its wrapper)
+    for span in spans:
+        np.multiply.accumulate(g[..., span], axis=-1, out=g[..., span])
+    for samples, start in zip(wealths, starts):
+        if len(start) == 1:
+            np.multiply(start[0], g, out=samples)
         else:
-            np.divide(start[-1], g, out=ratios)
-            left = work.take("left", steps) if len(start) > 2 else None
-            for k in range(len(start) - 2, -1, -1):
-                np.cumsum(ratios, axis=-1, out=ratios)
-                ratios *= sigma * dt
-                np.subtract(start[k], ratios, out=ratios)
-                if k:
-                    left[..., :1] = start[k]
-                    left[..., 1:] = ratios[..., :-1]
-                    np.divide(left, g, out=ratios)
-            ratios *= growth
-        wealths.append(samples)
+            samples *= g
+        samples[..., firsts] = start[0]
     return wealths
 
 

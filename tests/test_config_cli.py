@@ -802,7 +802,7 @@ _ON_LINUX = pytest.mark.skipif(
 def test_a_repeated_ladder_round_faults_in_no_working_set(tmp_path):
     # Freed node-sized temporaries can be trimmed from the heap and faulted back
     # in on every block; the ladders' chunks reuse one workspace instead. About
-    # 700 faults per round remain, against about 42500 when each block allocated
+    # 800 faults per round remain, against about 42500 when each block allocated
     # its own arrays. The round is the benchmark's: converge, then conjecture.
     runs = [
         ["converge", "--paths", "200"],

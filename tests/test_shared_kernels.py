@@ -6,8 +6,9 @@ replaced, written out, which built them per scheme and filled every stack
 level's ratios before dividing. ``ak_residuals`` builds the residual's
 shared arguments once for several functionals; one call per functional is
 its reference. A kernel that reuses a workspace left dirty by a larger call
-must return what a call with no workspace returns. Each comparison is bit
-for bit.
+must return what a call with no workspace returns. A call on a ladder of grid
+levels must return, level by level, what a call on each level alone returns.
+Each comparison is bit for bit.
 """
 from dataclasses import dataclass
 
@@ -19,12 +20,15 @@ from insidermc import (
     Interpretation,
     MarketParams,
     PartialTrust,
+    Smooth,
     TerminalFunctional,
     TimeGrid,
     arctangent,
+    conjecture_report,
     logistic,
     stock_functional,
 )
+from insidermc import functionals, integrators
 from insidermc.integrators import (
     _MAX_CORRECTION_LEVELS,
     Workspace,
@@ -204,3 +208,121 @@ def test_workspace_hands_out_contiguous_prefixes_and_refuses_overflow():
     assert not np.shares_memory(a, work.take("b", (12,)))
     with pytest.raises(ValueError, match="13 values exceed"):
         work.take("a", (13,))
+
+
+def _logistic_stack(scale):
+    """The logistic C, C' and C'': a three-level correction stack.
+
+    ``scheme_stack`` stops a Smooth C at C', so no CLI run reaches the
+    scheme's shift between stack levels with a smooth C; this stack does.
+    """
+
+    def second(z):
+        p = 1.0 / (1.0 + np.exp(-z))
+        return p * (1.0 - p) * (1.0 - 2.0 * p)
+
+    c = logistic(scale)
+    return [c, c.derivative(), Smooth(scale, second)]
+
+
+def _ladder_cases(params):
+    """Stacks of one, two, three and the deepest level count, both schemes of each C."""
+    c = stock_functional(PartialTrust(), params)
+    return [
+        scheme_stack(stock_functional(Honest(0.4, 0.6), params), HS),
+        scheme_stack(c, RV),
+        scheme_stack(c, HS),
+        _logistic_stack(params.wealth),
+        scheme_stack(_Exponential(0.8, 0.5), HS),
+    ]
+
+
+@pytest.mark.parametrize("params", [BASELINE, ODD], ids=["T=1", "T=1.3"])
+@pytest.mark.parametrize("steps,rows,ladder", [
+    (16384, 1, (256, 512, 1024, 2048, 4096, 8192, 16384)),  # converge's default ladder
+    (256, 40, (4, 16, 64, 256)),  # a multi-row block
+    (256, 7, (8, 256)),  # levels that skip, none of them the paths' own
+])
+def test_a_ladder_of_levels_equals_one_call_per_level(params, steps, rows, ladder):
+    grid = TimeGrid(params.horizon, steps)
+    w = sample_block(grid, 31, 9, 9 + rows)
+    stacks = _ladder_cases(params)
+    assert [len(stack) for stack in stacks] == [1, 1, 2, 3, _MAX_CORRECTION_LEVELS]
+    starts = scheme_starts(stacks, w[:, -1:])
+    grids = [TimeGrid(params.horizon, n) for n in ladder]
+    laid = scheme_wealths(params, grids, w, starts)
+    firsts = np.cumsum([0] + [n + 1 for n in ladder])
+    for samples in laid:
+        assert samples.shape == (rows, firsts[-1])
+    for j, g in enumerate(grids):
+        alone = scheme_wealths(params, g, w[:, :: steps // g.steps], starts)
+        for samples, reference in zip(laid, alone):
+            assert np.isfinite(reference).all()
+            assert _same_bits(samples[:, firsts[j] : firsts[j + 1]], reference)
+
+
+@pytest.mark.parametrize("params", [BASELINE, ODD], ids=["T=1", "T=1.3"])
+def test_a_ladder_of_residual_levels_equals_one_call_per_level(params):
+    grid, w = _block(params, 256)
+    functionals_ = [stock_functional(FullInformation(), params), *_functionals(params).values()]
+    ladder = [TimeGrid(params.horizon, n) for n in (4, 16, 64)]
+    for t in (None, params.horizon / 2):
+        laid = ak_residuals(functionals_, params, ladder, w, t)
+        for residual, c in zip(laid, functionals_):
+            assert residual.shape == (len(ladder), w.shape[0])
+            for j, g in enumerate(ladder):
+                (alone,) = ak_residuals([c], params, g, w[:, :: 256 // g.steps], t)
+                assert _same_bits(residual[j], alone)
+
+
+def test_a_level_that_is_no_stride_of_the_paths_is_refused():
+    grid, w = _block(BASELINE, 256)
+    starts = scheme_starts([[stock_functional(PartialTrust(), BASELINE)]], w[:, -1:])
+    with pytest.raises(ValueError, match="a 96-step level is no stride of 256-step paths"):
+        scheme_wealths(BASELINE, [TimeGrid(1.0, 96)], w, starts)
+
+
+def _count_checks(monkeypatch):
+    """Record the shape of every argument checked for finiteness."""
+    checked = []
+    check = functionals._require_finite
+
+    def counting(x):
+        checked.append(np.shape(x))
+        check(x)
+
+    monkeypatch.setattr(functionals, "_require_finite", counting)
+    monkeypatch.setattr(integrators, "_require_finite", counting, raising=False)
+    return checked
+
+
+def test_each_conjecture_level_checks_each_shared_argument_once(monkeypatch):
+    # 100 paths of 8 steps are one block; at each level y + x - sigma s has the
+    # shape of the level's steps, and B_T - sigma t that of the finest nodes
+    checked = _count_checks(monkeypatch)
+    conjecture_report(BASELINE, 100, (4, 8), 3)
+    assert checked.count((100, 4)) == 1
+    assert checked.count((100, 8)) == 1
+    assert checked.count((100, 9)) == 1
+    assert len(checked) == 3
+
+
+def test_scheme_starts_check_b_t_once_and_evaluate_a_shared_c_once(monkeypatch):
+    c = stock_functional(PartialTrust(), BASELINE)
+    stacks = [scheme_stack(c, RV), scheme_stack(c, HS)]
+    assert stacks[0][0] is stacks[1][0]
+    b_t = sample_block(TimeGrid(1.0, 4), 3, 0, 6)[:, -1:]
+    reference = [[np.asarray(level.evaluate(b_t), dtype=float) for level in s] for s in stacks]
+    checked = _count_checks(monkeypatch)
+    evaluated = []
+    evaluate = type(c).evaluate_finite
+
+    def counting(f, x, out=None):
+        evaluated.append(f)
+        return evaluate(f, x, out)
+
+    monkeypatch.setattr(type(c), "evaluate_finite", counting)
+    starts = scheme_starts(stacks, b_t)
+    assert checked == [(6, 1)]
+    assert evaluated == [c, c.derivative()]
+    assert all(_same_bits(a, b) for s, r in zip(starts, reference) for a, b in zip(s, r))
