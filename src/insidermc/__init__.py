@@ -37,12 +37,7 @@ from .harness import (
     estimate_expectations,
     row_health,
 )
-from .integrators import (
-    Interpretation,
-    ak_integral,
-    forward_integral,
-    skorokhod_integral,
-)
+from .integrators import Interpretation, skorokhod_integral
 from .market import (
     FullInformation,
     Honest,

@@ -8,11 +8,12 @@ One subcommand per claim the library reproduces:
 * ``conjecture``     integral-form residuals of the indicator candidate (evidence only)
 * ``ordering-sweep`` the expectation chain over random parameter sets
 
-Exit codes: 0 pass, 1 quantitative check failed, 2 usage/config error,
-3 numerical failure. Option precedence: flags > environment > config file
-(INSIDERMC_SEED and INSIDERMC_WORKERS are honored). All three set the run
-and output keys of the config field table (``config.FIELDS``) through
-``ExperimentConfig.override``; each flag's ``dest`` is its config key.
+Exit codes: 0 pass, 1 quantitative check failed, 2 usage/config error
+(an unwritable output path too), 3 numerical failure. Option precedence:
+flags > environment > config file (INSIDERMC_SEED and INSIDERMC_WORKERS are
+honored). All three set the run and output keys of the config field table
+(``config.FIELDS``) through ``ExperimentConfig.override``; each flag's
+``dest`` is its config key.
 ``build_parser`` reads two tables: ``_COMMANDS`` gives each subcommand's
 function, help and own flags, and ``config.FIELDS`` the flags of the run and
 output keys. Every subcommand hands its CSV rows and JSON payload to one
@@ -88,10 +89,18 @@ def _write(
         lines = [f"# {key} = {value}" for key, value in echo.items()]
         lines.append(",".join(header))
         lines.extend(",".join(_cell(row[name]) for name in header) for row in rows)
-        Path(cfg.csv_path).write_text("\n".join(lines) + "\n")
+        _write_text(cfg.csv_path, "\n".join(lines) + "\n")
     if cfg.json_path:
         text = json.dumps({"config": echo, **payload}, indent=2, sort_keys=True)
-        Path(cfg.json_path).write_text(text + "\n")
+        _write_text(cfg.json_path, text + "\n")
+
+
+def _write_text(path: str, text: str) -> None:
+    """Write ``text`` to ``path``; a path that cannot be written is a usage error (exit 2)."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:

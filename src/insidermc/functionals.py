@@ -35,15 +35,21 @@ class TerminalFunctional:
         """C(x), written into ``out`` when given (of the broadcast shape of x
         and the coefficients, possibly x itself) and returned; without ``out``
         a new array, or a float for scalar input. A non-finite argument
-        raises ValueError."""
-        raise NotImplementedError
+        raises ValueError.
+
+        The built-in families check x here and compute C in
+        ``evaluate_finite``; a family may instead override this method alone.
+        """
+        _require_finite(x)
+        return self.evaluate_finite(x, out)
 
     def evaluate_finite(self, x: ArrayLike, out: np.ndarray | None = None) -> ArrayLike:
         """``evaluate`` of an argument the caller has already checked to be finite.
 
         A kernel that reads one argument for several functionals checks it
-        once and calls this for each; the built-in families then skip their
-        own check, and any other family runs its ``evaluate``.
+        once and calls this for each; the built-in families then skip the
+        check, and a family that overrides only ``evaluate`` runs it. A
+        family overrides at least one of the two.
         """
         return self.evaluate(x, out)
 
@@ -69,10 +75,6 @@ class Affine(TerminalFunctional):
 
     a: float
     b: float = 0.0
-
-    def evaluate(self, x: ArrayLike, out: np.ndarray | None = None) -> ArrayLike:
-        _require_finite(x)
-        return self.evaluate_finite(x, out)
 
     def evaluate_finite(self, x: ArrayLike, out: np.ndarray | None = None) -> ArrayLike:
         if out is None:
@@ -106,16 +108,13 @@ class Indicator(TerminalFunctional):
     scale: float
     threshold: float
 
-    def evaluate(self, x: ArrayLike, out: np.ndarray | None = None) -> ArrayLike:
-        _require_finite(x)
-        return self.evaluate_finite(x, out)
-
     def evaluate_finite(self, x: ArrayLike, out: np.ndarray | None = None) -> ArrayLike:
-        on = np.greater(x, self.threshold)
+        """scale * (x > threshold) in one pass: the on/off mask as 1.0 or 0.0
+        times scale, so an off value is 0.0 for every finite scale >= 0 (a
+        negative scale would give -0.0)."""
         if out is None:
             out = np.empty(np.broadcast(x, self.scale, self.threshold).shape)
-        out.fill(0.0)
-        np.copyto(out, self.scale, where=on)
+        np.multiply(np.greater(x, self.threshold), self.scale, out=out)
         return out if out.ndim else float(out)
 
     def translate(self, s: float) -> "Indicator":
@@ -140,10 +139,6 @@ class Smooth(TerminalFunctional):
     fn: Callable[[np.ndarray], ArrayLike]
     dfn: Callable[[np.ndarray], ArrayLike] | None = None
     shift: float = 0.0
-
-    def evaluate(self, x: ArrayLike, out: np.ndarray | None = None) -> ArrayLike:
-        _require_finite(x)
-        return self.evaluate_finite(x, out)
 
     def evaluate_finite(self, x: ArrayLike, out: np.ndarray | None = None) -> ArrayLike:
         if out is None:

@@ -17,18 +17,19 @@ end to end along the node axis and runs each stage once for all of them:
 the Euler factors g = sigma dW + (1 + mu dt), with 1 + mu dt a per-node
 column, and the Hitsuda-Skorokhod divide, scale, subtract and multiply;
 only the running products and sums stay one call per level. The schemes
-share g and cumprod(g), and start from values read once per block, since
-every level of a block shares B_T. ``ak_residuals`` builds the growth
-factor, B_T - sigma t and both groups' exact solutions once per block, at
-the finest level, and reads each coarser level as a strided view; each
-level builds the integrand's arguments once for both groups. An argument
-that several functionals read is checked for finiteness once, and every
-value is checked: a block whose values sum to a finite number has finite
-values only, and only a block whose sum is not finite is counted value by
-value. A ladder reports its first failure scheme by scheme, then level by
-level (``convergence_studies``), or level by level, then group by group
-(``conjecture_report``). Workers return per-path values, which are reduced
-in index order; a reduction that overflows is a numerical failure too.
+share g and cumprod(g), and ``scheme_wealths`` evaluates their start
+values once per block from the block's B_T, which every level shares.
+``ak_residuals`` builds the growth factor, B_T - sigma t and both groups'
+exact solutions once per block, at the finest level, and reads each coarser
+level as a strided view; each level builds the integrand's arguments once
+for both groups. An argument that several functionals read is checked for
+finiteness once, and every value is checked: a block whose values sum to a
+finite number has finite values only, and only a block whose sum is not
+finite is counted value by value. A ladder reports its first failure scheme
+by scheme, then level by level (``convergence_studies``), or level by
+level, then group by group (``conjecture_report``). Workers return per-path
+values, which are reduced in index order; a reduction that overflows is a
+numerical failure too.
 
 Cost per path of each ladder stage, in µs, in-process on a 2-core Xeon
 (median of 21 alternating pairs of the two versions; ``converge``: 200
@@ -95,7 +96,6 @@ from .integrators import (
     first_flip,
     growth_factor,
     scheme_stack,
-    scheme_starts,
     scheme_wealths,
 )
 from .market import (
@@ -442,9 +442,7 @@ def _convergence_chunk(args) -> np.ndarray:
         bounds.append((rows.start, rows.stop))
         b_t[rows] = w[:, -1:]
         with np.errstate(over="ignore", invalid="ignore"):
-            # every level of the block shares B_T, so the start values too
-            starts = scheme_starts(stacks, b_t[rows])
-            wealths = scheme_wealths(params, grids, w, starts, work)
+            wealths = scheme_wealths(params, grids, w, stacks, work)
             finite = all(np.isfinite(np.sum(samples)) for samples in wealths)
         for i, samples in enumerate(wealths):
             errors[rows, i] = samples[:, ends]
@@ -649,7 +647,7 @@ def _conjecture_groups(params: MarketParams) -> dict[str, TerminalFunctional]:
 def _residual_chunk(args) -> np.ndarray:
     """Absolute residuals of paths start..stop-1, shaped (group, level, path).
 
-    Every level of a block is one ``ak_residuals`` call. A block whose
+    Every block is one ``ak_residuals`` call for all its levels. A block whose
     residuals sum to a finite number has finite ones only; the others are
     counted level by level, then group by group.
     """
@@ -661,7 +659,7 @@ def _residual_chunk(args) -> np.ndarray:
     residuals = np.empty((len(groups), len(n_list), stop - start))
     for lo, hi, w, work in _ladder_blocks(fine_grid, seed, start, stop, fine_grid.steps + 1):
         with np.errstate(over="ignore", invalid="ignore"):
-            values = np.array(ak_residuals(functionals, params, grids, w, work=work))
+            values = ak_residuals(functionals, params, grids, w, work)
             finite = np.isfinite(np.sum(values))
         if not finite:
             for j in range(len(grids)):

@@ -11,36 +11,38 @@ variants share one code path, so their outputs are identical to the bit.
 
 Discrete primitives: one Riemann-sum kernel reads the time and running-value
 arguments of an integrand at the left node and its future argument at the
-left node (the forward sum) or at the right node (the mixed-endpoint sum);
-the divergence-type integral is the forward sum minus the Malliavin trace
-term.
+left node (the forward sum) or at the right node (the mixed-endpoint sum),
+over a block of paths along a trailing node axis; the divergence-type
+integral is the forward sum minus the Malliavin trace term.
 
 The exact solution, the two schemes and the mixed-endpoint residual are array
 kernels (``exact_wealths``, ``scheme_wealths``, ``ak_residuals``) over a
 trailing node axis. Each takes several functionals or schemes at once and
 builds what they share once: the growth factor and C's argument, the Euler
-factors g and their running product, and the residual's integrand
-arguments. A one-case caller passes a one-element sequence, and one path
-is a one-row block. Each kernel takes every node-sized array from a
-``Workspace``; a caller that evaluates block after block passes one
-workspace to every call, and a call without one gets its own.
+factors g, their running product and the schemes' start values, and the
+residual's integrand arguments. A one-case caller passes a one-element
+sequence, and one path is a one-row block. Each kernel takes every
+node-sized array from a ``Workspace``; a caller that evaluates block after
+block passes one workspace to every call, and a call without one gets its
+own.
 
-``scheme_wealths`` and ``ak_residuals`` also take a ladder of grid levels,
-each read off the finest paths ``w`` as the strided view
-``w[..., ::factor]``. The schemes lay the levels end to end along the node
-axis and run each stage once for all of them; only the running products and
-sums stay one call per level. The residual builds the growth factor and
-the exact solutions once, at the finest level, and reads each coarser level
-as a strided view of them: power-of-two levels share their nodes bit for
-bit. An argument that several functionals read is checked for finiteness
-once, and each functional is then evaluated by ``evaluate_finite``.
+``scheme_wealths`` and ``ak_residuals`` take a ladder of grid levels, each
+read off the finest paths ``w`` as the strided view ``w[..., ::factor]``;
+one grid is a ladder of one level. The schemes lay the levels end to end
+along the node axis and run each stage once for all of them; only the
+running products and sums stay one call per level. The residual builds the
+growth factor and the exact solutions once, at the finest level, and reads
+each coarser level as a strided view of them: power-of-two levels share
+their nodes bit for bit. An argument that several functionals read is
+checked for finiteness once, and each functional is then evaluated by
+``evaluate_finite``.
 """
 from __future__ import annotations
 
 import enum
 import math
 from collections.abc import Sequence
-from typing import TYPE_CHECKING, Callable, Union
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -56,8 +58,6 @@ from .paths import BrownianPath, TimeGrid
 
 if TYPE_CHECKING:
     from .market import MarketParams
-
-Integrand = Union[ProductIntegrand, Callable]
 
 _MAX_CORRECTION_LEVELS = 8
 
@@ -193,24 +193,6 @@ def _riemann_sums(
     return [np.sum(t, axis=-1) for t in terms(nodes[:i], x, y, dw)]
 
 
-def ak_integral(u: Integrand, path: BrownianPath, t: float) -> float:
-    """Mixed-endpoint Riemann sum over [0, t]: the future argument at the right node."""
-    i = path.grid.index_of(t)
-    (total,) = _riemann_sums(
-        lambda s, x, y, dw: [u(s, x, y) * dw], path.grid.nodes, path.values, i, right=True
-    )
-    return float(total)
-
-
-def forward_integral(u: Integrand, path: BrownianPath, t: float) -> float:
-    """Left-point Riemann sum over [0, t]: all arguments at the left node."""
-    i = path.grid.index_of(t)
-    (total,) = _riemann_sums(
-        lambda s, x, y, dw: [u(s, x, y) * dw], path.grid.nodes, path.values, i, right=False
-    )
-    return float(total)
-
-
 def skorokhod_integral(u: ProductIntegrand, path: BrownianPath, t: float) -> float:
     """Divergence-type integral: forward sum minus the Malliavin trace term."""
     i = path.grid.index_of(t)
@@ -219,14 +201,17 @@ def skorokhod_integral(u: ProductIntegrand, path: BrownianPath, t: float) -> flo
     trace = np.broadcast_to(
         np.asarray(malliavin_trace_partial(u, s, x, path.terminal - x), dtype=float), s.shape
     )
-    return forward_integral(u, path, t) - path.grid.dt * float(np.sum(trace))
+    (forward,) = _riemann_sums(
+        lambda s, x, y, dw: [u(s, x, y) * dw], path.grid.nodes, path.values, i, right=False
+    )
+    return float(forward) - path.grid.dt * float(np.sum(trace))
 
 
-def _levels(grids: TimeGrid | Sequence[TimeGrid], w: np.ndarray) -> list[tuple[TimeGrid, int]]:
+def _levels(grids: Sequence[TimeGrid], w: np.ndarray) -> list[tuple[TimeGrid, int]]:
     """Each grid level with the stride that reads it off the paths ``w``."""
     steps = w.shape[-1] - 1
     levels = []
-    for grid in [grids] if isinstance(grids, TimeGrid) else grids:
+    for grid in grids:
         if steps % grid.steps:
             raise ValueError(f"a {grid.steps}-step level is no stride of {steps}-step paths")
         levels.append((grid, steps // grid.steps))
@@ -236,27 +221,26 @@ def _levels(grids: TimeGrid | Sequence[TimeGrid], w: np.ndarray) -> list[tuple[T
 def ak_residuals(
     cs: Sequence[TerminalFunctional],
     params: "MarketParams",
-    grids: TimeGrid | Sequence[TimeGrid],
+    grids: Sequence[TimeGrid],
     w: np.ndarray,
-    t: float | None = None,
     work: Workspace | None = None,
-) -> list[np.ndarray]:
+) -> np.ndarray:
     """Defect of the anticipating exact solution in the mixed-endpoint integral form.
 
-    R = S(t) - S(0) - mu * sum S(t_{i-1}) dt - sigma * (mixed-endpoint sum of S)
-    over [0, t], for each functional in ``cs`` and every path of ``w``. For
-    smooth C the residual vanishes with the mesh; for indicator C its
-    behavior is the numerical evidence the open solution question turns on.
-    The functionals share what does not depend on them: E(t), read both by
-    the exact solution and, at the left nodes, by the integrand
-    Phi(s, x, y) = C(y + x - sigma s) E(s); the exact solution's argument
-    B_T - sigma t; Phi's argument y + x - sigma s; and the increments. Each
-    shared argument is checked for finiteness once. Every node-sized array
-    is taken from ``work``.
+    R = S(T) - S(0) - mu * sum S(t_{i-1}) dt - sigma * (mixed-endpoint sum of S)
+    over the whole grid, for each functional in ``cs``, each grid level in
+    ``grids`` and every path of ``w``, as an array shaped (functional, level)
+    plus the leading shape of ``w``. For smooth C the residual vanishes with
+    the mesh; for indicator C its behavior is the numerical evidence the open
+    solution question turns on. The functionals share what does not depend
+    on them: E(t), read both by the exact solution and, at the left nodes, by
+    the integrand Phi(s, x, y) = C(y + x - sigma s) E(s); the exact solution's
+    argument B_T - sigma t; Phi's argument y + x - sigma s; and the
+    increments. Each shared argument is checked for finiteness once. Every
+    node-sized array is taken from ``work``.
 
-    ``grids`` is one grid, or a ladder of power-of-two grid levels whose
-    steps divide those of ``w``; each functional's residual then has one
-    row per level. E(t) and the exact solutions are built once, at the
+    ``grids`` is a ladder of power-of-two grid levels whose steps divide
+    those of ``w``. E(t) and the exact solutions are built once, at the
     finest level, and every coarser level reads them as strided views.
     """
     levels = _levels(grids, w)
@@ -281,16 +265,16 @@ def ak_residuals(
 
     residuals = np.empty((len(cs), len(levels)) + w.shape[:-1])
     for j, (grid, factor) in enumerate(levels):
-        i = grid.steps if t is None else grid.index_of(t)
         # linspace nodes of power-of-two grids coincide: fine node k * step is level node k
         step = factor // stride
-        left_growth = growth[..., : i * step : step]
-        stochastic = _riemann_sums(terms, grid.nodes, w[..., ::factor], i, right=True, work=work)
+        left_growth = growth[..., :-1:step]
+        coarse = w[..., ::factor]
+        stochastic = _riemann_sums(terms, grid.nodes, coarse, grid.steps, right=True, work=work)
         for k, (fine_samples, mixed) in enumerate(zip(exact, stochastic)):
             samples = fine_samples[..., ::step]
-            drift = params.mu * grid.dt * np.sum(samples[..., :i], axis=-1)
-            residuals[k, j] = samples[..., i] - samples[..., 0] - drift - params.sigma * mixed
-    return list(residuals[:, 0] if isinstance(grids, TimeGrid) else residuals)
+            drift = params.mu * grid.dt * np.sum(samples[..., :-1], axis=-1)
+            residuals[k, j] = samples[..., -1] - samples[..., 0] - drift - params.sigma * mixed
+    return residuals
 
 
 def _correction_stack(c: TerminalFunctional) -> list[TerminalFunctional]:
@@ -363,16 +347,17 @@ def _level_columns(levels: list[tuple[TimeGrid, int]], params: "MarketParams"):
 
 def scheme_wealths(
     params: "MarketParams",
-    grids: TimeGrid | Sequence[TimeGrid],
+    grids: Sequence[TimeGrid],
     w: np.ndarray,
-    starts: Sequence[Sequence[np.ndarray]],
+    stacks: Sequence[Sequence[TerminalFunctional]],
     work: Workspace | None = None,
 ) -> list[np.ndarray]:
     """Discrete stock wealth of each scheme at the nodes of ``grids`` for Brownian values ``w``.
 
-    ``w`` holds one path or a block of paths along leading axes; ``starts``
-    holds each scheme's ``scheme_starts`` on the B_T of ``w``. Every scheme
-    is the left-point Euler scheme S_m = S_0 * g_1 * ... * g_m with
+    ``w`` holds one path or a block of paths along leading axes; each of
+    ``stacks`` is a ``scheme_stack``, whose levels start at their
+    ``scheme_starts`` values on the B_T of ``w``. Every scheme is the
+    left-point Euler scheme S_m = S_0 * g_1 * ... * g_m with
     g_k = 1 + mu dt + sigma dW_k, so ``g`` and its running product are built
     once for all of them. Hitsuda-Skorokhod adds the per-step Malliavin drift
     correction: each stack level k holds the k-th derivative process started
@@ -381,15 +366,17 @@ def scheme_wealths(
     one level and the scheme is plain Euler, bit for bit. Every node-sized
     array, the returned wealths too, is taken from ``work``.
 
-    ``grids`` is one grid, whose wealths are returned one array per scheme
-    on ``w``'s own shape, or a ladder of grid levels whose steps divide
-    those of ``w``: level j reads ``w[..., ::factor]`` and takes the
-    steps_j + 1 columns of each scheme's array that follow the columns of
-    the levels before it. Each stage then runs once for all levels; only
-    the running products and sums run once per level. The values of every
-    level are those of a call on that level alone, bit for bit.
+    ``grids`` is a ladder of grid levels whose steps divide those of ``w``:
+    level j reads ``w[..., ::factor]`` and takes the steps_j + 1 columns of
+    each scheme's array that follow the columns of the levels before it, so
+    a one-level ladder on ``w``'s own grid returns arrays of ``w``'s shape.
+    Each stage runs once for all levels; only the running products and sums
+    run once per level. The values of every level are those of a call on
+    that level alone, bit for bit. The levels share B_T, so the start values
+    are evaluated once for all of them.
     """
     levels = _levels(grids, w)
+    starts = scheme_starts(stacks, w[..., -1:])
     shape = w.shape[:-1] + (sum(grid.steps + 1 for grid, _ in levels),)
     if work is None:
         work = Workspace(math.prod(shape))

@@ -41,7 +41,6 @@ from insidermc.integrators import (
     exact_wealths,
     first_flip,
     scheme_stack,
-    scheme_starts,
     scheme_wealths,
 )
 from insidermc.market import wealth_at
@@ -92,8 +91,7 @@ SCHEME_CASES = (
 
 def _reference_scheme(c, params, grid, w, interp):
     # Hitsuda-Skorokhod runs the corrected Euler scheme, forward and Ito plain Euler
-    starts = scheme_starts([scheme_stack(c, interp)], w[-1:])
-    return scheme_wealths(params, grid, w, starts)[0]
+    return scheme_wealths(params, [grid], w, [scheme_stack(c, interp)])[0]
 
 
 def _reference_convergence(strategy, params, interp, n_list, n_paths, seed):
@@ -125,7 +123,7 @@ def _reference_residuals(params, n_paths, n_list, seed):
         for j, n in enumerate(n_list):
             grid, w = TimeGrid(params.horizon, n), fine.values[:: n_max // n]
             for name, c in groups.items():
-                residuals[name][j, idx] = abs(float(ak_residuals([c], params, grid, w)[0]))
+                residuals[name][j, idx] = abs(float(ak_residuals([c], params, [grid], w)[0, 0]))
     return [
         (name, n, *(float(q) for q in np.quantile(residuals[name][j], (0.1, 0.25, 0.5, 0.75, 0.9))))
         for name in groups

@@ -263,6 +263,16 @@ def test_cli_expect_rejects_invalid_market(tmp_path, capsys):
         assert "honest split must sum to total wealth" in capsys.readouterr().err
 
 
+def test_an_output_path_that_cannot_be_written_is_a_usage_error(tmp_path, capsys):
+    # exit 1 means a failed check, so a missing directory or a directory in
+    # place of the file exits 2 with a message, not a traceback
+    missing = tmp_path / "missing" / "x.csv"
+    assert main(["expect", "--csv", str(missing)]) == 2
+    assert f"error: cannot write {missing}: " in capsys.readouterr().err
+    assert main(["jump", "--paths", "1000", "--steps", "8", "--json", str(tmp_path)]) == 2
+    assert f"error: cannot write {tmp_path}: " in capsys.readouterr().err
+
+
 def test_cli_converge_small_ladder(tmp_path, capsys):
     out = tmp_path / "c.csv"
     rc = main([

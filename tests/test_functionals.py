@@ -231,6 +231,8 @@ def _same_bits(a, b):
 EDGE_POINTS = np.array(
     [-0.0, 0.0, 0.25, np.nextafter(0.25, 0.0), np.nextafter(0.25, 1.0), -3.5, 7.0]
 )
+# one scale per row of the three-row argument below, a zero scale among them
+ROW_SCALES = np.array([[1.5], [0.0], [2.0]])
 
 
 @pytest.mark.parametrize(
@@ -240,8 +242,13 @@ EDGE_POINTS = np.array(
         (Affine(-0.0, 2.0), lambda x: -0.0 + 2.0 * x),
         (Indicator(1.5, 0.25), lambda x: np.where(np.greater(x, 0.25), 1.5, 0.0)),
         (Indicator(2.0, -0.0), lambda x: np.where(np.greater(x, -0.0), 2.0, 0.0)),
+        (
+            Indicator(ROW_SCALES, 0.25),
+            lambda x: np.where(np.greater(x, 0.25), ROW_SCALES, 0.0),
+        ),
     ],
-    ids=["affine", "affine-zero-intercept", "indicator", "indicator-at-zero"],
+    ids=["affine", "affine-zero-intercept", "indicator", "indicator-at-zero",
+         "indicator-column-scale"],
 )
 def test_evaluate_into_a_dirty_buffer_equals_a_fresh_evaluation(c, formula):
     x = np.tile(EDGE_POINTS, (3, 1))
@@ -253,6 +260,9 @@ def test_evaluate_into_a_dirty_buffer_equals_a_fresh_evaluation(c, formula):
     y = x.copy()
     assert c.evaluate(y, out=y) is y
     assert _same_bits(y, formula(x))
+    if np.ndim(getattr(c, "scale", 0.0)):
+        # a column of scales fits the three-row argument alone
+        return
     # a column argument broadcast across a row of the output, as a frozen C(B_T) is
     column = EDGE_POINTS[:, None]
     wide = np.full((EDGE_POINTS.size, 4), np.nan)

@@ -14,8 +14,6 @@ from insidermc import (
     PartialTrust,
     ProductIntegrand,
     TimeGrid,
-    ak_integral,
-    forward_integral,
     generate_path,
     logistic,
     random_params,
@@ -24,13 +22,14 @@ from insidermc import (
     threshold,
 )
 from insidermc.integrators import (
+    _riemann_sums,
     ak_residuals,
     exact_wealths,
     first_flip,
     scheme_stack,
-    scheme_starts,
     scheme_wealths,
 )
+from insidermc.paths import sample_block
 
 BASELINE = MarketParams(wealth=1.0, rho=0.02, mu=0.05, sigma=0.2, horizon=1.0)
 AK = Interpretation.AYED_KUO
@@ -42,12 +41,21 @@ ITO = Interpretation.ITO
 def _scheme(c, p, grid, w, interp):
     # the scheme the interpretation runs, S_0 = C(B_T): plain Euler for forward,
     # the corrected Euler scheme for Hitsuda-Skorokhod
-    return scheme_wealths(p, grid, w, scheme_starts([scheme_stack(c, interp)], w[-1:]))[0]
+    return scheme_wealths(p, [grid], w, [scheme_stack(c, interp)])[0]
 
 
 def _terminal_as_integrand(s, x, y):
     # B_T written in the adapted/future split: B_s + (B_T - B_s)
     return x + y
+
+
+def _riemann(u, grid, w, t, right):
+    """The Riemann sum of u over [0, t] on each path of the block ``w``: the
+    future argument at the right node (mixed-endpoint) or the left (forward)."""
+    (total,) = _riemann_sums(
+        lambda s, x, y, dw: [u(s, x, y) * dw], grid.nodes, w, grid.index_of(t), right
+    )
+    return total
 
 
 def test_deterministic_data_reduces_every_interpretation_to_gbm():
@@ -185,35 +193,51 @@ def test_euler_forward_terminal_error_shrinks_with_mesh():
 
 def test_forward_sum_of_terminal_value_telescopes_exactly():
     for n in (1, 7, 64):
-        path = generate_path(TimeGrid(1.0, n), 12, 3)
-        got = forward_integral(_terminal_as_integrand, path, 1.0)
-        assert math.isclose(got, path.terminal * path.terminal, rel_tol=1e-12, abs_tol=1e-12)
+        grid = TimeGrid(1.0, n)
+        w = sample_block(grid, 12, 3, 4)
+        (got,) = _riemann(_terminal_as_integrand, grid, w, 1.0, right=False)
+        b_t = w[0, -1]
+        assert math.isclose(got, b_t * b_t, rel_tol=1e-12, abs_tol=1e-12)
 
 
 def test_constant_integrand_sums_to_brownian_value():
-    path = generate_path(TimeGrid(1.0, 128), 13, 1)
+    grid = TimeGrid(1.0, 128)
+    w = sample_block(grid, 13, 1, 2)
     t = 0.5
-    got = ak_integral(lambda s, x, y: np.ones_like(x), path, t)
-    assert math.isclose(got, path.values[path.grid.index_of(t)], rel_tol=1e-12, abs_tol=1e-12)
+    (got,) = _riemann(lambda s, x, y: np.ones_like(x), grid, w, t, right=True)
+    assert math.isclose(got, w[0, grid.index_of(t)], rel_tol=1e-12, abs_tol=1e-12)
 
 
 def test_adapted_integrand_reduces_to_ito_left_sum():
-    path = generate_path(TimeGrid(1.0, 16), 14, 2)
-    got = ak_integral(lambda s, x, y: x, path, 1.0)
-    dw = path.increments
-    want = float(np.sum(path.values[:-1] * dw))
+    grid = TimeGrid(1.0, 16)
+    w = sample_block(grid, 14, 2, 3)
+    (got,) = _riemann(lambda s, x, y: x, grid, w, 1.0, right=True)
+    dw = np.diff(w[0])
+    want = float(np.sum(w[0, :-1] * dw))
     assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-15)
 
 
 def test_mixed_endpoint_sum_converges_to_bt_squared_minus_t():
     n = 2**12
     tol = 5.0 * n ** (-0.4)
-    errors = []
-    for idx in range(100):
-        path = generate_path(TimeGrid(1.0, n), 15, idx)
-        got = ak_integral(_terminal_as_integrand, path, 1.0)
-        errors.append(abs(got - (path.terminal**2 - 1.0)))
+    grid = TimeGrid(1.0, n)
+    w = sample_block(grid, 15, 0, 100)
+    got = _riemann(_terminal_as_integrand, grid, w, 1.0, right=True)
+    errors = np.abs(got - (w[:, -1] ** 2 - 1.0))
     assert np.mean(errors) < tol
+
+
+def test_a_block_of_riemann_sums_equals_one_call_per_path():
+    # past 128 terms np.sum splits each row's sum pairwise
+    grid = TimeGrid(1.0, 512)
+    w = sample_block(grid, 15, 5, 12)
+    for right in (True, False):
+        for t in (0.5, 1.0):
+            block = _riemann(_terminal_as_integrand, grid, w, t, right)
+            for k in range(w.shape[0]):
+                values = generate_path(grid, 15, 5 + k).values
+                alone = _riemann(_terminal_as_integrand, grid, values, t, right)
+                assert block[k].tobytes() == alone.tobytes()
 
 
 def _terminal_product_integrand():
@@ -298,7 +322,7 @@ def test_deterministic_residual_is_euler_sized():
         for idx in range(100):
             fine = generate_path(TimeGrid(1.0, ladder[-1]), 20, idx)
             w = fine.values[:: ladder[-1] // n]
-            total += abs(float(ak_residuals([c], p, TimeGrid(1.0, n), w)[0]))
+            total += abs(float(ak_residuals([c], p, [TimeGrid(1.0, n)], w)[0, 0]))
         means.append(total / 100)
     assert means[0] > means[1] > means[2]
     assert means[-1] < 1e-3
@@ -316,7 +340,7 @@ def test_affine_residual_decays_at_half_order():
         fine = generate_path(TimeGrid(1.0, ladder[-1]), 22, idx)
         for j, n in enumerate(ladder):
             w = fine.values[:: ladder[-1] // n]
-            values[j, idx] = abs(float(ak_residuals([c], p, TimeGrid(1.0, n), w)[0]))
+            values[j, idx] = abs(float(ak_residuals([c], p, [TimeGrid(1.0, n)], w)[0, 0]))
     means = values.mean(axis=1)
     medians = np.median(values, axis=1)
     assert means[0] > means[1] > means[2]
@@ -329,5 +353,5 @@ def test_indicator_residual_reports_without_failing():
     p = BASELINE
     c = stock_functional(FullInformation(), p)
     path = generate_path(TimeGrid(1.0, 1024), 24, 0)
-    r = float(ak_residuals([c], p, path.grid, path.values)[0])
+    r = float(ak_residuals([c], p, [path.grid], path.values)[0, 0])
     assert math.isfinite(r)

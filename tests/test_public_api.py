@@ -16,12 +16,12 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # name -> the file outside src/ that pins it
 KEPT = {
-    # the one-path integrals of acceptance criteria 7 and 8 (ROADMAP item 18)
-    "ak_integral": "tests/test_acceptance.py",
+    # the divergence integral of acceptance criterion 8, until ROADMAP item 18
+    # moves criterion 8 onto a kernel
     "skorokhod_integral": "tests/test_acceptance.py",
-    # the benchmark's self-test patches the one-path sampler
+    # the benchmark's self-test patches the one-path sampler (until ROADMAP item 6)
     "generate_path": "bench/selftest.py",
-    # the benchmark's sweep check draws one set at a time
+    # the benchmark's sweep check draws one set at a time (until ROADMAP item 6)
     "random_params": "bench/workloads.py",
 }
 

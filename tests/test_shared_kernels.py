@@ -129,18 +129,17 @@ def test_shared_scheme_kernel_equals_the_one_scheme_kernel(params, steps):
     grid, w = _block(params, steps)
     cases = [(c, interp) for c in _functionals(params).values() for interp in (RV, HS)]
     stacks = [scheme_stack(c, interp) for c, interp in cases]
-    shared = scheme_wealths(params, grid, w, scheme_starts(stacks, w[:, -1:]))
+    shared = scheme_wealths(params, [grid], w, stacks)
     assert len(shared) == len(cases)
     for wealth, (c, interp) in zip(shared, cases):
         reference = _one_scheme_reference(c, params, grid, w, interp)
         assert np.isfinite(reference).all()
         assert _same_bits(wealth, reference)
-        starts = scheme_starts([scheme_stack(c, interp)], w[:, -1:])
-        assert _same_bits(scheme_wealths(params, grid, w, starts)[0], reference)
+        stack = scheme_stack(c, interp)
+        assert _same_bits(scheme_wealths(params, [grid], w, [stack])[0], reference)
         # one path along a single node axis, as the per-path calls pass it
-        row_starts = scheme_starts([scheme_stack(c, interp)], w[1, -1:])
         assert _same_bits(
-            scheme_wealths(params, grid, w[1], row_starts)[0],
+            scheme_wealths(params, [grid], w[1], [stack])[0],
             _one_scheme_reference(c, params, grid, w[1], interp),
         )
 
@@ -152,13 +151,11 @@ def test_multi_functional_residuals_equal_one_call_per_functional(params, steps)
     functionals = [
         stock_functional(FullInformation(), params), *_functionals(params).values()
     ]
-    for t in (None, grid.nodes[steps // 2]):
-        shared = ak_residuals(functionals, params, grid, w, t)
-        assert len(shared) == len(functionals)
-        for residual, c in zip(shared, functionals):
-            (single,) = ak_residuals([c], params, grid, w, t)
-            assert residual.shape == (w.shape[0],)
-            assert _same_bits(residual, single)
+    shared = ak_residuals(functionals, params, [grid], w)
+    assert shared.shape == (len(functionals), 1, w.shape[0])
+    for residual, c in zip(shared, functionals):
+        (single,) = ak_residuals([c], params, [grid], w)
+        assert _same_bits(residual, single)
 
 
 def _coarse_short(params, w, factor, rows):
@@ -174,9 +171,8 @@ def test_scheme_wealths_on_a_reused_workspace_equal_a_fresh_call(params):
     work = Workspace(w.size)
     # the second call reads a shorter block at a coarser level, over what the first left
     for g, block in ((grid, w), _coarse_short(params, w, 4, w.shape[0] - 7)):
-        starts = scheme_starts(stacks, block[:, -1:])
-        reused = scheme_wealths(params, g, block, starts, work)
-        fresh = scheme_wealths(params, g, block, starts)
+        reused = scheme_wealths(params, [g], block, stacks, work)
+        fresh = scheme_wealths(params, [g], block, stacks)
         assert len(reused) == len(cases)
         for a, b in zip(reused, fresh):
             assert np.isfinite(b).all()
@@ -191,11 +187,9 @@ def test_ak_residuals_on_a_reused_workspace_equal_a_fresh_call(params):
     ]
     work = Workspace(w.size)
     for g, block in ((grid, w), _coarse_short(params, w, 4, w.shape[0] - 7)):
-        for t in (None, g.nodes[g.steps // 2]):
-            reused = ak_residuals(functionals, params, g, block, t, work)
-            fresh = ak_residuals(functionals, params, g, block, t)
-            for a, b in zip(reused, fresh):
-                assert _same_bits(a, b)
+        reused = ak_residuals(functionals, params, [g], block, work)
+        fresh = ak_residuals(functionals, params, [g], block)
+        assert _same_bits(reused, fresh)
 
 
 def test_workspace_hands_out_contiguous_prefixes_and_refuses_overflow():
@@ -248,14 +242,13 @@ def test_a_ladder_of_levels_equals_one_call_per_level(params, steps, rows, ladde
     w = sample_block(grid, 31, 9, 9 + rows)
     stacks = _ladder_cases(params)
     assert [len(stack) for stack in stacks] == [1, 1, 2, 3, _MAX_CORRECTION_LEVELS]
-    starts = scheme_starts(stacks, w[:, -1:])
     grids = [TimeGrid(params.horizon, n) for n in ladder]
-    laid = scheme_wealths(params, grids, w, starts)
+    laid = scheme_wealths(params, grids, w, stacks)
     firsts = np.cumsum([0] + [n + 1 for n in ladder])
     for samples in laid:
         assert samples.shape == (rows, firsts[-1])
     for j, g in enumerate(grids):
-        alone = scheme_wealths(params, g, w[:, :: steps // g.steps], starts)
+        alone = scheme_wealths(params, [g], w[:, :: steps // g.steps], stacks)
         for samples, reference in zip(laid, alone):
             assert np.isfinite(reference).all()
             assert _same_bits(samples[:, firsts[j] : firsts[j + 1]], reference)
@@ -266,20 +259,19 @@ def test_a_ladder_of_residual_levels_equals_one_call_per_level(params):
     grid, w = _block(params, 256)
     functionals_ = [stock_functional(FullInformation(), params), *_functionals(params).values()]
     ladder = [TimeGrid(params.horizon, n) for n in (4, 16, 64)]
-    for t in (None, params.horizon / 2):
-        laid = ak_residuals(functionals_, params, ladder, w, t)
-        for residual, c in zip(laid, functionals_):
-            assert residual.shape == (len(ladder), w.shape[0])
-            for j, g in enumerate(ladder):
-                (alone,) = ak_residuals([c], params, g, w[:, :: 256 // g.steps], t)
-                assert _same_bits(residual[j], alone)
+    laid = ak_residuals(functionals_, params, ladder, w)
+    for residual, c in zip(laid, functionals_):
+        assert residual.shape == (len(ladder), w.shape[0])
+        for j, g in enumerate(ladder):
+            (alone,) = ak_residuals([c], params, [g], w[:, :: 256 // g.steps])[:, 0]
+            assert _same_bits(residual[j], alone)
 
 
 def test_a_level_that_is_no_stride_of_the_paths_is_refused():
     grid, w = _block(BASELINE, 256)
-    starts = scheme_starts([[stock_functional(PartialTrust(), BASELINE)]], w[:, -1:])
+    stacks = [[stock_functional(PartialTrust(), BASELINE)]]
     with pytest.raises(ValueError, match="a 96-step level is no stride of 256-step paths"):
-        scheme_wealths(BASELINE, [TimeGrid(1.0, 96)], w, starts)
+        scheme_wealths(BASELINE, [TimeGrid(1.0, 96)], w, stacks)
 
 
 def _count_checks(monkeypatch):
