@@ -50,6 +50,6 @@ from .market import (
     stock_functional,
     threshold,
 )
-from .paths import BrownianPath, TimeGrid, generate_path
+from .paths import TimeGrid, generate_path
 
 __version__ = "0.1.0"

@@ -70,8 +70,8 @@ FIELDS = (
     ("run", "paths", "n_paths", int, str,
      {"type": int, "help": "number of Monte Carlo paths"}, None),
     ("run", "steps", "steps", int, str,
-     {"type": int, "help": "grid steps per path (expect --mc draws B_T directly and ignores it; "
-      "in jump it sets only the flip-time grid)"}, None),
+     {"type": int, "help": "grid steps per path; only jump reads it, for its flip-time grid "
+      "(expect, converge, conjecture and ordering-sweep ignore it)"}, None),
     ("run", "seed", "seed", int, str,
      {"type": int, "help": "RNG seed (overrides env and file)"}, None),
     ("run", "workers", "workers", int, str,

@@ -49,8 +49,13 @@ class TerminalFunctional:
         A kernel that reads one argument for several functionals checks it
         once and calls this for each; the built-in families then skip the
         check, and a family that overrides only ``evaluate`` runs it. A
-        family overrides at least one of the two.
+        family overrides at least one of the two; one that overrides neither
+        raises NotImplementedError.
         """
+        if type(self).evaluate is TerminalFunctional.evaluate:
+            raise NotImplementedError(
+                f"{type(self).__name__} defines neither evaluate nor evaluate_finite"
+            )
         return self.evaluate(x, out)
 
     def translate(self, s: float) -> "TerminalFunctional":

@@ -31,31 +31,10 @@ level, then group by group (``conjecture_report``). Workers return per-path
 values, which are reduced in index order; a reduction that overflows is a
 numerical failure too.
 
-Cost per path of each ladder stage, in µs, in-process on a 2-core Xeon
-(median of 21 alternating pairs of the two versions; ``converge``: 200
-paths, n = 256..16384, forward and Hitsuda-Skorokhod schemes;
-``conjecture``: 250 paths, n = 256, 1024, 4096). "Before" is the version
-that called each kernel once per level. The first three stages run the same
-code in both and were timed on their own; the rest is the total minus them:
-
-===========================================  ======  =====  ======  =====
-stage                                        converge       conjecture
--------------------------------------------  -------------  -------------
-..                                           before  after  before  after
-===========================================  ======  =====  ======  =====
-Philox draw                                     281    281      74     74
-running sum of the increments                    56     56      14     14
-per-level running products and sums             228    228      --     --
-the rest                                        342    204     138    109
-total                                           907    769     225    197
-===========================================  ======  =====  ======  =====
-
-The first three stages are the bit-identical floor. The Philox stream
-fixes the normals, and the running sum and the per-level running products
-and sums (``np.add.accumulate`` and ``np.multiply.accumulate`` along each
-level) are sequential recursions whose order fixes the floats, so they can
-be neither regrouped nor shared between levels without changing them.
-``conjecture`` runs no running product or sum of its own.
+README's "Ladder cost per stage" times each ladder stage per path. Its
+first three stages are the bit-identical floor: the Philox stream fixes the
+normals, and the running sums and products are sequential recursions whose
+order fixes the floats.
 
 Each ladder chunk allocates its working set once (``_ladder_blocks``): one
 array for a block's finest paths, into which every block is drawn, and one

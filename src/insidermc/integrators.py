@@ -13,7 +13,8 @@ Discrete primitives: one Riemann-sum kernel reads the time and running-value
 arguments of an integrand at the left node and its future argument at the
 left node (the forward sum) or at the right node (the mixed-endpoint sum),
 over a block of paths along a trailing node axis; the divergence-type
-integral is the forward sum minus the Malliavin trace term.
+integral ``skorokhod_integral`` is the forward sum minus dt times the
+Malliavin trace sum, one value per path of the block.
 
 The exact solution, the two schemes and the mixed-endpoint residual are array
 kernels (``exact_wealths``, ``scheme_wealths``, ``ak_residuals``) over a
@@ -54,7 +55,7 @@ from .functionals import (
     _require_finite,
     malliavin_trace_partial,
 )
-from .paths import BrownianPath, TimeGrid
+from .paths import TimeGrid
 
 if TYPE_CHECKING:
     from .market import MarketParams
@@ -193,18 +194,20 @@ def _riemann_sums(
     return [np.sum(t, axis=-1) for t in terms(nodes[:i], x, y, dw)]
 
 
-def skorokhod_integral(u: ProductIntegrand, path: BrownianPath, t: float) -> float:
-    """Divergence-type integral: forward sum minus the Malliavin trace term."""
-    i = path.grid.index_of(t)
-    s = path.grid.nodes[:i]
-    x = path.values[:i]
-    trace = np.broadcast_to(
-        np.asarray(malliavin_trace_partial(u, s, x, path.terminal - x), dtype=float), s.shape
-    )
-    (forward,) = _riemann_sums(
-        lambda s, x, y, dw: [u(s, x, y) * dw], path.grid.nodes, path.values, i, right=False
-    )
-    return float(forward) - path.grid.dt * float(np.sum(trace))
+def skorokhod_integral(
+    u: ProductIntegrand, grid: TimeGrid, w: np.ndarray, t: float
+) -> np.ndarray:
+    """Divergence-type integral over [0, t] of each path of ``w``, whose trailing
+    axis holds the nodes of ``grid``: the forward sum minus dt times the sum of
+    the Malliavin trace at the left nodes."""
+    if w.shape[-1] != grid.steps + 1:
+        raise ValueError(f"paths of {w.shape[-1]} nodes do not lie on a {grid.steps}-step grid")
+
+    def terms(s, x, y, dw):
+        return [u(s, x, y) * dw, np.broadcast_to(malliavin_trace_partial(u, s, x, y), dw.shape)]
+
+    forward, trace = _riemann_sums(terms, grid.nodes, w, grid.index_of(t), right=False)
+    return forward - grid.dt * trace
 
 
 def _levels(grids: Sequence[TimeGrid], w: np.ndarray) -> list[tuple[TimeGrid, int]]:

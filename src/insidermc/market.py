@@ -1,4 +1,4 @@
-"""Market model: parameters, trader strategies, and wealth assembly.
+"""Market model: parameters, trader strategies and their time-0 allocations.
 
 ``MarketParams`` holds one parameter set, or a block of sets as columns (a
 float field applies to every set); ``random_param_sets`` draws a block, and
@@ -23,7 +23,6 @@ from typing import Callable, Union
 import numpy as np
 
 from .functionals import Affine, ArrayLike, Indicator, TerminalFunctional
-from .integrators import Interpretation, exact_wealths
 
 
 @dataclass(frozen=True)
@@ -145,19 +144,6 @@ def initial_allocation(
         return strategy.stock0, strategy.bond0
     stock0 = stock_functional(strategy, params).evaluate(b_t)
     return stock0, params.wealth - stock0
-
-
-def wealth_at(
-    strategy: Strategy,
-    params: MarketParams,
-    nodes: np.ndarray,
-    w: np.ndarray,
-    interp: Interpretation,
-) -> np.ndarray:
-    """Exact total wealth at ``nodes`` along the trailing axis of ``w`` (see ``exact_wealths``)."""
-    (stock,) = exact_wealths([stock_functional(strategy, params)], params, nodes, w, interp)
-    _, bond0 = initial_allocation(strategy, params, w[..., -1:])
-    return stock + bond0 * np.exp(params.rho * nodes)
 
 
 def _sweep_set(u, wealth: float) -> MarketParams:

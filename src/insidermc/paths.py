@@ -6,10 +6,9 @@ the same numbers bit for bit.
 
 * Whole paths (``sample_block``): path ``i`` on a grid is a pure function of
   ``(seed, i, grid)``; the pair ``(seed, i)`` keys its own Philox stream, so
-  distinct indices give independent paths. ``generate_path`` is its one-row
-  case, the sample the path-level integral primitives take; a coarser grid
-  level of a block is the strided view ``values[..., ::factor]``, which
-  shares B_T with the fine path.
+  distinct indices give independent paths. One path is a one-row block, and
+  ``generate_path`` returns that row; a coarser grid level of a block is the
+  strided view ``values[..., ::factor]``, which shares B_T with the fine path.
 * Terminal values (``sample_terminal``): B_T of path ``i`` is element
   ``i mod _BLOCK_VALUES`` of the standard normals drawn from the Philox key
   ``(seed, i // _BLOCK_VALUES)``, times sqrt(T). It does not depend on any
@@ -70,32 +69,6 @@ class TimeGrid:
         return i
 
 
-@dataclass(frozen=True)
-class BrownianPath:
-    """One discretized Brownian sample on ``grid``, W_0 = 0."""
-
-    grid: TimeGrid
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.values.shape != (self.grid.steps + 1,):
-            raise ValueError(
-                f"values must have shape ({self.grid.steps + 1},), got {self.values.shape}"
-            )
-        if self.values[0] != 0.0:
-            raise ValueError("path must start at W_0 = 0")
-        self.values.setflags(write=False)
-
-    @property
-    def terminal(self) -> float:
-        """B_T, the final grid value."""
-        return float(self.values[-1])
-
-    @property
-    def increments(self) -> np.ndarray:
-        return np.diff(self.values)
-
-
 def check_seed(seed: int) -> None:
     """Reject seeds that do not fit the unsigned 64-bit Philox key word."""
     if not 0 <= seed <= _UINT64:
@@ -136,7 +109,7 @@ def sample_block(
 ) -> np.ndarray:
     """Brownian values of paths start..stop-1, one row per path index.
 
-    Row k is bit-identical to ``generate_path(grid, seed, start + k).values``.
+    Row k is path ``start + k``, bit for bit the same in any range that holds it.
     One Philox generator serves the whole block: each further row resets its
     key to ``(seed, index)``, its counter and its buffer, which restarts the
     stream exactly as a fresh generator would. The running sum is a
@@ -171,7 +144,6 @@ def sample_block(
     return values
 
 
-def generate_path(grid: TimeGrid, seed: int, path_index: int = 0) -> BrownianPath:
-    """Sample one Brownian path; increments are N(0, dt), W_0 = 0."""
-    values = sample_block(grid, seed, path_index, path_index + 1)[0]
-    return BrownianPath(grid=grid, values=values)
+def generate_path(grid: TimeGrid, seed: int, path_index: int = 0) -> np.ndarray:
+    """The Brownian values of one path on ``grid``: the one-row block of ``path_index``."""
+    return sample_block(grid, seed, path_index, path_index + 1)[0]

@@ -43,8 +43,9 @@ from insidermc.integrators import (
     scheme_stack,
     scheme_wealths,
 )
-from insidermc.market import wealth_at
 from insidermc.paths import sample_block, sample_terminal
+
+from per_path_reference import wealth_at
 
 BASELINE = MarketParams(wealth=1.0, rho=0.02, mu=0.05, sigma=0.2, horizon=1.0)
 WIDE = MarketParams(wealth=1.0, rho=0.02, mu=0.05, sigma=1.0, horizon=2.0)  # ~23 % flip
@@ -103,7 +104,7 @@ def _reference_convergence(strategy, params, interp, n_list, n_paths, seed):
     for idx in range(n_paths):
         fine = generate_path(fine_grid, seed, idx)
         for j, n in enumerate(n_list):
-            grid, w = TimeGrid(params.horizon, n), fine.values[:: n_max // n]
+            grid, w = TimeGrid(params.horizon, n), fine[:: n_max // n]
             approx = _reference_scheme(c, params, grid, w, interp)[-1]
             exact = exact_wealths([c], params, grid.nodes, w, exact_interp)[0][-1]
             totals[j] += abs(approx - exact)
@@ -121,7 +122,7 @@ def _reference_residuals(params, n_paths, n_list, seed):
     for idx in range(n_paths):
         fine = generate_path(fine_grid, seed, idx)
         for j, n in enumerate(n_list):
-            grid, w = TimeGrid(params.horizon, n), fine.values[:: n_max // n]
+            grid, w = TimeGrid(params.horizon, n), fine[:: n_max // n]
             for name, c in groups.items():
                 residuals[name][j, idx] = abs(float(ak_residuals([c], params, [grid], w)[0, 0]))
     return [
@@ -198,7 +199,7 @@ def test_block_rows_equal_generate_path(steps):
     start, stop = 5, 5 + rows + 3  # more rows than one harness block
     block = sample_block(grid, 17, start, stop)
     assert block.shape == (stop - start, steps + 1)
-    reference = np.stack([generate_path(grid, 17, idx).values for idx in range(start, stop)])
+    reference = np.stack([generate_path(grid, 17, idx) for idx in range(start, stop)])
     assert np.array_equal(block, reference)
     spans = list(_blocks(grid, start, stop))
     assert len(spans) == 2
@@ -218,7 +219,7 @@ def test_sample_block_rejects_bad_ranges_and_seeds():
         with pytest.raises(ValueError):
             generate_path(grid, seed, 0)
     top = sample_block(grid, 2**64 - 1, 0, 1)
-    assert np.array_equal(top[0], generate_path(grid, 2**64 - 1, 0).values)
+    assert np.array_equal(top[0], generate_path(grid, 2**64 - 1, 0))
 
 
 @pytest.mark.parametrize("seed", [3, 20240101])
@@ -248,7 +249,7 @@ def test_outputs_equal_values_recorded_from_the_per_path_sampler():
     # when they moved to the terminal stream. The references above share the
     # kernels; these pin both stream contracts.
     path = generate_path(TimeGrid(1.3, 5), 20240101, 3)  # sqrt(dt) is not a power of two
-    assert path.values.tolist() == [
+    assert path.tolist() == [
         0.0, 0.1804078727956246, 0.8981426719323746, 0.9353200186244972, 1.4544068715473242,
         0.5338411231558293,
     ]

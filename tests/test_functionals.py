@@ -13,6 +13,7 @@ from insidermc import (
     NonDifferentiableError,
     PartialTrust,
     ProductIntegrand,
+    TerminalFunctional,
     arctangent,
     logistic,
     malliavin_trace_partial,
@@ -48,6 +49,15 @@ def test_rejects_non_finite_argument():
             c.evaluate(float("nan"))
         with pytest.raises(ValueError):
             c.evaluate(np.array([0.0, float("inf")]))
+
+
+def test_a_family_without_an_evaluator_names_itself():
+    class Bare(TerminalFunctional):
+        pass
+
+    for call in (Bare().evaluate, Bare().evaluate_finite):
+        with pytest.raises(NotImplementedError, match="Bare defines neither evaluate nor"):
+            call(np.zeros(3))
 
 
 def test_translate_identity_and_algebra():

@@ -59,11 +59,11 @@ def _riemann(u, grid, w, t, right):
 
 
 def test_deterministic_data_reduces_every_interpretation_to_gbm():
-    path = generate_path(TimeGrid(1.0, 32), 4, 0)
+    grid = TimeGrid(1.0, 32)
+    nodes, w = grid.nodes, generate_path(grid, 4, 0)
     c = Affine(2.5, 0.0)
     p = BASELINE
-    reference = 2.5 * np.exp((p.mu - 0.5 * p.sigma**2) * path.grid.nodes + p.sigma * path.values)
-    nodes, w = path.grid.nodes, path.values
+    reference = 2.5 * np.exp((p.mu - 0.5 * p.sigma**2) * nodes + p.sigma * w)
     processes = [exact_wealths([c], p, nodes, w, interp)[0] for interp in (ITO, RV, AK, HS)]
     for proc in processes:
         assert np.array_equal(proc, processes[0])
@@ -71,34 +71,35 @@ def test_deterministic_data_reduces_every_interpretation_to_gbm():
 
 
 def test_exact_solution_rejects_ito_with_random_data():
-    path = generate_path(TimeGrid(1.0, 8), 4, 0)
+    grid = TimeGrid(1.0, 8)
     with pytest.raises(ValueError):
-        exact_wealths([Affine(1.0, 2.0)], BASELINE, path.grid.nodes, path.values, ITO)
+        exact_wealths([Affine(1.0, 2.0)], BASELINE, grid.nodes, generate_path(grid, 4, 0), ITO)
 
 
 def test_anticipating_terminal_bracket_has_triple_volatility_term():
     # at t = T the translated affine bracket is 1 + (s B_T - 3 s^2 T/2)/(2(mu-rho)T)
     p = BASELINE
     c = stock_functional(PartialTrust(), p)
-    for idx in range(5):
-        path = generate_path(TimeGrid(1.0, 16), 21, idx)
-        got = exact_wealths([c], p, path.grid.nodes, path.values, AK)[0][-1]
-        b_t = path.terminal
-        bracket = 1.0 + (p.sigma * b_t - 1.5 * p.sigma**2 * p.horizon) / (
-            2.0 * (p.mu - p.rho) * p.horizon
-        )
-        growth = math.exp((p.mu - 0.5 * p.sigma**2) * p.horizon + p.sigma * b_t)
-        assert math.isclose(got, p.wealth * bracket * growth, rel_tol=1e-12)
+    grid = TimeGrid(1.0, 16)
+    w = sample_block(grid, 21, 0, 5)
+    got = exact_wealths([c], p, grid.nodes, w, AK)[0][:, -1]
+    b_t = w[:, -1]
+    bracket = 1.0 + (p.sigma * b_t - 1.5 * p.sigma**2 * p.horizon) / (
+        2.0 * (p.mu - p.rho) * p.horizon
+    )
+    growth = np.exp((p.mu - 0.5 * p.sigma**2) * p.horizon + p.sigma * b_t)
+    assert np.allclose(got, p.wealth * bracket * growth, rtol=1e-12, atol=0.0)
 
 
 def test_translation_consistency_of_exact_solution():
     p = BASELINE
     c = stock_functional(PartialTrust(), p)
-    path = generate_path(TimeGrid(1.0, 16), 33, 2)
-    proc = exact_wealths([c], p, path.grid.nodes, path.values, AK)[0]
-    for i, t in enumerate(path.grid.nodes):
-        via_translate = c.translate(p.sigma * t).evaluate(path.terminal) * math.exp(
-            (p.mu - 0.5 * p.sigma**2) * t + p.sigma * path.values[i]
+    grid = TimeGrid(1.0, 16)
+    w = generate_path(grid, 33, 2)
+    proc = exact_wealths([c], p, grid.nodes, w, AK)[0]
+    for i, t in enumerate(grid.nodes):
+        via_translate = c.translate(p.sigma * t).evaluate(w[-1]) * math.exp(
+            (p.mu - 0.5 * p.sigma**2) * t + p.sigma * w[i]
         )
         assert math.isclose(proc[i], via_translate, rel_tol=1e-12)
 
@@ -107,26 +108,28 @@ def test_hs_and_ak_exact_solutions_are_bitwise_identical():
     rng = np.random.default_rng(5)
     for _ in range(25):
         params = random_params(rng)
-        path = generate_path(TimeGrid(params.horizon, 64), 91, int(rng.integers(1000)))
+        grid = TimeGrid(params.horizon, 64)
+        w = generate_path(grid, 91, int(rng.integers(1000)))
         for c in (stock_functional(PartialTrust(), params),
                   stock_functional(FullInformation(), params)):
-            a = exact_wealths([c], params, path.grid.nodes, path.values, AK)[0]
-            h = exact_wealths([c], params, path.grid.nodes, path.values, HS)[0]
+            a = exact_wealths([c], params, grid.nodes, w, AK)[0]
+            h = exact_wealths([c], params, grid.nodes, w, HS)[0]
             assert np.array_equal(a, h)
 
 
 def test_pathwise_domination_for_monotone_data():
     p = BASELINE
     rng = np.random.default_rng(6)
+    grid = TimeGrid(1.0, 32)
+    paths = sample_block(grid, 17, 0, 1000)
     for c in (logistic(1.0), stock_functional(PartialTrust(), p)):
-        for _ in range(10):
-            path = generate_path(TimeGrid(1.0, 32), 17, int(rng.integers(1000)))
-            low = exact_wealths([c], p, path.grid.nodes, path.values, AK)[0]
-            high = exact_wealths([c], p, path.grid.nodes, path.values, RV)[0]
-            assert np.all(low <= high)
-            # strictly increasing data: strict gap at every positive time
-            assert np.all(low[1:] < high[1:])
-            assert low[0] == high[0]
+        w = paths[[int(rng.integers(1000)) for _ in range(10)]]
+        low = exact_wealths([c], p, grid.nodes, w, AK)[0]
+        high = exact_wealths([c], p, grid.nodes, w, RV)[0]
+        assert np.all(low <= high)
+        # strictly increasing data: strict gap at every positive time
+        assert np.all(low[:, 1:] < high[:, 1:])
+        assert np.array_equal(low[:, 0], high[:, 0])
 
 
 def test_indicator_solution_jumps_when_threshold_is_crossed():
@@ -136,7 +139,7 @@ def test_indicator_solution_jumps_when_threshold_is_crossed():
     # build a path ending half a window above the threshold: flip at t = T/2
     base = generate_path(grid, 70, 0)
     target = z + p.sigma * p.horizon / 2.0
-    values = base.values + (target - base.terminal) * grid.nodes / p.horizon
+    values = base + (target - base[-1]) * grid.nodes / p.horizon
     values[0] = 0.0
     c = Indicator(p.wealth, z)
     samples = exact_wealths([c], p, grid.nodes, values, AK)[0]
@@ -155,23 +158,25 @@ def test_flip_detection_agrees_with_window_inequality():
     for _ in range(40):
         p = random_params(rng)
         z = threshold(p)
-        path = generate_path(TimeGrid(p.horizon, 32), 123, int(rng.integers(10_000)))
+        grid = TimeGrid(p.horizon, 32)
+        b_t = generate_path(grid, 123, int(rng.integers(10_000)))[-1:]
         c = Indicator(p.wealth, z)
-        flipped, _ = first_flip(c, p, path.grid.nodes, path.values[-1:], AK)
-        assert flipped == (z < path.terminal <= z + p.sigma * p.horizon)
-        rv_flipped, _ = first_flip(c, p, path.grid.nodes, path.values[-1:], RV)
+        flipped, _ = first_flip(c, p, grid.nodes, b_t, AK)
+        assert flipped == (z < b_t[0] <= z + p.sigma * p.horizon)
+        rv_flipped, _ = first_flip(c, p, grid.nodes, b_t, RV)
         assert not rv_flipped
 
 
 def test_euler_forward_matches_hand_rolled_recursion():
     p = BASELINE
-    path = generate_path(TimeGrid(1.0, 4), 8, 0)
+    grid = TimeGrid(1.0, 4)
+    w = generate_path(grid, 8, 0)
     c = Affine(0.5, 1.5)
-    got = _scheme(c, p, path.grid, path.values, RV)
-    s = c.evaluate(path.terminal)
+    got = _scheme(c, p, grid, w, RV)
+    s = c.evaluate(w[-1])
     want = [s]
-    for dw in path.increments:
-        s = s * (1.0 + p.mu * path.grid.dt + p.sigma * dw)
+    for dw in np.diff(w):
+        s = s * (1.0 + p.mu * grid.dt + p.sigma * dw)
         want.append(s)
     assert np.allclose(got, want, rtol=1e-15)
 
@@ -179,15 +184,12 @@ def test_euler_forward_matches_hand_rolled_recursion():
 def test_euler_forward_terminal_error_shrinks_with_mesh():
     p = BASELINE
     c = stock_functional(PartialTrust(), p)
+    fine = sample_block(TimeGrid(1.0, 4096), 3, 0, 50)
     errs = []
     for n in (64, 512, 4096):
-        total = 0.0
-        for idx in range(50):
-            fine = generate_path(TimeGrid(1.0, 4096), 3, idx)
-            grid, w = TimeGrid(1.0, n), fine.values[:: 4096 // n]
-            exact = exact_wealths([c], p, grid.nodes, w, RV)[0]
-            total += abs(_scheme(c, p, grid, w, RV)[-1] - exact[-1])
-        errs.append(total / 50)
+        grid, w = TimeGrid(1.0, n), fine[:, :: 4096 // n]
+        exact = exact_wealths([c], p, grid.nodes, w, RV)[0]
+        errs.append(np.mean(np.abs(_scheme(c, p, grid, w, RV)[:, -1] - exact[:, -1])))
     assert errs[0] > errs[1] > errs[2]
 
 
@@ -235,7 +237,7 @@ def test_a_block_of_riemann_sums_equals_one_call_per_path():
         for t in (0.5, 1.0):
             block = _riemann(_terminal_as_integrand, grid, w, t, right)
             for k in range(w.shape[0]):
-                values = generate_path(grid, 15, 5 + k).values
+                values = generate_path(grid, 15, 5 + k)
                 alone = _riemann(_terminal_as_integrand, grid, values, t, right)
                 assert block[k].tobytes() == alone.tobytes()
 
@@ -254,41 +256,50 @@ def _terminal_product_integrand():
 def test_divergence_primitive_is_forward_minus_time():
     u = _terminal_product_integrand()
     for n in (8, 64, 512):
-        path = generate_path(TimeGrid(1.0, n), 16, 4)
+        grid = TimeGrid(1.0, n)
+        w = sample_block(grid, 16, 0, 8)
         for t in (0.25, 0.5, 1.0):
-            got = skorokhod_integral(u, path, t)
-            want = path.terminal * path.values[path.grid.index_of(t)] - t
-            assert math.isclose(got, want, rel_tol=1e-11, abs_tol=1e-11)
+            got = skorokhod_integral(u, grid, w, t)
+            want = w[:, -1] * w[:, grid.index_of(t)] - t
+            assert np.allclose(got, want, rtol=1e-11, atol=1e-11)
+
+
+def test_a_block_of_divergence_integrals_equals_one_call_per_path():
+    u = _terminal_product_integrand()
+    grid = TimeGrid(1.0, 512)
+    w = sample_block(grid, 16, 0, 8)
+    for t in (0.5, 1.0):
+        block = skorokhod_integral(u, grid, w, t)
+        assert block.shape == (8,)
+        for k in range(w.shape[0]):
+            assert block[k].tobytes() == skorokhod_integral(u, grid, w[k], t).tobytes()
+    with pytest.raises(ValueError, match="do not lie on a 256-step grid"):
+        skorokhod_integral(u, TimeGrid(1.0, 256), w, 1.0)
 
 
 def test_correction_scheme_reduces_to_euler_without_randomness():
     p = BASELINE
-    path = generate_path(TimeGrid(1.0, 64), 18, 0)
+    grid = TimeGrid(1.0, 64)
+    w = generate_path(grid, 18, 0)
     c = Affine(3.0, 0.0)
-    assert np.array_equal(
-        _scheme(c, p, path.grid, path.values, HS),
-        _scheme(c, p, path.grid, path.values, RV),
-    )
+    assert np.array_equal(_scheme(c, p, grid, w, HS), _scheme(c, p, grid, w, RV))
 
 
 def test_correction_scheme_rejects_indicator_data():
-    path = generate_path(TimeGrid(1.0, 8), 18, 0)
+    grid = TimeGrid(1.0, 8)
     with pytest.raises(NonDifferentiableError):
-        _scheme(Indicator(1.0, 0.0), BASELINE, path.grid, path.values, HS)
+        _scheme(Indicator(1.0, 0.0), BASELINE, grid, generate_path(grid, 18, 0), HS)
 
 
 def test_correction_scheme_converges_to_anticipating_solution():
     p = BASELINE
     c = stock_functional(PartialTrust(), p)
+    fine = sample_block(TimeGrid(1.0, 4096), 19, 0, 50)
     errs = []
     for n in (64, 512, 4096):
-        total = 0.0
-        for idx in range(50):
-            fine = generate_path(TimeGrid(1.0, 4096), 19, idx)
-            grid, w = TimeGrid(1.0, n), fine.values[:: 4096 // n]
-            exact = exact_wealths([c], p, grid.nodes, w, HS)[0]
-            total += abs(_scheme(c, p, grid, w, HS)[-1] - exact[-1])
-        errs.append(total / 50)
+        grid, w = TimeGrid(1.0, n), fine[:, :: 4096 // n]
+        exact = exact_wealths([c], p, grid.nodes, w, HS)[0]
+        errs.append(np.mean(np.abs(_scheme(c, p, grid, w, HS)[:, -1] - exact[:, -1])))
     assert errs[0] > errs[1] > errs[2]
 
 
@@ -297,15 +308,12 @@ def test_correction_scheme_handles_smooth_family():
     # still track the exact anticipating solution closely on a fine grid
     p = BASELINE
     c = logistic(1.0)
+    fine = sample_block(TimeGrid(1.0, 4096), 23, 0, 25)
     err = []
     for n in (64, 4096):
-        total = 0.0
-        for idx in range(25):
-            fine = generate_path(TimeGrid(1.0, 4096), 23, idx)
-            grid, w = TimeGrid(1.0, n), fine.values[:: 4096 // n]
-            exact = exact_wealths([c], p, grid.nodes, w, HS)[0]
-            total += abs(_scheme(c, p, grid, w, HS)[-1] - exact[-1])
-        err.append(total / 25)
+        grid, w = TimeGrid(1.0, n), fine[:, :: 4096 // n]
+        exact = exact_wealths([c], p, grid.nodes, w, HS)[0]
+        err.append(np.mean(np.abs(_scheme(c, p, grid, w, HS)[:, -1] - exact[:, -1])))
     assert err[-1] < err[0]
     assert err[-1] < 5e-3
 
@@ -316,14 +324,9 @@ def test_deterministic_residual_is_euler_sized():
     p = BASELINE
     c = Affine(1.0, 0.0)
     ladder = (256, 1024, 4096)
-    means = []
-    for n in ladder:
-        total = 0.0
-        for idx in range(100):
-            fine = generate_path(TimeGrid(1.0, ladder[-1]), 20, idx)
-            w = fine.values[:: ladder[-1] // n]
-            total += abs(float(ak_residuals([c], p, [TimeGrid(1.0, n)], w)[0, 0]))
-        means.append(total / 100)
+    fine = sample_block(TimeGrid(1.0, ladder[-1]), 20, 0, 100)
+    residuals = ak_residuals([c], p, [TimeGrid(1.0, n) for n in ladder], fine)[0]
+    means = np.mean(np.abs(residuals), axis=1)
     assert means[0] > means[1] > means[2]
     assert means[-1] < 1e-3
 
@@ -333,14 +336,13 @@ def test_affine_residual_decays_at_half_order():
     # up in aggregate statistics: means and medians halve per 4x refinement
     p = BASELINE
     c = stock_functional(PartialTrust(), p)
-    n_paths = 200
     ladder = (1024, 4096, 16384)
-    values = np.empty((len(ladder), n_paths))
-    for idx in range(n_paths):
-        fine = generate_path(TimeGrid(1.0, ladder[-1]), 22, idx)
-        for j, n in enumerate(ladder):
-            w = fine.values[:: ladder[-1] // n]
-            values[j, idx] = abs(float(ak_residuals([c], p, [TimeGrid(1.0, n)], w)[0, 0]))
+    grids = [TimeGrid(1.0, n) for n in ladder]
+    # 200 paths in blocks of 50, which keeps the working set small
+    values = np.abs(np.concatenate([
+        ak_residuals([c], p, grids, sample_block(grids[-1], 22, lo, lo + 50))[0]
+        for lo in range(0, 200, 50)
+    ], axis=1))
     means = values.mean(axis=1)
     medians = np.median(values, axis=1)
     assert means[0] > means[1] > means[2]
@@ -352,6 +354,6 @@ def test_affine_residual_decays_at_half_order():
 def test_indicator_residual_reports_without_failing():
     p = BASELINE
     c = stock_functional(FullInformation(), p)
-    path = generate_path(TimeGrid(1.0, 1024), 24, 0)
-    r = float(ak_residuals([c], p, [path.grid], path.values)[0, 0])
+    grid = TimeGrid(1.0, 1024)
+    r = float(ak_residuals([c], p, [grid], generate_path(grid, 24, 0))[0, 0])
     assert math.isfinite(r)

@@ -22,7 +22,8 @@ from insidermc import (
     stock_functional,
     threshold,
 )
-from insidermc.market import wealth_at
+
+from per_path_reference import wealth_at
 
 BASELINE = MarketParams(wealth=1.0, rho=0.02, mu=0.05, sigma=0.2, horizon=1.0)
 
@@ -133,17 +134,19 @@ def test_stock_functional_families():
 
 
 def test_total_wealth_bond_only_is_deterministic():
-    path = generate_path(TimeGrid(1.0, 16), 2, 0)
-    wealth = wealth_at(Honest(1.0, 0.0), BASELINE, path.grid.nodes, path.values, Interpretation.ITO)
-    expected = np.exp(BASELINE.rho * path.grid.nodes)
+    grid = TimeGrid(1.0, 16)
+    w = generate_path(grid, 2, 0)
+    wealth = wealth_at(Honest(1.0, 0.0), BASELINE, grid.nodes, w, Interpretation.ITO)
+    expected = np.exp(BASELINE.rho * grid.nodes)
     assert np.allclose(wealth, expected, rtol=1e-14)
 
 
 def test_total_wealth_all_stock_matches_gbm():
-    path = generate_path(TimeGrid(1.0, 16), 2, 1)
-    wealth = wealth_at(Honest(0.0, 1.0), BASELINE, path.grid.nodes, path.values, Interpretation.ITO)
+    grid = TimeGrid(1.0, 16)
+    w = generate_path(grid, 2, 1)
+    wealth = wealth_at(Honest(0.0, 1.0), BASELINE, grid.nodes, w, Interpretation.ITO)
     p = BASELINE
-    expected = np.exp((p.mu - 0.5 * p.sigma**2) * path.grid.nodes + p.sigma * path.values)
+    expected = np.exp((p.mu - 0.5 * p.sigma**2) * grid.nodes + p.sigma * w)
     assert np.allclose(wealth, expected, rtol=1e-14)
 
 
@@ -151,20 +154,22 @@ def test_total_wealth_starts_at_total_wealth():
     rng = np.random.default_rng(10)
     for _ in range(50):
         params = random_params(rng)
-        path = generate_path(TimeGrid(params.horizon, 8), 77, int(rng.integers(0, 1000)))
+        grid = TimeGrid(params.horizon, 8)
+        w = generate_path(grid, 77, int(rng.integers(0, 1000)))
         for strat, interp in (
             (PartialTrust(), Interpretation.FORWARD),
             (PartialTrust(), Interpretation.AYED_KUO),
             (FullInformation(), Interpretation.AYED_KUO),
         ):
-            wealth = wealth_at(strat, params, path.grid.nodes, path.values, interp)
+            wealth = wealth_at(strat, params, grid.nodes, w, interp)
             assert math.isclose(wealth[0], params.wealth, rel_tol=1e-11)
 
 
 def test_total_wealth_rejects_ito_for_insiders():
-    path = generate_path(TimeGrid(1.0, 8), 2, 0)
+    grid = TimeGrid(1.0, 8)
+    w = generate_path(grid, 2, 0)
     with pytest.raises(ValueError):
-        wealth_at(PartialTrust(), BASELINE, path.grid.nodes, path.values, Interpretation.ITO)
+        wealth_at(PartialTrust(), BASELINE, grid.nodes, w, Interpretation.ITO)
 
 
 def test_random_params_stay_in_sweep_ranges():

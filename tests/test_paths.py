@@ -39,7 +39,7 @@ def test_index_of_rejects_off_grid_times():
 
 def test_single_step_path_is_standard_normal():
     grid = TimeGrid(1.0, 1)
-    vals = np.array([generate_path(grid, 99, i).terminal for i in range(4000)])
+    vals = sample_block(grid, 99, 0, 4000)[:, -1]
     assert vals.shape == (4000,)
     assert abs(vals.mean()) < 4.0 / math.sqrt(4000)
     assert abs(vals.var(ddof=1) - 1.0) < 0.1
@@ -48,7 +48,6 @@ def test_single_step_path_is_standard_normal():
 def test_terminal_moments_follow_the_law_of_large_numbers():
     horizon, n_paths = 2.0, 100_000
     grid = TimeGrid(horizon, 4)
-    # the rows of one block are bit-identical to generate_path(grid, 31, i)
     vals = sample_block(grid, 31, 0, n_paths)[:, -1]
     assert abs(vals.mean()) < 4.0 * math.sqrt(horizon / n_paths)
     assert abs(vals.var(ddof=1) - horizon) < 0.05 * horizon
@@ -58,18 +57,12 @@ def test_path_starts_at_zero_and_is_reproducible():
     grid = TimeGrid(1.0, 64)
     a = generate_path(grid, 42, 7)
     b = generate_path(grid, 42, 7)
-    assert a.values[0] == 0.0
-    assert np.array_equal(a.values, b.values)
+    assert a[0] == 0.0
+    assert np.array_equal(a, b)
     c = generate_path(grid, 42, 8)
-    assert not np.array_equal(a.values, c.values)
+    assert not np.array_equal(a, c)
     d = generate_path(grid, 43, 7)
-    assert not np.array_equal(a.values, d.values)
-
-
-def test_paths_are_immutable():
-    path = generate_path(TimeGrid(1.0, 8), 1, 0)
-    with pytest.raises(ValueError):
-        path.values[3] = 0.0
+    assert not np.array_equal(a, d)
 
 
 def test_negative_path_index_rejected():
@@ -81,9 +74,8 @@ def test_increment_normality_kolmogorov_smirnov():
     # fixed node, many paths: increments must look N(0, sqrt(dt))
     grid = TimeGrid(1.0, 8)
     n_paths = 10_000
-    incs = np.array(
-        [generate_path(grid, 5150, i).increments[3] for i in range(n_paths)]
-    )
+    w = sample_block(grid, 5150, 0, n_paths)
+    incs = w[:, 4] - w[:, 3]
     p = stats.kstest(incs, "norm", args=(0.0, math.sqrt(grid.dt))).pvalue
     assert p > 0.01
 
@@ -95,10 +87,10 @@ def test_shifted_terminal_feeds_the_translated_initial_condition():
     from insidermc import Indicator
 
     sigma = 0.25
-    path = generate_path(TimeGrid(1.0, 8), 21, 3)
+    b_t = float(generate_path(TimeGrid(1.0, 8), 21, 3)[-1])
     c = Indicator(2.0, -0.05)
     for t in (0.125, 0.5, 1.0):
-        assert c.evaluate(path.terminal - sigma * t) == c.translate(sigma * t).evaluate(path.terminal)
+        assert c.evaluate(b_t - sigma * t) == c.translate(sigma * t).evaluate(b_t)
 
 
 def test_sample_block_into_a_dirty_buffer_equals_a_fresh_draw():
