@@ -6,41 +6,47 @@ count. Each estimator draws only what it reads: ``estimate_expectations``,
 which evaluates the exact solution and its tilted form, and
 ``discontinuity_probe`` read B_T alone and draw it directly
 (``sample_terminal``); the grid ladders need whole paths (``sample_block``),
-and read each coarser level as a strided view of a block's finest paths. Every estimate is evaluated over blocks of contiguous
-path indices with array kernels on a trailing node axis, and each block is
-drawn once for all the estimators that read it: ``estimate_expectations``
-evaluates several ``(strategy, interpretation)`` cases and
-``convergence_studies`` several schemes on the same draw; a one-case caller
-passes one case. Each block of a ladder is one kernel call for all its
-levels and all its schemes or groups. ``scheme_wealths`` lays the levels
-end to end along the node axis and runs each stage once for all of them:
-the Euler factors g = sigma dW + (1 + mu dt), with 1 + mu dt a per-node
-column, and the Hitsuda-Skorokhod divide, scale, subtract and multiply;
-only the running products and sums stay one call per level. The schemes
-share g and cumprod(g), and ``scheme_wealths`` evaluates their start
-values once per block from the block's B_T, which every level shares.
+and read each coarser level as a strided view of a block's finest paths.
+Every estimate is evaluated over blocks of contiguous path indices with
+array kernels on a trailing node axis, and each block is drawn once for all
+the estimators that read it: ``estimate_expectations`` evaluates several
+``(strategy, interpretation)`` cases and ``convergence_studies`` several
+schemes on the same draw; a one-case caller passes one case. Each block of a
+ladder is one kernel call for all its levels and all its schemes or groups.
+``scheme_terminals`` lays the levels end to end along the node axis and runs
+each stage once for all of them: the Euler factors g = sigma dW +
+(1 + mu dt), with 1 + mu dt a per-node column, and the Hitsuda-Skorokhod
+divide; only the products of g and the running sums stay one call per level.
+It forms each scheme's wealth at each level's last node alone, the one value
+``converge`` reports: the product of g is a multiply reduction, and
+Hitsuda-Skorokhod scales, subtracts and multiplies at that node only. The
+schemes share g and its products, and ``scheme_terminals`` evaluates their
+start values once per block from the block's B_T, which every level shares.
 ``ak_residuals`` builds the growth factor, B_T - sigma t and both groups'
 exact solutions once per block, at the finest level, and reads each coarser
 level as a strided view; each level builds the integrand's arguments once
 for both groups. An argument that several functionals read is checked for
-finiteness once, and every value is checked: a block whose values sum to a
-finite number has finite values only, and only a block whose sum is not
-finite is counted value by value. A ladder reports its first failure scheme
-by scheme, then level by level (``convergence_studies``), or level by
-level, then group by group (``conjecture_report``). Workers return per-path
-values, which are reduced in index order; a reduction that overflows is a
-numerical failure too.
+finiteness once. A ladder fails when a value it reports is non-finite, a
+scheme's terminal wealth or a residual; a node value that no kernel forms
+cannot fail, so a scheme counts at most one non-finite value per path and
+level. Every reported value is checked: a block whose values sum to a finite
+number has finite values only, and only a block whose sum is not finite is
+counted value by value. A ladder reports its first failure scheme by scheme,
+then level by level (``convergence_studies``), or level by level, then group
+by group (``conjecture_report``). Workers return per-path values, which are
+reduced in index order; a reduction that overflows is a numerical failure
+too.
 
 README's "Ladder cost per stage" times each ladder stage per path. Its
 first three stages are the bit-identical floor: the Philox stream fixes the
-normals, and the running sums and products are sequential recursions whose
+normals, and the running sums and the products are sequential loops whose
 order fixes the floats.
 
 Each ladder chunk allocates its working set once (``_ladder_blocks``): one
 array for a block's finest paths, into which every block is drawn, and one
 kernel ``Workspace`` sized from the block's rows (per row, the finest
 nodes, or for ``converge`` every level's nodes end to end), into which
-``scheme_wealths`` and ``ak_residuals`` write every node-sized array, a
+``scheme_terminals`` and ``ak_residuals`` write every node-sized array, a
 shorter block or a coarser level into a prefix of each buffer. Freed and
 reallocated per block and level, these arrays outgrew malloc's trim
 threshold, so their pages went back to the OS and were faulted in again on
@@ -75,7 +81,7 @@ from .integrators import (
     first_flip,
     growth_factor,
     scheme_stack,
-    scheme_wealths,
+    scheme_terminals,
 )
 from .market import (
     FullInformation,
@@ -402,7 +408,7 @@ def _convergence_chunk(args) -> np.ndarray:
     """Absolute terminal errors of paths start..stop-1, shaped (path, scheme, level).
 
     The scheme values are written block by block, every level of a block in
-    one ``scheme_wealths`` call; the exact references depend on B_T alone
+    one ``scheme_terminals`` call; the exact references depend on B_T alone
     and are evaluated once for the chunk, after the blocks. A block whose
     values sum to a finite number has finite values only; the others are
     counted per (scheme, level).
@@ -410,26 +416,21 @@ def _convergence_chunk(args) -> np.ndarray:
     c, stacks, targets, params, n_list, seed, start, stop = args
     fine_grid = TimeGrid(params.horizon, n_list[-1])
     grids = [TimeGrid(params.horizon, n) for n in n_list]
-    # level j's columns in the levels laid end to end, and its terminal one
-    columns = np.cumsum([0] + [n + 1 for n in n_list])
-    ends = columns[1:] - 1
+    # the kernel lays every level's nodes end to end
+    width = sum(n + 1 for n in n_list)
     errors = np.empty((stop - start, len(stacks), len(n_list)))
     b_t = np.empty((stop - start, 1))
     bounds = []
-    for lo, hi, w, work in _ladder_blocks(fine_grid, seed, start, stop, int(columns[-1])):
+    for lo, hi, w, work in _ladder_blocks(fine_grid, seed, start, stop, width):
         rows = slice(lo - start, hi - start)
         bounds.append((rows.start, rows.stop))
         b_t[rows] = w[:, -1:]
         with np.errstate(over="ignore", invalid="ignore"):
-            wealths = scheme_wealths(params, grids, w, stacks, work)
-            finite = all(np.isfinite(np.sum(samples)) for samples in wealths)
-        for i, samples in enumerate(wealths):
-            errors[rows, i] = samples[:, ends]
+            terminals = scheme_terminals(params, grids, w, stacks, work)
+            finite = np.isfinite(np.sum(terminals))
+        errors[rows] = np.moveaxis(terminals, -1, 0)
         if not finite:
-            bad = np.array([
-                [_non_finite(samples[:, a:b]) for a, b in zip(columns[:-1], columns[1:])]
-                for samples in wealths
-            ])
+            bad = np.array([[_non_finite(level) for level in scheme] for scheme in terminals])
             # a finite sum can overflow. A non-finite exact wealth in this block or
             # an earlier one is reported first, then the first scheme failure in
             # (scheme, level) order, as when each scheme ran its own ladder

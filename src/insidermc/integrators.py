@@ -17,26 +17,29 @@ integral ``skorokhod_integral`` is the forward sum minus dt times the
 Malliavin trace sum, one value per path of the block.
 
 The exact solution, the two schemes and the mixed-endpoint residual are array
-kernels (``exact_wealths``, ``scheme_wealths``, ``ak_residuals``) over a
+kernels (``exact_wealths``, ``scheme_terminals``, ``ak_residuals``) over a
 trailing node axis. Each takes several functionals or schemes at once and
 builds what they share once: the growth factor and C's argument, the Euler
-factors g, their running product and the schemes' start values, and the
-residual's integrand arguments. A one-case caller passes a one-element
-sequence, and one path is a one-row block. Each kernel takes every
-node-sized array from a ``Workspace``; a caller that evaluates block after
-block passes one workspace to every call, and a call without one gets its
-own.
+factors g, their product and the schemes' start values, and the residual's
+integrand arguments. A one-case caller passes a one-element sequence, and
+one path is a one-row block. Each kernel takes every node-sized array from a
+``Workspace``; a caller that evaluates block after block passes one
+workspace to every call, and a call without one gets its own.
 
-``scheme_wealths`` and ``ak_residuals`` take a ladder of grid levels, each
+``scheme_terminals`` and ``ak_residuals`` take a ladder of grid levels, each
 read off the finest paths ``w`` as the strided view ``w[..., ::factor]``;
 one grid is a ladder of one level. The schemes lay the levels end to end
 along the node axis and run each stage once for all of them; only the
-running products and sums stay one call per level. The residual builds the
-growth factor and the exact solutions once, at the finest level, and reads
-each coarser level as a strided view of them: power-of-two levels share
-their nodes bit for bit. An argument that several functionals read is
-checked for finiteness once, and each functional is then evaluated by
-``evaluate_finite``.
+products and running sums stay one call per level. They return each
+scheme's wealth at each level's last node only: a level's product of g is
+a multiply reduction, the sequential loop whose result is the last value of
+``np.cumprod`` bit for bit, so the forward scheme forms no node-sized
+wealth, and Hitsuda-Skorokhod scales, subtracts and multiplies only at each
+level's last node. The residual builds the growth factor and the exact
+solutions once, at the finest level, and reads each coarser level as a
+strided view of them: power-of-two levels share their nodes bit for bit. An
+argument that several functionals read is checked for finiteness once, and
+each functional is then evaluated by ``evaluate_finite``.
 """
 from __future__ import annotations
 
@@ -255,10 +258,11 @@ def ak_residuals(
     exact = exact_wealths(cs, params, fine.nodes, v, Interpretation.AYED_KUO, growth, work)
 
     def terms(s, x, y, dw):
-        z = np.add(y, x, out=work.take("z", y.shape))
+        # nothing reads y after z, so z is written over it
+        z = np.add(y, x, out=y)
         z -= params.sigma * s
         _require_finite(z)
-        phi = work.take("phi", y.shape)
+        phi = work.take("phi", z.shape)
         for c in cs:
             # each term Phi * dw is summed before the next is written over it
             c.evaluate_finite(z, out=phi)
@@ -348,35 +352,38 @@ def _level_columns(levels: list[tuple[TimeGrid, int]], params: "MarketParams"):
     return spans, firsts, euler, scale
 
 
-def scheme_wealths(
+def scheme_terminals(
     params: "MarketParams",
     grids: Sequence[TimeGrid],
     w: np.ndarray,
     stacks: Sequence[Sequence[TerminalFunctional]],
     work: Workspace | None = None,
-) -> list[np.ndarray]:
-    """Discrete stock wealth of each scheme at the nodes of ``grids`` for Brownian values ``w``.
+) -> np.ndarray:
+    """Discrete stock wealth of each scheme at the last node of each of ``grids``.
 
     ``w`` holds one path or a block of paths along leading axes; each of
     ``stacks`` is a ``scheme_stack``, whose levels start at their
-    ``scheme_starts`` values on the B_T of ``w``. Every scheme is the
+    ``scheme_starts`` values on the B_T of ``w``. Returns an array shaped
+    (scheme, level) plus the leading shape of ``w``. Every scheme is the
     left-point Euler scheme S_m = S_0 * g_1 * ... * g_m with
-    g_k = 1 + mu dt + sigma dW_k, so ``g`` and its running product are built
-    once for all of them. Hitsuda-Skorokhod adds the per-step Malliavin drift
-    correction: each stack level k holds the k-th derivative process started
-    at C^(k)(B_T) and is corrected by sigma * dt times the level below it;
-    level 0 is the wealth. With a vanishing first derivative the stack has
-    one level and the scheme is plain Euler, bit for bit. Every node-sized
-    array, the returned wealths too, is taken from ``work``.
+    g_k = 1 + mu dt + sigma dW_k, so ``g`` and each level's product of it
+    are built once for all of them. Hitsuda-Skorokhod adds the per-step
+    Malliavin drift correction: each stack level k holds the k-th derivative
+    process started at C^(k)(B_T) and is corrected by sigma * dt times the
+    level below it; level 0 is the wealth. With a vanishing first derivative
+    the stack has one level and the scheme is plain Euler, bit for bit.
+    Every node-sized array is taken from ``work``.
 
     ``grids`` is a ladder of grid levels whose steps divide those of ``w``:
     level j reads ``w[..., ::factor]`` and takes the steps_j + 1 columns of
-    each scheme's array that follow the columns of the levels before it, so
-    a one-level ladder on ``w``'s own grid returns arrays of ``w``'s shape.
-    Each stage runs once for all levels; only the running products and sums
-    run once per level. The values of every level are those of a call on
-    that level alone, bit for bit. The levels share B_T, so the start values
-    are evaluated once for all of them.
+    the node-sized arrays that follow the columns of the levels before it.
+    Each stage runs once for all levels; only the products and running sums
+    run once per level. A level's product is a multiply reduction, a
+    sequential loop, so it is the last value of the running product g_1,
+    g_1 g_2, ... bit for bit, and the wealth is formed at the last node
+    only: every value is that of the scheme run node by node on that level
+    alone, at its last node. The levels share B_T, so the start values are
+    evaluated once for all of them.
     """
     levels = _levels(grids, w)
     starts = scheme_starts(stacks, w[..., -1:])
@@ -389,20 +396,28 @@ def scheme_wealths(
     for span, (_, factor) in zip(spans, levels):
         # np.diff of the level, written into the workspace
         np.subtract(w[..., factor::factor], w[..., :-1:factor], out=g[..., span][..., 1:])
-    # g at each level's first node is sigma * 0 + 1, so its running product
-    # there is 1 and every later one is g_1 * ... * g_m, as over the steps alone
+    # g at each level's first node is sigma * 0 + 1, so it adds a factor 1 to
+    # the product, which is g_1 * ... * g_m as over the steps alone
     g[..., firsts] = 0.0
     g *= params.sigma
     g += euler
-    wealths = [work.take(f"samples{j}", shape) for j in range(len(starts))]
-    for samples, start in zip(wealths, starts):
+    terminals = np.empty((len(stacks), len(levels)) + w.shape[:-1])
+    # the same array with the level axis last, as the node axis is
+    laid = np.moveaxis(terminals, 1, -1)
+    products = np.empty(laid.shape[1:])
+    for j, span in enumerate(spans):
+        np.multiply.reduce(g[..., span], axis=-1, out=products[..., j])
+    ends = [span.stop - 1 for span in spans]
+    for values, start in zip(laid, starts):
         if len(start) == 1:
+            np.multiply(start[0], products, out=values)
             continue
         # Work in ratios r_m = S_m / prod(g_1..g_m); the correction recursion is
         # then r_m = r_{m-1} - sigma*dt * r^below_{m-1} / g_m, which cumsum solves.
         # The top level's ratios are its constant start over g. A level's first
         # column holds -0.0 before each cumsum, which adds it to nothing. The
         # in-place steps keep every product's operands.
+        samples = work.take("samples", shape)
         np.divide(start[-1], g, out=samples)
         left = work.take("left", shape) if len(start) > 2 else None
         for k in range(len(start) - 2, -1, -1):
@@ -410,27 +425,22 @@ def scheme_wealths(
             # the ufunc behind np.cumsum, called without its wrapper
             for span in spans:
                 np.add.accumulate(samples[..., span], axis=-1, out=samples[..., span])
+            if not k:
+                break
             samples *= scale
             np.subtract(start[k], samples, out=samples)
-            if k:
-                # step m of the level below reads this level's ratio at step m - 1,
-                # start[k] at step 1: one shift by a column, each level's first
-                # column holding start[k]
-                samples[..., firsts] = start[k]
-                left[..., 1:] = samples[..., :-1]
-                left[..., :1] = start[k]
-                np.divide(left, g, out=samples)
-    # every division by g is done, so g becomes its running product in place
-    # (the ufunc behind np.cumprod, called without its wrapper)
-    for span in spans:
-        np.multiply.accumulate(g[..., span], axis=-1, out=g[..., span])
-    for samples, start in zip(wealths, starts):
-        if len(start) == 1:
-            np.multiply(start[0], g, out=samples)
-        else:
-            samples *= g
-        samples[..., firsts] = start[0]
-    return wealths
+            # step m of the level below reads this level's ratio at step m - 1,
+            # start[k] at step 1: one shift by a column, each level's first
+            # column holding start[k]
+            samples[..., firsts] = start[k]
+            left[..., 1:] = samples[..., :-1]
+            left[..., :1] = start[k]
+            np.divide(left, g, out=samples)
+        # the wealth's scale, subtraction and product, at each level's last node
+        np.multiply(samples[..., ends], scale[ends], out=values)
+        np.subtract(start[0], values, out=values)
+        values *= products
+    return terminals
 
 
 def first_flip(

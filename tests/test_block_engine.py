@@ -2,15 +2,15 @@
 
 The whole-path references draw one path at a time with ``generate_path``,
 restrict it to each level of the grid ladder by the strided view
-``values[::factor]``, and evaluate it as a one-row block with the kernels
-``scheme_wealths``, ``exact_wealths`` and ``ak_residuals``. The expectation
-estimator and the flip probe read B_T alone, which the terminal stream draws
-directly; their references read each index's B_T from the stream contract
-written out in ``_contract_terminal`` and evaluate ``wealth_at`` and
-``first_flip`` on it, one value at a time. The block engine must reproduce
-every reference bit for bit, for any worker count. The flip kernel
-``first_flip`` bisects the node index; its reference is the node-by-node
-scan of every state, ``_scan_first_flip``.
+``values[::factor]``, and evaluate it with ``exact_wealths`` and
+``ak_residuals`` as a one-row block, and with the per-node scheme
+``scheme_at_nodes``. The expectation estimator and the flip probe read B_T
+alone, which the terminal stream draws directly; their references read each
+index's B_T from the stream contract written out in ``_contract_terminal``
+and evaluate ``wealth_at`` and ``first_flip`` on it, one value at a time.
+The block engine must reproduce every reference bit for bit, for any worker
+count. The flip kernel ``first_flip`` bisects the node index; its reference
+is the node-by-node scan of every state, ``_scan_first_flip``.
 """
 import math
 
@@ -40,12 +40,10 @@ from insidermc.integrators import (
     ak_residuals,
     exact_wealths,
     first_flip,
-    scheme_stack,
-    scheme_wealths,
 )
 from insidermc.paths import sample_block, sample_terminal
 
-from per_path_reference import wealth_at
+from per_path_reference import scheme_at_nodes, wealth_at
 
 BASELINE = MarketParams(wealth=1.0, rho=0.02, mu=0.05, sigma=0.2, horizon=1.0)
 WIDE = MarketParams(wealth=1.0, rho=0.02, mu=0.05, sigma=1.0, horizon=2.0)  # ~23 % flip
@@ -90,11 +88,6 @@ SCHEME_CASES = (
 )
 
 
-def _reference_scheme(c, params, grid, w, interp):
-    # Hitsuda-Skorokhod runs the corrected Euler scheme, forward and Ito plain Euler
-    return scheme_wealths(params, [grid], w, [scheme_stack(c, interp)])[0]
-
-
 def _reference_convergence(strategy, params, interp, n_list, n_paths, seed):
     c = stock_functional(strategy, params)
     exact_interp = HS if interp is HS else RV
@@ -105,7 +98,7 @@ def _reference_convergence(strategy, params, interp, n_list, n_paths, seed):
         fine = generate_path(fine_grid, seed, idx)
         for j, n in enumerate(n_list):
             grid, w = TimeGrid(params.horizon, n), fine[:: n_max // n]
-            approx = _reference_scheme(c, params, grid, w, interp)[-1]
+            approx = scheme_at_nodes(c, params, grid, w, interp)[-1]
             exact = exact_wealths([c], params, grid.nodes, w, exact_interp)[0][-1]
             totals[j] += abs(approx - exact)
     return [float(err) for err in totals / n_paths]

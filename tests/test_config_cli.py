@@ -762,6 +762,27 @@ def test_multi_block_ladder_bytes_match_recorded_digests(tmp_path, capsys):
     assert digests == MULTI_BLOCK_DIGESTS
 
 
+# (exit code, sha256 of the CSV) of `converge --paths 20 --seed 7` on the default
+# ladder, 256 to 16384 steps, per worker count; recorded like CSV_DIGESTS, while
+# the schemes still formed their wealth at every node. Every path is a one-row
+# block of 16385 nodes, and every level of the ladder is a stride of it.
+DEFAULT_LADDER_DIGESTS = {
+    "1": (0, "964e42c724ef4065679c7c3d75ed4d00446a077a124445cd850cd756f5b6e32e"),
+    "2": (0, "977ddf454b70b9d1dbf78a1b3a28e9772047e0fd558068ae35465331a344d21a"),
+}
+
+
+def test_default_ladder_bytes_match_recorded_digests(tmp_path, capsys):
+    digests = {}
+    for workers in DEFAULT_LADDER_DIGESTS:
+        out = tmp_path / f"converge-{workers}.csv"
+        argv = ["converge", "--paths", "20", "--seed", "7", "--workers", workers]
+        rc = main(argv + ["--csv", str(out)])
+        digests[workers] = (rc, _sha256(out.read_bytes()))
+    capsys.readouterr()
+    assert digests == DEFAULT_LADDER_DIGESTS
+
+
 # rounds of CLI calls as the benchmark's workloads run them, in one fresh
 # interpreter, on the ladder's config (the default market); prints the minor
 # page faults of each round

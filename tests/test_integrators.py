@@ -27,7 +27,7 @@ from insidermc.integrators import (
     exact_wealths,
     first_flip,
     scheme_stack,
-    scheme_wealths,
+    scheme_terminals,
 )
 from insidermc.paths import sample_block
 
@@ -38,10 +38,11 @@ RV = Interpretation.FORWARD
 ITO = Interpretation.ITO
 
 
-def _scheme(c, p, grid, w, interp):
-    # the scheme the interpretation runs, S_0 = C(B_T): plain Euler for forward,
-    # the corrected Euler scheme for Hitsuda-Skorokhod
-    return scheme_wealths(p, [grid], w, [scheme_stack(c, interp)])[0]
+def _scheme(c, p, grids, w, interp):
+    # the terminal wealth, one row per level of ``grids``, of the scheme the
+    # interpretation runs, S_0 = C(B_T): plain Euler for forward, the corrected
+    # Euler scheme for Hitsuda-Skorokhod
+    return scheme_terminals(p, grids, w, [scheme_stack(c, interp)])[0]
 
 
 def _terminal_as_integrand(s, x, y):
@@ -169,14 +170,15 @@ def test_flip_detection_agrees_with_window_inequality():
 
 def test_euler_forward_matches_hand_rolled_recursion():
     p = BASELINE
-    grid = TimeGrid(1.0, 4)
-    w = generate_path(grid, 8, 0)
+    w = generate_path(TimeGrid(1.0, 4), 8, 0)
     c = Affine(0.5, 1.5)
-    got = _scheme(c, p, grid, w, RV)
-    s = c.evaluate(w[-1])
-    want = [s]
-    for dw in np.diff(w):
-        s = s * (1.0 + p.mu * grid.dt + p.sigma * dw)
+    grids = [TimeGrid(1.0, n) for n in (1, 2, 4)]
+    got = _scheme(c, p, grids, w, RV)
+    want = []
+    for grid in grids:
+        s = c.evaluate(w[-1])
+        for dw in np.diff(w[:: 4 // grid.steps]):
+            s = s * (1.0 + p.mu * grid.dt + p.sigma * dw)
         want.append(s)
     assert np.allclose(got, want, rtol=1e-15)
 
@@ -189,7 +191,7 @@ def test_euler_forward_terminal_error_shrinks_with_mesh():
     for n in (64, 512, 4096):
         grid, w = TimeGrid(1.0, n), fine[:, :: 4096 // n]
         exact = exact_wealths([c], p, grid.nodes, w, RV)[0]
-        errs.append(np.mean(np.abs(_scheme(c, p, grid, w, RV)[:, -1] - exact[:, -1])))
+        errs.append(np.mean(np.abs(_scheme(c, p, [grid], w, RV)[0] - exact[:, -1])))
     assert errs[0] > errs[1] > errs[2]
 
 
@@ -279,16 +281,16 @@ def test_a_block_of_divergence_integrals_equals_one_call_per_path():
 
 def test_correction_scheme_reduces_to_euler_without_randomness():
     p = BASELINE
-    grid = TimeGrid(1.0, 64)
-    w = generate_path(grid, 18, 0)
+    w = generate_path(TimeGrid(1.0, 64), 18, 0)
     c = Affine(3.0, 0.0)
-    assert np.array_equal(_scheme(c, p, grid, w, HS), _scheme(c, p, grid, w, RV))
+    grids = [TimeGrid(1.0, n) for n in (1, 8, 64)]
+    assert np.array_equal(_scheme(c, p, grids, w, HS), _scheme(c, p, grids, w, RV))
 
 
 def test_correction_scheme_rejects_indicator_data():
     grid = TimeGrid(1.0, 8)
     with pytest.raises(NonDifferentiableError):
-        _scheme(Indicator(1.0, 0.0), BASELINE, grid, generate_path(grid, 18, 0), HS)
+        _scheme(Indicator(1.0, 0.0), BASELINE, [grid], generate_path(grid, 18, 0), HS)
 
 
 def test_correction_scheme_converges_to_anticipating_solution():
@@ -299,7 +301,7 @@ def test_correction_scheme_converges_to_anticipating_solution():
     for n in (64, 512, 4096):
         grid, w = TimeGrid(1.0, n), fine[:, :: 4096 // n]
         exact = exact_wealths([c], p, grid.nodes, w, HS)[0]
-        errs.append(np.mean(np.abs(_scheme(c, p, grid, w, HS)[:, -1] - exact[:, -1])))
+        errs.append(np.mean(np.abs(_scheme(c, p, [grid], w, HS)[0] - exact[:, -1])))
     assert errs[0] > errs[1] > errs[2]
 
 
@@ -313,7 +315,7 @@ def test_correction_scheme_handles_smooth_family():
     for n in (64, 4096):
         grid, w = TimeGrid(1.0, n), fine[:, :: 4096 // n]
         exact = exact_wealths([c], p, grid.nodes, w, HS)[0]
-        err.append(np.mean(np.abs(_scheme(c, p, grid, w, HS)[:, -1] - exact[:, -1])))
+        err.append(np.mean(np.abs(_scheme(c, p, [grid], w, HS)[0] - exact[:, -1])))
     assert err[-1] < err[0]
     assert err[-1] < 5e-3
 

@@ -1,14 +1,16 @@
 """The shared level kernels against the one-case kernels they generalize.
 
-``scheme_wealths`` builds the Euler factors g and their running product once
-for several schemes; ``_one_scheme_reference`` is the one-scheme kernel it
-replaced, written out, which built them per scheme and filled every stack
-level's ratios before dividing. ``ak_residuals`` builds the residual's
-shared arguments once for several functionals; one call per functional is
-its reference. A kernel that reuses a workspace left dirty by a larger call
-must return what a call with no workspace returns. A call on a ladder of grid
-levels must return, level by level, what a call on each level alone returns.
-Each comparison is bit for bit.
+``scheme_terminals`` builds the Euler factors g and each level's product of
+them once for several schemes, and forms each scheme's wealth at each
+level's last node only; ``scheme_at_nodes`` (``per_path_reference``) is the
+one-scheme kernel it replaced, written out, which built them per scheme,
+filled every stack level's ratios before dividing and formed the wealth at
+every node. ``ak_residuals`` builds the residual's shared arguments once for
+several functionals; one call per functional is its reference. A kernel that
+reuses a workspace left dirty by a larger call must return what a call with
+no workspace returns. A call on a ladder of grid levels must return, level by
+level, what a call on each level alone returns. Each comparison is bit for
+bit.
 """
 from dataclasses import dataclass
 
@@ -32,18 +34,18 @@ from insidermc import functionals, integrators
 from insidermc.integrators import (
     _MAX_CORRECTION_LEVELS,
     Workspace,
-    _correction_stack,
     ak_residuals,
     scheme_stack,
     scheme_starts,
-    scheme_wealths,
+    scheme_terminals,
 )
 from insidermc.market import FullInformation
 from insidermc.paths import sample_block
 
+from per_path_reference import scheme_at_nodes
+
 HS = Interpretation.HITSUDA_SKOROKHOD
 RV = Interpretation.FORWARD
-ITO = Interpretation.ITO
 
 BASELINE = MarketParams(wealth=1.0, rho=0.02, mu=0.05, sigma=0.2, horizon=1.0)
 # T = 1.3 makes dt no power of two, so any regrouping of sigma * dt changes bits
@@ -63,37 +65,6 @@ class _Exponential(TerminalFunctional):
 
     def derivative(self):
         return _Exponential(self.scale * self.rate, self.rate)
-
-
-def _one_scheme_reference(c, params, grid, w, interp):
-    """The one-scheme kernel as it stood before the shared one, written out."""
-    if interp in (ITO, RV):
-        levels = [c]
-    elif interp is HS:
-        levels = _correction_stack(c)
-    else:
-        raise ValueError(f"no direct scheme implements {interp.value}")
-    dt = grid.dt
-    sigma = params.sigma
-    g = np.diff(w, axis=-1)
-    g *= sigma
-    g += 1.0 + params.mu * dt
-    b_t = w[..., -1:]
-    start = [np.asarray(lvl.evaluate(b_t), dtype=float) for lvl in levels]
-    samples = np.empty(w.shape)
-    samples[..., :1] = start[0]
-    ratios = samples[..., 1:]
-    ratios[...] = start[-1]
-    left = np.empty_like(g)
-    for k in range(len(levels) - 2, -1, -1):
-        left[..., :1] = start[k + 1]
-        left[..., 1:] = ratios[..., :-1]
-        np.divide(left, g, out=ratios)
-        np.cumsum(ratios, axis=-1, out=ratios)
-        ratios *= sigma * dt
-        np.subtract(start[k], ratios, out=ratios)
-    ratios *= np.cumprod(g, axis=-1, out=g)
-    return samples
 
 
 def _same_bits(a, b):
@@ -123,25 +94,56 @@ def test_the_stacks_cover_one_two_and_the_deepest_level_count():
     }
 
 
+@pytest.mark.parametrize("shape", [(1, 16385), (7, 257), (1000, 17)])
+def test_a_multiply_reduction_is_the_last_running_product(shape):
+    # scheme_terminals takes each level's product of g by np.multiply.reduce, as
+    # the last column of np.multiply.accumulate (np.cumprod), also on the column
+    # spans of a wider array that the levels laid end to end are
+    rng = np.random.default_rng(41)
+    wide = 1.0 + 0.05 * rng.standard_normal((shape[0], shape[1] + 5))
+    for a in (wide[:, : shape[1]], wide[:, 5:]):
+        assert _same_bits(
+            np.multiply.reduce(a, axis=-1), np.multiply.accumulate(a, axis=-1)[:, -1]
+        )
+
+
 @pytest.mark.parametrize("params", [BASELINE, ODD], ids=["T=1", "T=1.3"])
 @pytest.mark.parametrize("steps", [4, 256, 16384])
 def test_shared_scheme_kernel_equals_the_one_scheme_kernel(params, steps):
     grid, w = _block(params, steps)
     cases = [(c, interp) for c in _functionals(params).values() for interp in (RV, HS)]
     stacks = [scheme_stack(c, interp) for c, interp in cases]
-    shared = scheme_wealths(params, [grid], w, stacks)
-    assert len(shared) == len(cases)
-    for wealth, (c, interp) in zip(shared, cases):
-        reference = _one_scheme_reference(c, params, grid, w, interp)
+    shared = scheme_terminals(params, [grid], w, stacks)
+    assert shared.shape == (len(cases), 1, w.shape[0])
+    for (terminal,), (c, interp), stack in zip(shared, cases, stacks):
+        reference = scheme_at_nodes(c, params, grid, w, interp)
         assert np.isfinite(reference).all()
-        assert _same_bits(wealth, reference)
-        stack = scheme_stack(c, interp)
-        assert _same_bits(scheme_wealths(params, [grid], w, [stack])[0], reference)
-        # one path along a single node axis, as the per-path calls pass it
-        assert _same_bits(
-            scheme_wealths(params, [grid], w[1], [stack])[0],
-            _one_scheme_reference(c, params, grid, w[1], interp),
-        )
+        assert _same_bits(terminal, reference[:, -1])
+        assert _same_bits(scheme_terminals(params, [grid], w, [stack])[0, 0], terminal)
+        # one path along a single node axis, as the per-path references pass it
+        assert _same_bits(scheme_terminals(params, [grid], w[1], [stack])[0, 0], terminal[1])
+
+
+@pytest.mark.parametrize("params", [BASELINE, ODD], ids=["T=1", "T=1.3"])
+@pytest.mark.parametrize("steps,rows,ladder", [
+    (16384, 1, (256, 512, 1024, 2048, 4096, 8192, 16384)),  # converge's default ladder
+    (256, 7, (4, 256)),
+    (32, 1000, (4, 8, 16, 32)),
+])
+def test_each_level_terminal_is_the_last_value_of_the_per_node_scheme(
+    params, steps, rows, ladder
+):
+    grid = TimeGrid(params.horizon, steps)
+    w = sample_block(grid, 29, 4, 4 + rows)
+    cases = [(c, interp) for c in _functionals(params).values() for interp in (RV, HS)]
+    grids = [TimeGrid(params.horizon, n) for n in ladder]
+    shared = scheme_terminals(params, grids, w, [scheme_stack(c, i) for c, i in cases])
+    assert shared.shape == (len(cases), len(ladder), rows)
+    for terminals, (c, interp) in zip(shared, cases):
+        for terminal, g in zip(terminals, grids):
+            reference = scheme_at_nodes(c, params, g, w[:, :: steps // g.steps], interp)
+            assert np.isfinite(reference).all()
+            assert _same_bits(terminal, reference[:, -1])
 
 
 @pytest.mark.parametrize("params", [BASELINE, ODD], ids=["T=1", "T=1.3"])
@@ -171,12 +173,11 @@ def test_scheme_wealths_on_a_reused_workspace_equal_a_fresh_call(params):
     work = Workspace(w.size)
     # the second call reads a shorter block at a coarser level, over what the first left
     for g, block in ((grid, w), _coarse_short(params, w, 4, w.shape[0] - 7)):
-        reused = scheme_wealths(params, [g], block, stacks, work)
-        fresh = scheme_wealths(params, [g], block, stacks)
-        assert len(reused) == len(cases)
-        for a, b in zip(reused, fresh):
-            assert np.isfinite(b).all()
-            assert _same_bits(a, b)
+        reused = scheme_terminals(params, [g], block, stacks, work)
+        fresh = scheme_terminals(params, [g], block, stacks)
+        assert reused.shape == (len(cases), 1, block.shape[0])
+        assert np.isfinite(fresh).all()
+        assert _same_bits(reused, fresh)
 
 
 @pytest.mark.parametrize("params", [BASELINE, ODD], ids=["T=1", "T=1.3"])
@@ -243,15 +244,12 @@ def test_a_ladder_of_levels_equals_one_call_per_level(params, steps, rows, ladde
     stacks = _ladder_cases(params)
     assert [len(stack) for stack in stacks] == [1, 1, 2, 3, _MAX_CORRECTION_LEVELS]
     grids = [TimeGrid(params.horizon, n) for n in ladder]
-    laid = scheme_wealths(params, grids, w, stacks)
-    firsts = np.cumsum([0] + [n + 1 for n in ladder])
-    for samples in laid:
-        assert samples.shape == (rows, firsts[-1])
+    laid = scheme_terminals(params, grids, w, stacks)
+    assert laid.shape == (len(stacks), len(ladder), rows)
     for j, g in enumerate(grids):
-        alone = scheme_wealths(params, [g], w[:, :: steps // g.steps], stacks)
-        for samples, reference in zip(laid, alone):
-            assert np.isfinite(reference).all()
-            assert _same_bits(samples[:, firsts[j] : firsts[j + 1]], reference)
+        alone = scheme_terminals(params, [g], w[:, :: steps // g.steps], stacks)
+        assert np.isfinite(alone).all()
+        assert _same_bits(laid[:, j], alone[:, 0])
 
 
 @pytest.mark.parametrize("params", [BASELINE, ODD], ids=["T=1", "T=1.3"])
@@ -271,7 +269,7 @@ def test_a_level_that_is_no_stride_of_the_paths_is_refused():
     grid, w = _block(BASELINE, 256)
     stacks = [[stock_functional(PartialTrust(), BASELINE)]]
     with pytest.raises(ValueError, match="a 96-step level is no stride of 256-step paths"):
-        scheme_wealths(BASELINE, [TimeGrid(1.0, 96)], w, stacks)
+        scheme_terminals(BASELINE, [TimeGrid(1.0, 96)], w, stacks)
 
 
 def _count_checks(monkeypatch):
