@@ -16,9 +16,10 @@ ladder is one kernel call for all its levels and all its schemes or groups.
 ``scheme_terminals`` lays the levels end to end along the node axis and runs
 each stage once for all of them: the Euler factors g = sigma dW +
 (1 + mu dt), with 1 + mu dt a per-node column, and the Hitsuda-Skorokhod
-divide; only the products of g and the running sums stay one call per level.
-It forms each scheme's wealth at each level's last node alone, the one value
-``converge`` reports: the product of g is a multiply reduction, and
+divide; only the products of g and the Hitsuda-Skorokhod sums stay one call
+per level. It forms each scheme's wealth at each level's last node alone,
+the one value ``converge`` reports: the product of g is a multiply
+reduction, the sum that the wealth reads is a subtract reduction, and
 Hitsuda-Skorokhod scales, subtracts and multiplies at that node only. The
 schemes share g and its products, and ``scheme_terminals`` evaluates their
 start values once per block from the block's B_T, which every level shares.
@@ -40,7 +41,13 @@ too.
 README's "Ladder cost per stage" times each ladder stage per path. Its
 first three stages are the bit-identical floor: the Philox stream fixes the
 normals, and the running sums and the products are sequential loops whose
-order fixes the floats.
+order fixes the floats. A sum or product whose partial values no kernel
+reads is a sequential reduction, which writes only its last value.
+
+A ladder block holds as many paths as 32768 values hold, and at least two
+(``_block_rows``), so the per-block costs (a generator's set-up, the start
+values, about 30 kernel calls and two finiteness sums) are shared by two
+paths or more even at 16384 steps.
 
 Each ladder chunk allocates its working set once (``_ladder_blocks``): one
 array for a block's finest paths, into which every block is drawn, and one
@@ -185,13 +192,20 @@ class MCReport:
         return self.health.degenerate
 
 
-def _blocks(grid: TimeGrid, start: int, stop: int):
-    """Contiguous index ranges of at most ``_BLOCK_VALUES`` path values each.
+def _block_rows(grid: TimeGrid) -> int:
+    """Paths per ladder block: as many as ``_BLOCK_VALUES`` values hold, at least two.
 
     ``_BLOCK_VALUES`` (256 KiB of float64) is large enough to amortize the
-    per-call overhead and small enough to stay in cache and add no memory peak.
+    per-call overhead and small enough to stay in cache and add no memory
+    peak. A path of 16384 or more steps holds more than half of it, and its
+    block holds two paths, so each per-block cost is shared by two paths.
     """
-    rows = max(1, _BLOCK_VALUES // (grid.steps + 1))
+    return max(2, _BLOCK_VALUES // (grid.steps + 1))
+
+
+def _blocks(grid: TimeGrid, start: int, stop: int):
+    """Contiguous index ranges of ``_block_rows(grid)`` paths each, the last one shorter."""
+    rows = _block_rows(grid)
     for lo in range(start, stop, rows):
         yield lo, min(lo + rows, stop)
 
@@ -205,7 +219,7 @@ def _ladder_blocks(grid: TimeGrid, seed: int, start: int, stop: int, width: int)
     into the same workspace, a shorter block into a prefix of it; so a chunk
     makes its node-sized allocations once, not per block and level.
     """
-    rows = min(max(1, _BLOCK_VALUES // (grid.steps + 1)), stop - start)
+    rows = min(_block_rows(grid), stop - start)
     buffer = np.empty((rows, grid.steps + 1))
     work = Workspace(rows * width)
     for lo, hi in _blocks(grid, start, stop):

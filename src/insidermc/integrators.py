@@ -30,11 +30,14 @@ workspace to every call, and a call without one gets its own.
 read off the finest paths ``w`` as the strided view ``w[..., ::factor]``;
 one grid is a ladder of one level. The schemes lay the levels end to end
 along the node axis and run each stage once for all of them; only the
-products and running sums stay one call per level. They return each
-scheme's wealth at each level's last node only: a level's product of g is
-a multiply reduction, the sequential loop whose result is the last value of
+products and sums stay one call per level. They return each scheme's
+wealth at each level's last node only: a level's product of g is a
+multiply reduction, the sequential loop whose result is the last value of
 ``np.cumprod`` bit for bit, so the forward scheme forms no node-sized
-wealth, and Hitsuda-Skorokhod scales, subtracts and multiplies only at each
+wealth. Hitsuda-Skorokhod forms the running sums of its deeper stack
+levels, which the level below reads node by node, but its wealth level
+reads only the last value of its sum, a sequential subtract reduction over
+negated terms, and it scales, subtracts and multiplies only at each
 level's last node. The residual builds the growth factor and the exact
 solutions once, at the finest level, and reads each coarser level as a
 strided view of them: power-of-two levels share their nodes bit for bit. An
@@ -377,13 +380,14 @@ def scheme_terminals(
     ``grids`` is a ladder of grid levels whose steps divide those of ``w``:
     level j reads ``w[..., ::factor]`` and takes the steps_j + 1 columns of
     the node-sized arrays that follow the columns of the levels before it.
-    Each stage runs once for all levels; only the products and running sums
-    run once per level. A level's product is a multiply reduction, a
-    sequential loop, so it is the last value of the running product g_1,
-    g_1 g_2, ... bit for bit, and the wealth is formed at the last node
-    only: every value is that of the scheme run node by node on that level
-    alone, at its last node. The levels share B_T, so the start values are
-    evaluated once for all of them.
+    Each stage runs once for all levels; only the products and sums run
+    once per level. A level's product is a multiply reduction, a sequential
+    loop, so it is the last value of the running product g_1, g_1 g_2, ...
+    bit for bit; the sum of stack level 0 is a subtract reduction, the last
+    value of its running sum bit for bit; and the wealth is formed at the
+    last node only: every value is that of the scheme run node by node on
+    that level alone, at its last node. The levels share B_T, so the start
+    values are evaluated once for all of them.
     """
     levels = _levels(grids, w)
     starts = scheme_starts(stacks, w[..., -1:])
@@ -413,31 +417,37 @@ def scheme_terminals(
             np.multiply(start[0], products, out=values)
             continue
         # Work in ratios r_m = S_m / prod(g_1..g_m); the correction recursion is
-        # then r_m = r_{m-1} - sigma*dt * r^below_{m-1} / g_m, which cumsum solves.
+        # then r_m = r_{m-1} - sigma*dt * r^below_{m-1} / g_m, a running sum.
         # The top level's ratios are its constant start over g. A level's first
-        # column holds -0.0 before each cumsum, which adds it to nothing. The
-        # in-place steps keep every product's operands.
+        # column holds -0.0 before each sum, which adds it to nothing. The
+        # in-place steps keep every product's operands. The wealth reads only
+        # the last value of level 0's sum, so its terms are divided negated,
+        # (-a) / g being -(a / g) exactly, and summed by a subtract reduction:
+        # -0.0 - (-y_1) - (-y_2) ... is the running sum's sequential loop, as
+        # IEEE defines a - (-b) as a + b, and only add reductions go pairwise.
         samples = work.take("samples", shape)
-        np.divide(start[-1], g, out=samples)
+        np.divide(-start[-1] if len(start) == 2 else start[-1], g, out=samples)
         left = work.take("left", shape) if len(start) > 2 else None
-        for k in range(len(start) - 2, -1, -1):
+        for k in range(len(start) - 2, 0, -1):
             samples[..., firsts] = -0.0
             # the ufunc behind np.cumsum, called without its wrapper
             for span in spans:
                 np.add.accumulate(samples[..., span], axis=-1, out=samples[..., span])
-            if not k:
-                break
             samples *= scale
             np.subtract(start[k], samples, out=samples)
             # step m of the level below reads this level's ratio at step m - 1,
             # start[k] at step 1: one shift by a column, each level's first
-            # column holding start[k]
+            # column holding start[k], negated where the level below is level 0
             samples[..., firsts] = start[k]
-            left[..., 1:] = samples[..., :-1]
-            left[..., :1] = start[k]
+            shift = np.negative if k == 1 else np.positive
+            shift(samples[..., :-1], out=left[..., 1:])
+            left[..., :1] = shift(start[k])
             np.divide(left, g, out=samples)
+        samples[..., firsts] = -0.0
+        for j, span in enumerate(spans):
+            np.subtract.reduce(samples[..., span], axis=-1, out=values[..., j])
         # the wealth's scale, subtraction and product, at each level's last node
-        np.multiply(samples[..., ends], scale[ends], out=values)
+        values *= scale[ends]
         np.subtract(start[0], values, out=values)
         values *= products
     return terminals

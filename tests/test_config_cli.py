@@ -727,13 +727,14 @@ def test_sweep_bytes_do_not_depend_on_the_block_size(tmp_path, capsys, monkeypat
 # (exit code, sha256 of the CSV) at --seed 7 of ladders whose paths span several
 # blocks (a block holds at most 32768 path values), per worker count; recorded
 # like CSV_DIGESTS, before the ladders reused one workspace per chunk, so a stale
-# row left over from a longer block would show. 16385 nodes give one row per
-# block; 2049 nodes give 15, so 37 paths make blocks of 15, 15 and 7 and 333
-# make 22 blocks of 15 and a last block of 3.
+# row left over from a longer block would show. 16385 nodes give two rows per
+# block, so 3 paths on one worker make blocks of 2 and 1; 2049 nodes give 15,
+# so 37 paths make blocks of 15, 15 and 7 and 333 make 22 blocks of 15 and a
+# last block of 3.
 MULTI_BLOCK_DIGESTS = {
-    ("converge-rows-1", "1"):
+    ("converge-rows-2", "1"):
         (1, "e1ce08a87eb845cde89a378c4ce81c5d59602e3ca77789ee0682b7869939e5dc"),
-    ("converge-rows-1", "2"):
+    ("converge-rows-2", "2"):
         (1, "bddf59807e0d1dc28c018d6ecd8a70ce32d5517686ab3e53d393e3e8e5b3f28e"),
     ("converge-rows-15", "1"):
         (0, "0269c985b3171d7344ed15bf921bf59c987aa4dbb1d33466d19480bbd173c294"),
@@ -748,7 +749,7 @@ MULTI_BLOCK_DIGESTS = {
 
 def test_multi_block_ladder_bytes_match_recorded_digests(tmp_path, capsys):
     cases = {
-        "converge-rows-1": ["converge", "--paths", "3", "--n-list", "4096,8192,16384"],
+        "converge-rows-2": ["converge", "--paths", "3", "--n-list", "4096,8192,16384"],
         "converge-rows-15": ["converge", "--paths", "37", "--n-list", "256,512,1024,2048"],
         "conjecture-rows-15": ["conjecture", "--paths", "333", "--n-list", "16,64,2048"],
     }
@@ -764,8 +765,8 @@ def test_multi_block_ladder_bytes_match_recorded_digests(tmp_path, capsys):
 
 # (exit code, sha256 of the CSV) of `converge --paths 20 --seed 7` on the default
 # ladder, 256 to 16384 steps, per worker count; recorded like CSV_DIGESTS, while
-# the schemes still formed their wealth at every node. Every path is a one-row
-# block of 16385 nodes, and every level of the ladder is a stride of it.
+# the schemes still formed their wealth at every node. The paths of 16385 nodes
+# come two to a block, and every level of the ladder is a stride of them.
 DEFAULT_LADDER_DIGESTS = {
     "1": (0, "964e42c724ef4065679c7c3d75ed4d00446a077a124445cd850cd756f5b6e32e"),
     "2": (0, "977ddf454b70b9d1dbf78a1b3a28e9772047e0fd558068ae35465331a344d21a"),

@@ -114,6 +114,27 @@ def test_a_ladder_names_the_first_failing_block(horizon, interps, seed, what):
     assert str(failure.value) == f"{what} values are non-finite"
 
 
+# 16385-node paths come 2 to a block, so 5 paths make blocks of 2, 2 and 1, and
+# the first failing block counts the failures of two paths. With one path to a
+# block each message below read otherwise, as noted
+@pytest.mark.parametrize("horizon,interps,seed,what", [
+    # every path fails at every level ("1 scheme wealth")
+    (1.0, (HS,), 2, "2 scheme wealth"),
+    # the exact values of paths 2 and 3 fail, both in block 1 ("1 exact wealth")
+    (1.0, (RV,), 3, "2 exact wealth"),
+    # path 2 fails at n = 8 and path 3's exact value, which a block names
+    # first, fails in the same block ("1 scheme wealth")
+    (5.0, (RV,), 3, "1 exact wealth"),
+])
+def test_a_ladder_of_16384_steps_names_a_two_path_block(horizon, interps, seed, what):
+    params = MarketParams(wealth=1e307, rho=0.02, mu=0.05, sigma=0.5, horizon=horizon)
+    assert list(harness._blocks(TimeGrid(horizon, 16384), 0, 5)) == [(0, 2), (2, 4), (4, 5)]
+    with pytest.raises(NumericalError) as failure:
+        with np.errstate(over="ignore"):
+            convergence_studies(PartialTrust(), params, interps, (4, 8, 16384), 5, seed)
+    assert str(failure.value) == f"{what} values are non-finite"
+
+
 def test_non_finite_residuals_are_a_numerical_failure():
     for wealth, sigma, message in (
         # the control fails on every level (23, 36, 73 values): the first level is named

@@ -31,6 +31,7 @@ from insidermc import (
     stock_functional,
 )
 from insidermc import functionals, integrators
+from insidermc.harness import _blocks
 from insidermc.integrators import (
     _MAX_CORRECTION_LEVELS,
     Workspace,
@@ -107,6 +108,34 @@ def test_a_multiply_reduction_is_the_last_running_product(shape):
         )
 
 
+@pytest.mark.parametrize("shape", [(1, 16385), (2, 16385), (1000, 65)])
+def test_a_subtract_reduction_is_the_last_running_sum(shape):
+    # scheme_terminals sums level 0 of each Hitsuda-Skorokhod stack by
+    # np.subtract.reduce over its negated terms, -0.0 - (-y_1) - (-y_2) ..., as
+    # the last column of np.add.accumulate (np.cumsum) over -0.0, y_1, y_2, ...;
+    # also on the column spans of a wider array, and with signed zeros,
+    # subnormals and infinities among the terms
+    rng = np.random.default_rng(43)
+    rows, nodes = shape
+    scales = 10.0 ** rng.integers(-8, 8, (rows, 1))
+    wide = rng.standard_normal((rows, nodes + 5)) * scales
+    kind = rng.integers(0, 50, wide.shape)
+    wide[kind == 0] = 0.0
+    wide[kind == 1] = -0.0
+    wide[kind == 2] = 5e-324 * rng.integers(-9, 9, np.count_nonzero(kind == 2))
+    wide[: rows // 2, -2] = np.inf
+    wide[: rows // 3, 3] = -np.inf
+    for span in (slice(0, nodes), slice(5, nodes + 5)):
+        terms = wide.copy()
+        terms[:, span.start] = -0.0
+        negated = np.negative(terms)
+        negated[:, span.start] = -0.0
+        assert _same_bits(
+            np.subtract.reduce(negated[:, span], axis=-1),
+            np.add.accumulate(terms[:, span], axis=-1)[:, -1],
+        )
+
+
 @pytest.mark.parametrize("params", [BASELINE, ODD], ids=["T=1", "T=1.3"])
 @pytest.mark.parametrize("steps", [4, 256, 16384])
 def test_shared_scheme_kernel_equals_the_one_scheme_kernel(params, steps):
@@ -129,6 +158,7 @@ def test_shared_scheme_kernel_equals_the_one_scheme_kernel(params, steps):
     (16384, 1, (256, 512, 1024, 2048, 4096, 8192, 16384)),  # converge's default ladder
     (256, 7, (4, 256)),
     (32, 1000, (4, 8, 16, 32)),
+    (16384, 2, (256, 512, 1024, 2048, 4096, 8192, 16384)),  # ... in a two-path block
 ])
 def test_each_level_terminal_is_the_last_value_of_the_per_node_scheme(
     params, steps, rows, ladder
@@ -139,6 +169,8 @@ def test_each_level_terminal_is_the_last_value_of_the_per_node_scheme(
     grids = [TimeGrid(params.horizon, n) for n in ladder]
     shared = scheme_terminals(params, grids, w, [scheme_stack(c, i) for c, i in cases])
     assert shared.shape == (len(cases), len(ladder), rows)
+    # paths 4 and 5 of the 16385-node case are one ladder block, as converge draws it
+    assert list(_blocks(TimeGrid(params.horizon, 16384), 4, 7)) == [(4, 6), (6, 7)]
     for terminals, (c, interp) in zip(shared, cases):
         for terminal, g in zip(terminals, grids):
             reference = scheme_at_nodes(c, params, g, w[:, :: steps // g.steps], interp)
